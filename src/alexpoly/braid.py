@@ -141,11 +141,26 @@ class Factorization:
         return out
 
 
-def validate_factorization(f: Factorization) -> None:
-    """Require the factors to multiply to the full twist."""
+def validate_factorization(f: Factorization, source: str | None = None) -> None:
+    """Require every factor to read literally w s_i^k w^-1 (k != 0) and
+    the factors to multiply to the full twist."""
+    for idx, factor in enumerate(f.factors):
+        core = _conjugate_core(factor.letters)
+        if not core or any(v != core[0] for v in core):
+            raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
+                             source=source, field="factors")
     if not braid_equal(f.product(), full_twist(f.strands)):
         raise InputError("product of the factors is not the full twist",
-                         field="factors")
+                         source=source, field="factors")
+
+
+def _conjugate_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Strip the longest w ... w^-1 wrapping and return what is left."""
+    n = len(letters)
+    k = 0
+    while k < n // 2 and letters[n - 1 - k] == -letters[k]:
+        k += 1
+    return letters[k:n - k]
 
 
 def factor_orbits(f: Factorization) -> list[tuple[int, ...]]:
@@ -182,16 +197,19 @@ def _generator_names(strands: int) -> tuple[str, ...]:
 
 
 def zvk_presentation(f: Factorization, projective: bool | None = None,
-                     check: bool = True) -> tuple[Presentation, AbelMap]:
+                     check: bool = True, source: str | None = None
+                     ) -> tuple[Presentation, AbelMap]:
     """Presentation of the curve complement cut out by a factorization.
 
     One relator per factor and generator, saying the factor's action
     fixes that generator.  The projective variant kills the product
     x_1 ... x_d as well.  The returned map sends each generator to the
-    coordinate of its component (orbits ordered by least strand).
+    coordinate of its component (orbits ordered by least strand).  With
+    check, the factorization is validated first; source names its file
+    in the diagnostic.
     """
     if check:
-        validate_factorization(f)
+        validate_factorization(f, source=source)
     if projective is None:
         projective = f.projective
     d = f.strands

@@ -58,7 +58,8 @@ def cmd_zvk(args: argparse.Namespace) -> int:
     fact = factorization_from_json(load_json_file(args.factorization),
                                    source=args.factorization)
     projective = True if args.projective else None
-    pres, phi = zvk_presentation(fact, projective=projective)
+    pres, phi = zvk_presentation(fact, projective=projective,
+                                 source=args.factorization)
     delta = (alexander_polynomial(pres, phi) if args.multi
              else alexander_one_variable(pres, phi))
     text = poly_to_str(delta)
@@ -163,7 +164,7 @@ def _delta_from_text(text: str) -> LaurentPoly:
         obj = load_json_file(text)
         if isinstance(obj, dict) and "factors" in obj:
             pres, phi = zvk_presentation(
-                factorization_from_json(obj, source=text))
+                factorization_from_json(obj, source=text), source=text)
         else:
             pres, phi = presentation_from_json(obj, source=text)
             if phi is None:
@@ -180,7 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.factorization is not None:
         fact = factorization_from_json(load_json_file(args.factorization),
                                        source=args.factorization)
-        pres, phi = zvk_presentation(fact)
+        pres, phi = zvk_presentation(fact, source=args.factorization)
         delta = alexander_one_variable(pres, phi)
     else:
         delta = _delta_from_text(args.delta)

@@ -1,124 +1,46 @@
 """Free differential calculus and Alexander-type polynomial invariants.
 
-Given a finite presentation and a homomorphism of its free group onto
-Z^r, the generator-by-generator free derivatives of the relators map to
-a matrix over the Laurent ring in r variables.  The invariant returned
-here is the gcd of that matrix's (n-1) x (n-1) minors, where n is the
-number of generators.
+Given a finite presentation and a homomorphism phi of its free group onto
+Z^r, the Fox matrix holds the free derivative of each relator by each
+generator, pushed through phi into the Laurent ring in r variables.  The
+invariant returned here is the gcd of that matrix's (n-1) x (n-1) minors,
+where n is the number of generators.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
-
 from .errors import ComputationError
-from .group import AbelMap, Presentation, Word
+from .group import AbelMap, Presentation
 from .minors import minor_gcd
 from .ring import LaurentPoly
 
 
-class GroupRingElement:
-    """Finite rational combination of free-group words."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[Word, Fraction] | None = None):
-        cleaned = {}
-        if coeffs:
-            for word, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    cleaned[word] = c
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GroupRingElement is immutable")
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def of_word(cls, w: Word, coeff: int | Fraction = 1) -> "GroupRingElement":
-        return cls({w: Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc = dict(self.coeffs)
-        for word, c in other.coeffs.items():
-            acc[word] = acc.get(word, Fraction(0)) + c
-        return GroupRingElement(acc)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc: dict[Word, Fraction] = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                w = u * v
-                acc[w] = acc.get(w, Fraction(0)) + cu * cv
-        return GroupRingElement(acc)
-
-    def left_mul(self, w: Word) -> "GroupRingElement":
-        return GroupRingElement({w * u: c for u, c in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupRingElement) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "<GroupRingElement 0>"
-        body = " + ".join(f"{c}*{w!r}" for w, c in self.coeffs.items())
-        return f"<GroupRingElement {body}>"
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElement:
-    """Free derivative of w with respect to generator gen.
-
-    Satisfies d(uv) = du + u dv, d(x) = 1 and d(x^-1) = -x^-1 for the
-    chosen generator x, and kills the other generators.
-    """
-    acc: dict[Word, Fraction] = {}
-    prefix = Word.identity()
-    for g, e in w.syllables:
-        if g == gen:
-            if e > 0:
-                powers = range(e)
-            else:
-                powers = range(-1, e - 1, -1)
-            sign = Fraction(1 if e > 0 else -1)
-            for p in powers:
-                key = prefix * Word.generator(g, p) if p else prefix
-                acc[key] = acc.get(key, Fraction(0)) + sign
-        prefix = prefix * Word.generator(g, e)
-    return GroupRingElement(acc)
-
-
-def theta(elem: GroupRingElement, phi: AbelMap) -> LaurentPoly:
-    """Push a group-ring element to the Laurent ring: each word w becomes
-    the monomial with exponent vector phi(w)."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for word, coeff in elem.coeffs.items():
-        exps = phi(word)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return LaurentPoly(phi.rank, terms)
-
-
 def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
-    """Rows indexed by relators, columns by generators."""
+    """Rows indexed by relators, columns by generators.
+
+    Each row is built in one pass over its relator, tracking the image
+    phi(u) of the prefix u read so far.  By the product rule a syllable
+    x_g^e after u adds u (1 + x_g + ... + x_g^(e-1)) to column g when
+    e > 0 and -u (x_g^-1 + ... + x_g^e) when e < 0, each word w entering
+    as the monomial with exponent vector phi(w).
+    """
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
                          f"presentation has {pres.n}")
-    return [[theta(fox_derivative(r, j), phi) for j in range(pres.n)]
-            for r in pres.relators]
+    rows = []
+    for r in pres.relators:
+        cols: list[dict[tuple[int, ...], int]] = [{} for _ in range(pres.n)]
+        at = (0,) * phi.rank
+        for g, e in r.syllables:
+            img = phi.images[g]
+            terms = cols[g]
+            sign, powers = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
+            for p in powers:
+                exps = tuple(a + p * b for a, b in zip(at, img))
+                terms[exps] = terms.get(exps, 0) + sign
+            at = tuple(a + e * b for a, b in zip(at, img))
+        rows.append([LaurentPoly(phi.rank, terms) for terms in cols])
+    return rows
 
 
 def alexander_polynomial(pres: Presentation, phi: AbelMap) -> LaurentPoly:

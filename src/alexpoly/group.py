@@ -8,9 +8,10 @@ multiplication and endomorphism application keep that invariant.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 
@@ -218,47 +219,44 @@ class AbelMap:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z
+# Smith normal form over a Euclidean domain
 
 
-def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
+def smith_diagonal(a: list[list], divmod_: Callable, add: Callable,
+                   sub: Callable, mul: Callable, size: Callable) -> list:
+    """Nonzero diagonal of the Smith normal form, each entry dividing the next.
 
-    Input is a list of rows (possibly empty); returns min(m, n) diagonal
-    entries, nonnegative, each dividing the next.
+    a is a list of equal-length rows over a Euclidean domain whose elements
+    are falsy exactly when zero; it is reduced in place.  The ring enters
+    through its divmod, add, sub and mul, and size is the Euclidean norm
+    (abs over Z, coefficient-list length over Q[t]).  Entries come back
+    as the loop leaves them, signs and leading coefficients included.
     """
-    m = len(rows)
-    n = ncols
-    a = [list(map(int, row)) for row in rows]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    diag: list[int] = []
-    top = 0
-    left = 0
+    m = len(a)
+    n = len(a[0]) if a else 0
+    diag = []
+    top = left = 0
     while top < m and left < n:
-        pivot = None
-        for i in range(top, m):
-            for j in range(left, n):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
+        pivot = min(((i, j) for i in range(top, m) for j in range(left, n)
+                     if a[i][j]),
+                    key=lambda ij: size(a[ij[0]][ij[1]]), default=None)
         if pivot is None:
             break
         i0, j0 = pivot
         a[top], a[i0] = a[i0], a[top]
         for row in a:
             row[left], row[j0] = row[j0], row[left]
-        # clear the pivot row and column (Euclidean steps)
+        # clear the pivot row and column (Euclidean steps); a nonzero
+        # remainder becomes the smaller pivot of the next sweep
         dirty = True
         while dirty:
             dirty = False
             p = a[top][left]
             for i in range(top + 1, m):
                 if a[i][left]:
-                    q = a[i][left] // p
+                    q = divmod_(a[i][left], p)[0]
                     for j in range(left, n):
-                        a[i][j] -= q * a[top][j]
+                        a[i][j] = sub(a[i][j], mul(q, a[top][j]))
                     if a[i][left]:
                         a[top], a[i] = a[i], a[top]
                         dirty = True
@@ -267,34 +265,42 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
                 continue
             for j in range(left + 1, n):
                 if a[top][j]:
-                    q = a[top][j] // p
+                    q = divmod_(a[top][j], p)[0]
                     for i in range(top, m):
-                        a[i][j] -= q * a[i][left]
+                        a[i][j] = sub(a[i][j], mul(q, a[i][left]))
                     if a[top][j]:
                         for row in a:
                             row[left], row[j] = row[j], row[left]
                         dirty = True
                         break
-        # enforce divisibility of the remaining block by the pivot
-        p = abs(a[top][left])
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(left + 1, n):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        # enforce divisibility of the remaining block by the pivot: add an
+        # offending row to the pivot row and reduce again
+        p = a[top][left]
+        offender = next((i for i in range(top + 1, m)
+                         if any(a[i][j] and divmod_(a[i][j], p)[1]
+                                for j in range(left + 1, n))), None)
         if offender is not None:
             for j in range(left, n):
-                a[top][j] += a[offender][j]
+                a[top][j] = add(a[top][j], a[offender][j])
             continue
         diag.append(p)
         top += 1
         left += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
     return diag
+
+
+def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    Input is a list of rows (possibly empty); returns min(m, n) diagonal
+    entries, nonnegative, each dividing the next.
+    """
+    a = [list(map(int, row)) for row in rows]
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    diag = [abs(d) for d in smith_diagonal(a, divmod, operator.add,
+                                           operator.sub, operator.mul, abs)]
+    return diag + [0] * (min(len(a), ncols) - len(diag))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,25 @@
 """Greatest common divisor of the k x k minors of a Laurent-polynomial matrix.
 
 The result generates the smallest principal ideal containing the ideal of
-k-minors, which is all the downstream invariants need.  Three devices keep
-this tractable:
+k-minors, which is all the downstream invariants need.  Rows that are zero
+or duplicated are discarded (they add no new minors), and a unit entry lets
+the matrix contract: clearing its column with row operations and deleting
+its row and column turns the gcd of k-minors into the gcd of (k-1)-minors
+of the smaller matrix.  What remains takes one route per ring:
 
-* rows that are zero or duplicated are discarded (they add no new minors),
-* a unit entry lets the matrix contract: clearing its column with row
-  operations and deleting its row and column turns the gcd of k-minors
-  into the gcd of (k-1)-minors of the smaller matrix,
-* when exhaustive enumeration would be too wide and the ring is
-  univariate, the answer is read off a Smith normal form over Q[t] as the
-  k-th determinant divisor.
+* one variable: after each row is shifted by a monomial the entries lie in
+  the Euclidean domain Q[t], and the gcd is the k-th determinant divisor,
+  the product of the first k invariant factors of a Smith normal form;
+* several variables: the minors are enumerated, sharing the expansion of
+  common row prefixes, and their gcd is folded until it becomes a unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
+from .group import smith_diagonal
 from .ring import LaurentPoly, gcd, normalize
-
-# row-subset count above which univariate matrices switch to the
-# Smith-normal-form path
-ENUMERATION_LIMIT = 20000
 
 Row = tuple[LaurentPoly, ...]
 
@@ -43,7 +40,7 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int) -> 
         return LaurentPoly.one(nvars)
     if len(work) < k or (work and len(work[0]) < k):
         return LaurentPoly.zero(nvars)
-    if nvars == 1 and comb(len(work), k) > ENUMERATION_LIMIT:
+    if nvars == 1:
         return _snf_minor_gcd(work, k)
     return _enumerate_minor_gcd(work, k, nvars)
 
@@ -77,7 +74,7 @@ def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration with shared-prefix expansion
+# several variables: exhaustive enumeration with shared-prefix expansion
 
 
 def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int) -> LaurentPoly:
@@ -126,7 +123,7 @@ def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# univariate fallback: Smith normal form over Q[t]
+# one variable: Smith normal form over Q[t]
 #
 # entries become dense Fraction coefficient lists; the k-th determinant
 # divisor (gcd of k-minors) is the product of the first k invariant factors
@@ -137,7 +134,7 @@ def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
     for row in rows:
         shift = min(e.min_exponents()[0] for e in row if not e.is_zero)
         mat.append([_dense(e.shift((-shift,))) for e in row])
-    diag = _snf_diagonal(mat)
+    diag = smith_diagonal(mat, _pdivmod, _padd, _psub, _pmul, len)
     if len(diag) < k:
         return LaurentPoly.zero(1)
     product = [Fraction(1)]
@@ -211,67 +208,3 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list
             rem[shift + i] -= factor * bi
         _ptrim(rem)
     return _ptrim(quo), rem
-
-
-def _snf_diagonal(mat: list[list[list[Fraction]]]) -> list[list[Fraction]]:
-    """Nonzero invariant factors of a matrix over Q[t], divisibility-ordered."""
-    m = len(mat)
-    n = len(mat[0]) if mat else 0
-    diag: list[list[Fraction]] = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        pivot = None
-        for i in range(top, m):
-            for j in range(left, n):
-                if mat[i][j] and (pivot is None
-                                  or len(mat[i][j]) < len(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        mat[top], mat[i0] = mat[i0], mat[top]
-        for row in mat:
-            row[left], row[j0] = row[j0], row[left]
-        dirty = True
-        while dirty:
-            dirty = False
-            p = mat[top][left]
-            for i in range(top + 1, m):
-                if mat[i][left]:
-                    q, r = _pdivmod(mat[i][left], p)
-                    for j in range(left, n):
-                        mat[i][j] = _psub(mat[i][j], _pmul(q, mat[top][j]))
-                    if r:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(left + 1, n):
-                if mat[top][j]:
-                    q, r = _pdivmod(mat[top][j], p)
-                    for i in range(top, m):
-                        mat[i][j] = _psub(mat[i][j], _pmul(q, mat[i][left]))
-                    if r:
-                        for row in mat:
-                            row[left], row[j] = row[j], row[left]
-                        dirty = True
-                        break
-        p = mat[top][left]
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(left + 1, n):
-                if mat[i][j] and _pdivmod(mat[i][j], p)[1]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(left, n):
-                mat[top][j] = _padd(mat[top][j], mat[offender][j])
-            continue
-        diag.append(p)
-        top += 1
-        left += 1
-    return diag

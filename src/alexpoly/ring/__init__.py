@@ -14,7 +14,6 @@ from .cyclotomic import (
     cyclotomic_factorization,
     cyclotomic_polynomial,
     euler_phi,
-    is_cyclotomic_product,
 )
 from .textfmt import parse_poly, poly_to_str
 
@@ -29,7 +28,6 @@ __all__ = [
     "exact_divide",
     "gcd",
     "gcd_many",
-    "is_cyclotomic_product",
     "multiplicity",
     "normalize",
     "parse_poly",

@@ -91,9 +91,3 @@ def cyclotomic_factorization(p: LaurentPoly) -> tuple[dict[int, int], LaurentPol
             rem = normalize(q)
             factors[n] = factors.get(n, 0) + 1
     return factors, rem
-
-
-def is_cyclotomic_product(p: LaurentPoly) -> bool:
-    """True when p is a unit times a product of cyclotomic polynomials."""
-    _, rem = cyclotomic_factorization(p)
-    return rem.is_unit

@@ -88,10 +88,7 @@ def _lead_coeff_last(p: LaurentPoly) -> LaurentPoly:
 
 def _coefficients_last(p: LaurentPoly) -> list[LaurentPoly]:
     """Coefficient polynomials (one variable fewer) of powers of the last variable."""
-    acc: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        acc.setdefault(e[-1], {})[e[:-1]] = c
-    return [_raw(p.nvars - 1, terms) for terms in acc.values()]
+    return [_raw(p.nvars - 1, terms) for terms in _group_by_last(p).values()]
 
 
 def _embed(p: LaurentPoly) -> LaurentPoly:

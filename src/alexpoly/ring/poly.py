@@ -118,11 +118,6 @@ class LaurentPoly:
         exps = max(self.terms, key=grlex_key)
         return exps, self.terms[exps]
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic ----------------------------------------------------
 
     def _require_same_ring(self, other: "LaurentPoly") -> None:

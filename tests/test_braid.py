@@ -193,6 +193,21 @@ def test_validate_rejects_wrong_product():
         validate_factorization(Factorization(3, (B(3, 1, 1), B(3, 2, 2))))
 
 
+def test_validate_requires_literal_conjugate_factors():
+    # (s1 s2)^3 is the full twist, but no factor reads w s_i^k w^-1
+    with pytest.raises(InputError, match="factor 0 "):
+        validate_factorization(Factorization(3, (B(3, 1, 2),) * 3))
+    for letters in ((1, -1), (1, 2, 1), (2, 1, -1, -2), (1, 1, -1, -1)):
+        with pytest.raises(InputError, match="factor 1 "):
+            validate_factorization(
+                Factorization(3, (B(3, 1, 1), B(3, *letters), B(3, 2, 2))))
+    # w may be any word, reduced or not, and k negative: these pass the
+    # shape check and fail only on the product
+    for letters in ((2, -2, 1, 1, 2, -2), (-2, -2, -1, 2, 2)):
+        with pytest.raises(InputError, match="full twist"):
+            validate_factorization(Factorization(3, (B(3, *letters),)))
+
+
 def test_factor_orbits():
     # three lines: every factor permutation is trivial
     assert factor_orbits(three_lines()) == [(0,), (1,), (2,)]

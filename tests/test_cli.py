@@ -250,6 +250,31 @@ def test_wrong_shape_is_input_error(capsys, tmp_path):
     assert "strands" in err
 
 
+def test_zvk_rejects_factor_not_conjugate_of_generator_power(capsys, tmp_path):
+    # (s1 s2)^3 is the full twist, but s1 s2 is not w s_i^k w^-1
+    path = tmp_path / "not_conjugates.json"
+    path.write_text(json.dumps({"strands": 3, "factors": [[1, 2]] * 3}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "zvk", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: field 'factors': factor 0 ")
+
+
+def test_validation_diagnostic_names_the_file(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"strands": 3, "factors": [[1, 1]]}),
+                    encoding="utf-8")
+    curve = str(DATA / "three_lines" / "curve.json")
+    expected = (f"error: {path}: field 'factors': product of the factors "
+                "is not the full twist\n")
+    for argv in (("zvk", str(path)), ("verify", curve, str(path)),
+                 ("verify", curve, "--delta", str(path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err == expected, argv
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ("verify", str(DATA / "zariski_sextic" / "curve.json"),
             str(DATA / "zariski_sextic" / "factorization.json"),

@@ -1,5 +1,6 @@
 """Tests for free differential calculus and the minor-gcd engine."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexpoly.errors import ComputationError
-from alexpoly.fox import (
-    GroupRingElement,
-    alexander_one_variable,
-    alexander_polynomial,
-    fox_derivative,
-    fox_matrix,
-    theta,
-)
+from alexpoly.fox import alexander_one_variable, alexander_polynomial, fox_matrix
 from alexpoly.group import AbelMap, Presentation, Word, parse_word
 from alexpoly.minors import _enumerate_minor_gcd, _snf_minor_gcd, minor_gcd
 from alexpoly.ring import (
@@ -25,6 +19,7 @@ from alexpoly.ring import (
     normalize,
     parse_poly,
 )
+from fox_reference import GroupRingElement, fox_derivative, theta
 
 
 def P(text, nvars=None):
@@ -213,20 +208,29 @@ def test_minor_gcd_degenerate_shapes():
 
 
 @st.composite
-def poly_matrix_st(draw, max_rows=4, ncols=3):
+def poly_matrix_st(draw, max_rows=4, ncols=3, nvars=1):
+    # entries are combinations of 1, t, t^2 in one variable and of
+    # 1, t0, t1, t0*t1 in two
+    def exps(i):
+        return (i,) if nvars == 1 else (i % 2, i // 2)
+
     def poly():
         return st.builds(
-            lambda cs: LaurentPoly(1, {(i,): Fraction(c)
-                                       for i, c in enumerate(cs) if c}),
-            st.lists(st.integers(-2, 2), min_size=0, max_size=3))
+            lambda cs: LaurentPoly(nvars, {exps(i): Fraction(c)
+                                           for i, c in enumerate(cs) if c}),
+            st.lists(st.integers(-2, 2), min_size=0, max_size=2 + nvars))
     m = draw(st.integers(1, max_rows))
     return [[draw(poly()) for _ in range(ncols)] for _ in range(m)]
 
 
-@given(poly_matrix_st(), st.integers(1, 3))
+@given(st.integers(1, 2).flatmap(
+    lambda v: st.tuples(st.just(v), poly_matrix_st(nvars=v))),
+    st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
-def test_minor_gcd_matches_bruteforce(rows, k):
-    assert minor_gcd(rows, k, 1) == oracle_minor_gcd(rows, k, 1)
+def test_minor_gcd_matches_bruteforce(case, k):
+    # one variable takes the Smith-normal-form route, two the enumeration
+    nvars, rows = case
+    assert minor_gcd(rows, k, nvars) == oracle_minor_gcd(rows, k, nvars)
 
 
 @given(poly_matrix_st(max_rows=4, ncols=3), st.integers(1, 3))
@@ -310,6 +314,26 @@ def test_product_of_conjugates_is_redundant():
     bigger = Presentation(base.generators, base.relators + (extra,))
     assert alexander_polynomial(bigger, PHI_T) == \
         alexander_polynomial(base, PHI_T)
+
+
+def test_fox_matrix_matches_free_derivatives():
+    # each entry is theta of the group-ring free derivative, over random
+    # relators and markings of rank 1 to 3 with negative images (the hat
+    # marking sends a meridian to t^-d)
+    rng = random.Random(20261018)
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        rank = rng.randint(1, 3)
+        phi = AbelMap(rank, tuple(tuple(rng.randint(-3, 3) for _ in range(rank))
+                                  for _ in range(n)))
+        relators = tuple(
+            Word((rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(1, 3)))
+        pres = Presentation(tuple(f"x{i}" for i in range(n)), relators)
+        assert fox_matrix(pres, phi) == [
+            [theta(fox_derivative(r, j), phi) for j in range(n)]
+            for r in pres.relators]
 
 
 def test_fox_matrix_shape_and_mismatch():

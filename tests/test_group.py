@@ -1,5 +1,6 @@
 """Tests for free-group words, presentations and abelianization maps."""
 
+import random
 from itertools import combinations
 from math import gcd as int_gcd
 
@@ -215,6 +216,20 @@ def test_snf_matches_determinant_divisors(rows):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def test_snf_matches_sympy():
+    # sympy serves as an independent oracle; it is never a runtime dependency
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(20261018)
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(n)]
+                for _ in range(m)]
+        expected = [abs(int(d)) for d in
+                    invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        assert smith_normal_form(rows, n) == expected, rows
 
 
 # ---------------------------------------------------------------------------
