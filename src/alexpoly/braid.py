@@ -95,26 +95,29 @@ def permutation(braid: BraidWord) -> list[int]:
     return pos
 
 
-def permutation_cycles(perm: list[int]) -> list[tuple[int, ...]]:
-    """Cycles as sorted tuples, ordered by least element."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
+def permutation_orbits(strands: int, perms: list[list[int]]
+                       ) -> list[tuple[int, ...]]:
+    """Orbits of the strands under the permutations together, as sorted
+    tuples ordered by least element."""
+    seen: set[int] = set()
+    orbits = []
+    for start in range(strands):
+        if start in seen:
             continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = perm[v]
-        cycles.append(tuple(sorted(cyc)))
-    return cycles
+        seen.add(start)
+        orbit = [start]
+        for v in orbit:  # grows while it is walked
+            for p in perms:
+                if p[v] not in seen:
+                    seen.add(p[v])
+                    orbit.append(p[v])
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def strand_components(braid: BraidWord) -> list[tuple[int, ...]]:
     """Strand sets of the closed-braid components."""
-    return permutation_cycles(permutation(braid))
+    return permutation_orbits(braid.strands, [permutation(braid)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +147,27 @@ class Factorization:
 def validate_factorization(f: Factorization, source: str | None = None) -> None:
     """Require every factor to read literally w s_i^k w^-1 (k != 0) and
     the factors to multiply to the full twist."""
-    for idx, factor in enumerate(f.factors):
-        core = _conjugate_core(factor.letters)
-        if not core or any(v != core[0] for v in core):
-            raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
-                             source=source, field="factors")
+    for idx in range(len(f.factors)):
+        _split_factor(f, idx, source=source)
     if not braid_equal(f.product(), full_twist(f.strands)):
         raise InputError("product of the factors is not the full twist",
                          source=source, field="factors")
 
 
-def _conjugate_core(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Strip the longest w ... w^-1 wrapping and return what is left."""
+def _split_factor(f: Factorization, idx: int, source: str | None = None
+                 ) -> tuple[BraidWord, BraidWord]:
+    """Split factor idx, read literally as w s_i^k w^-1 with k != 0, into
+    (w, s_i^k) by stripping the longest w ... w^-1 wrapping."""
+    letters = f.factors[idx].letters
     n = len(letters)
     k = 0
     while k < n // 2 and letters[n - 1 - k] == -letters[k]:
         k += 1
-    return letters[k:n - k]
+    core = letters[k:n - k]
+    if not core or any(v != core[0] for v in core):
+        raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
+                         source=source, field="factors")
+    return BraidWord(f.strands, letters[:k]), BraidWord(f.strands, core)
 
 
 def factor_orbits(f: Factorization) -> list[tuple[int, ...]]:
@@ -169,23 +176,7 @@ def factor_orbits(f: Factorization) -> list[tuple[int, ...]]:
     Each orbit is the strand set of one global component of the curve
     the factorization describes.
     """
-    parent = list(range(f.strands))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for factor in f.factors:
-        for s, target in enumerate(permutation(factor)):
-            ra, rb = find(s), find(target)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for s in range(f.strands):
-        groups.setdefault(find(s), []).append(s)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=min)
+    return permutation_orbits(f.strands, [permutation(b) for b in f.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +188,28 @@ def _generator_names(strands: int) -> tuple[str, ...]:
 
 
 def zvk_presentation(f: Factorization, projective: bool | None = None,
-                     check: bool = True, source: str | None = None
+                     source: str | None = None
                      ) -> tuple[Presentation, AbelMap]:
     """Presentation of the curve complement cut out by a factorization.
 
-    One relator per factor and generator, saying the factor's action
-    fixes that generator.  The projective variant kills the product
+    The factorization is validated first; source names its file in the
+    diagnostic.  Each factor w s_i^k w^-1 gives one relator, w^-1 applied
+    to s_i^k(x_i) x_i^-1: s_i^k fixes x_i x_{i+1} and the other
+    generators, so the relators b(x_j) x_j^-1 of the factor b for every j
+    follow from this one.  The projective variant kills the product
     x_1 ... x_d as well.  The returned map sends each generator to the
-    coordinate of its component (orbits ordered by least strand).  With
-    check, the factorization is validated first; source names its file
-    in the diagnostic.
+    coordinate of its component (orbits ordered by least strand).
     """
-    if check:
-        validate_factorization(f, source=source)
+    validate_factorization(f, source=source)
     if projective is None:
         projective = f.projective
     d = f.strands
     relators = []
-    for factor in f.factors:
-        images = artin_action(factor)
-        for i in range(d):
-            rel = images[i] * Word.generator(i).inverse()
-            if not rel.is_identity:
-                relators.append(rel)
+    for idx in range(len(f.factors)):
+        w, core = _split_factor(f, idx)
+        x = Word.generator(abs(core.letters[0]) - 1)
+        relators.append(apply_braid(w.inverse(),
+                                    apply_braid(core, x) * x.inverse()))
     if projective:
         prod = Word(tuple((i, 1) for i in range(d)))
         relators.append(prod)

@@ -62,10 +62,6 @@ class Word:
         """Largest generator index used, or -1 for the identity."""
         return max((g for g, _ in self.syllables), default=-1)
 
-    def length(self) -> int:
-        """Word length in letters (sum of |exponents|)."""
-        return sum(abs(e) for _, e in self.syllables)
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.syllables + other.syllables)
 
@@ -106,11 +102,6 @@ def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
         img = images[gen] if exp > 0 else images[gen].inverse()
         pairs.extend(img.syllables * abs(exp))
     return Word(pairs)
-
-
-def compose_endomorphisms(outer: Sequence[Word], inner: Sequence[Word]) -> list[Word]:
-    """Images of the map sending x_i through inner first, then outer."""
-    return [apply_endomorphism(outer, w) for w in inner]
 
 
 # ---------------------------------------------------------------------------

@@ -154,23 +154,6 @@ def marked_torus_link(strands: int, degree: int) -> MarkedLink:
     return MarkedLink(braid, colours, marked=0, degree=degree)
 
 
-def hat_vanishing_survey(named_links) -> list[dict]:
-    """Evaluate the hat invariant over (name, link) pairs.
-
-    Returns one record per link with the polynomial text and whether it
-    vanished; useful for scanning families without asserting anything.
-    """
-    records = []
-    for name, link in named_links:
-        value = hat_delta(link)
-        records.append({
-            "name": name,
-            "hat": poly_to_str(value),
-            "vanishes": value.is_zero,
-        })
-    return records
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 

@@ -1,14 +1,14 @@
 """Greatest common divisors in Q[t0^+-1, ..., tk^+-1].
 
-Univariate base case: primitive polynomial remainder sequence over Z
-(denominators cleared first).  Multivariate case recurses on the last
-variable: split off contents, run a primitive PRS with pseudo-division
-over the smaller ring.  Results are unit-normal.
+One primitive remainder sequence (PRS) with pseudo-division in the last
+variable serves every ring.  In one variable the primitive part is the
+unit-normal form; with more, contents over the smaller ring are split
+off by recursion.  Results are unit-normal.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .poly import LaurentPoly, exact_divide, normalize, _raw
 
@@ -23,8 +23,11 @@ def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     a = normalize(a)
     b = normalize(b)
     if a.nvars == 1:
-        return _gcd_univariate(a, b)
-    return _gcd_multivariate(a, b)
+        return _prs(a, b, normalize)
+    cont_a = _content_last(a)
+    cont_b = _content_last(b)
+    f = _prs(_primitive_last(a, cont_a), _primitive_last(b, cont_b), _primitive)
+    return normalize(_embed(gcd(cont_a, cont_b)) * f)
 
 
 def gcd_many(polys: Iterable[LaurentPoly], nvars: int | None = None) -> LaurentPoly:
@@ -44,36 +47,7 @@ def gcd_many(polys: Iterable[LaurentPoly], nvars: int | None = None) -> LaurentP
     return result
 
 
-# -- univariate -------------------------------------------------------------
-
-
-def _deg(p: LaurentPoly) -> int:
-    return p.max_exponents()[0]
-
-
-def _prem_univariate(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Pseudo-remainder of ordinary univariate polynomials, deg f >= deg g."""
-    dg = _deg(g)
-    lc_g = g.coefficient((dg,))
-    r = f
-    while not r.is_zero and _deg(r) >= dg:
-        dr = _deg(r)
-        lc_r = r.coefficient((dr,))
-        r = r * lc_g - g.shift((dr - dg,)) * lc_r
-    return r
-
-
-def _gcd_univariate(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    f, g = (a, b) if _deg(a) >= _deg(b) else (b, a)
-    while not g.is_zero:
-        r = _prem_univariate(f, g)
-        if not r.is_zero:
-            r = normalize(r)  # primitive part; unit factors are irrelevant
-        f, g = g, r
-    return normalize(f)
-
-
-# -- multivariate -----------------------------------------------------------
+# -- primitive remainder sequence in the last variable ----------------------
 
 
 def _deg_last(p: LaurentPoly) -> int:
@@ -121,7 +95,11 @@ def _group_by_last(p: LaurentPoly) -> dict[int, dict]:
     return acc
 
 
-def _prem_multivariate(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+def _primitive(p: LaurentPoly) -> LaurentPoly:
+    return _primitive_last(p, _content_last(p))
+
+
+def _prem(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     dg = _deg_last(g)
     lc_g = _lead_coeff_last(g)
     r = f
@@ -133,18 +111,14 @@ def _prem_multivariate(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return r
 
 
-def _gcd_multivariate(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    cont_a = _content_last(a)
-    cont_b = _content_last(b)
-    pp_a = _primitive_last(a, cont_a)
-    pp_b = _primitive_last(b, cont_b)
-    cont = gcd(cont_a, cont_b)
-
-    f, g = (pp_a, pp_b) if _deg_last(pp_a) >= _deg_last(pp_b) else (pp_b, pp_a)
+def _prs(a: LaurentPoly, b: LaurentPoly,
+         primitive: Callable[[LaurentPoly], LaurentPoly]) -> LaurentPoly:
+    """Primitive part of the last nonzero remainder of the sequence
+    started by a and b, both primitive in the last variable."""
+    f, g = (a, b) if _deg_last(a) >= _deg_last(b) else (b, a)
     while not g.is_zero:
-        r = _prem_multivariate(f, g)
+        r = _prem(f, g)
         if not r.is_zero:
-            r = _primitive_last(r, _content_last(r))
+            r = primitive(r)
         f, g = g, r
-    f = _primitive_last(f, _content_last(f))
-    return normalize(_embed(cont) * f)
+    return primitive(f)

@@ -18,7 +18,7 @@ from alexpoly.braid import (
     factorization_to_json,
     full_twist,
     permutation,
-    permutation_cycles,
+    permutation_orbits,
     strand_components,
     validate_factorization,
     zvk_presentation,
@@ -146,8 +146,11 @@ def test_permutation_examples():
 
 
 def test_permutation_cycles():
-    assert permutation_cycles([1, 0, 2]) == [(0, 1), (2,)]
-    assert permutation_cycles([2, 0, 1]) == [(0, 1, 2)]
+    assert permutation_orbits(3, [[1, 0, 2]]) == [(0, 1), (2,)]
+    assert permutation_orbits(3, [[2, 0, 1]]) == [(0, 1, 2)]
+    # several permutations join their cycles
+    assert permutation_orbits(4, [[1, 0, 2, 3], [0, 2, 1, 3]]) == [(0, 1, 2), (3,)]
+    assert permutation_orbits(2, []) == [(0,), (1,)]
 
 
 def test_strand_components():
@@ -227,10 +230,9 @@ def test_factor_orbits():
 def test_two_lines_presentation_relators():
     pres, phi = zvk_presentation(Factorization(2, (B(2, 1, 1),)))
     comm = W2("x1 x2 x1^-1 x2^-1")
-    # both relators are conjugates of the commutator or its inverse
-    assert len(pres.relators) == 2
-    assert pres.relators[1] == comm
-    assert pres.relators[0] == W2("x1") * comm.inverse() * W2("x1").inverse()
+    # one relator per factor: s1^2(x1) x1^-1, a conjugate of the
+    # commutator's inverse
+    assert pres.relators == (W2("x1") * comm.inverse() * W2("x1").inverse(),)
     assert phi.rank == 2
     assert phi.images == ((1, 0), (0, 1))
     assert pres.abelianization_invariants() == (2, [])
@@ -264,12 +266,9 @@ def test_projective_presentation_adds_product_relator():
     assert pres.abelianization_invariants() == (0, [2])
 
 
-def test_zvk_check_flag():
-    bad = Factorization(2, (B(2, 1),))
+def test_zvk_validates_factorization():
     with pytest.raises(InputError):
-        zvk_presentation(bad)
-    pres, phi = zvk_presentation(bad, check=False)
-    assert pres.n == 2
+        zvk_presentation(Factorization(2, (B(2, 1),)))
 
 
 def hurwitz_move(f: Factorization, i: int) -> Factorization:

@@ -7,6 +7,7 @@ three exit statuses (0 success, 1 failed check, 2 bad input) and that
 
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ import pytest
 
 from alexpoly.cli import main
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run_cli(capsys, *argv):
@@ -293,3 +295,38 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Phi_6" in proc.stdout
+
+
+def readme_examples():
+    """(command line, stdout) of every `$ alexpoly` example in README.md
+    whose output is shown in full, that is without `...`."""
+    examples, block, command, output = [], False, None, []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            block = not block
+        if command is not None and (not block or not line or line.startswith("$ ")):
+            if not any("..." in out for out in output):
+                examples.append((command, "".join(o + "\n" for o in output)))
+            command = None
+        if block and line.startswith("$ alexpoly "):
+            command, output = line[len("$ alexpoly "):], []
+        elif command is not None:
+            output.append(line)
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_found():
+    commands = [command.split()[0] for command, _ in README_EXAMPLES]
+    assert {"fox", "zvk", "closure", "cyclo"} <= set(commands)
+
+
+@pytest.mark.parametrize("command,stdout", README_EXAMPLES,
+                         ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_output(capsys, monkeypatch, command, stdout):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert out == stdout

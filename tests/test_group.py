@@ -14,7 +14,6 @@ from alexpoly.group import (
     Presentation,
     Word,
     apply_endomorphism,
-    compose_endomorphisms,
     parse_word,
     presentation_from_json,
     presentation_to_json,
@@ -109,12 +108,6 @@ def test_power():
     assert (w ** 0).is_identity
 
 
-def test_word_length():
-    w = Word(((0, 2), (1, -3)))
-    assert w.length() == 5
-    assert Word.identity().length() == 0
-
-
 @st.composite
 def words_st(draw, n_gens=3, max_syllables=8):
     pairs = draw(st.lists(
@@ -156,16 +149,6 @@ def test_apply_endomorphism_substitutes():
 def test_apply_endomorphism_rejects_out_of_range():
     with pytest.raises(ValueError):
         apply_endomorphism([Word.generator(0)], Word.generator(1))
-
-
-@given(words_st(n_gens=2))
-def test_endomorphism_composition(w):
-    x, y = Word.generator(0), Word.generator(1)
-    inner = [x * y, y.inverse()]
-    outer = [y, x * x]
-    composed = compose_endomorphisms(outer, inner)
-    assert apply_endomorphism(composed, w) == \
-        apply_endomorphism(outer, apply_endomorphism(inner, w))
 
 
 @given(words_st(), words_st())

@@ -7,7 +7,6 @@ from alexpoly.errors import ComputationError, InputError
 from alexpoly.linkpoly import (
     MarkedLink,
     hat_delta,
-    hat_vanishing_survey,
     link_from_json,
     link_to_json,
     marked_torus_link,
@@ -117,15 +116,6 @@ def test_torres_substitution_consistency():
         lhs = one_variable_delta(link)
         rhs = normalize(collapsed * P("t - 1"))
         assert equal_up_to_units(lhs, rhs)
-
-
-def test_hat_survey_records():
-    records = hat_vanishing_survey(
-        [("t22", marked_torus_link(2, 2)), ("t33d2", marked_torus_link(3, 2))])
-    assert records[0]["name"] == "t22"
-    assert not records[0]["vanishes"]
-    assert records[1]["vanishes"]
-    assert records[1]["hat"] == "0"
 
 
 # ---------------------------------------------------------------------------

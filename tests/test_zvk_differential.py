@@ -1,0 +1,97 @@
+"""One relator per factor against the d-relators-per-factor reference.
+
+``zvk_presentation`` keeps, for each factor w s_i^k w^-1, only the
+relator w^-1 applied to s_i^k(x_i) x_i^-1.  The reference in
+``zvk_reference.py`` keeps b(x_j) x_j^-1 for every factor b and every
+generator x_j.  Both must give the same one-variable and multivariable
+Alexander polynomials and the same abelianization, on the shipped
+factorizations (affine and projective), on generic line arrangements
+conjugated by seeded braids, and after Hurwitz moves.
+"""
+
+import json
+import pathlib
+import random
+
+import pytest
+
+from alexpoly.braid import BraidWord, Factorization, zvk_presentation
+from alexpoly.fox import alexander_one_variable, alexander_polynomial
+
+from zvk_reference import full_zvk_presentation
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+SHIPPED = ["two_lines", "three_lines", "conic_line", "nodal_cubic",
+           "cuspidal_cubic", "zariski_sextic"]
+
+
+def shipped(name: str, projective: bool) -> Factorization:
+    with open(DATA / name / "factorization.json", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    factors = tuple(BraidWord(obj["strands"], tuple(w)) for w in obj["factors"])
+    return Factorization(obj["strands"], factors, projective)
+
+
+def conjugate(f: Factorization, g: BraidWord) -> Factorization:
+    """Every factor written as g^-1 (w s_i^k w^-1) g; the product is
+    still the full twist, which is central."""
+    h = g.inverse()
+    return Factorization(f.strands, tuple(h * b * g for b in f.factors),
+                         f.projective)
+
+
+def arrangement(n: int, seed: int) -> Factorization:
+    """Generic n-line arrangement; seed 0 is the standard factorization,
+    other seeds conjugate it by a random braid of length 4."""
+    factors = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            conj = list(range(j - 1, i, -1))
+            factors.append(BraidWord(
+                n, tuple(conj + [i, i] + [-v for v in reversed(conj)])))
+    f = Factorization(n, tuple(factors))
+    if seed == 0:
+        return f
+    rng = random.Random(seed)
+    g = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(4))
+    return conjugate(f, BraidWord(n, g))
+
+
+def hurwitz_move(f: Factorization, i: int) -> Factorization:
+    fs = list(f.factors)
+    a, b = fs[i], fs[i + 1]
+    fs[i], fs[i + 1] = a * b * a.inverse(), a
+    return Factorization(f.strands, tuple(fs), f.projective)
+
+
+def assert_same_invariants(f: Factorization, multi: bool) -> None:
+    pres, phi = zvk_presentation(f)
+    ref = full_zvk_presentation(f)
+    assert pres.m == len(f.factors) + f.projective
+    assert pres.abelianization_invariants() == ref.abelianization_invariants()
+    assert alexander_one_variable(pres, phi) == alexander_one_variable(ref, phi)
+    if multi:
+        assert alexander_polynomial(pres, phi) == alexander_polynomial(ref, phi)
+
+
+@pytest.mark.parametrize("projective", [False, True])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_factorizations(name, projective):
+    assert_same_invariants(shipped(name, projective), multi=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conjugated_arrangements(n, seed):
+    # the reference's multivariable gcd is out of reach at n = 5
+    assert_same_invariants(arrangement(n, seed), multi=n <= 4)
+
+
+@pytest.mark.parametrize("name", ["nodal_cubic", "cuspidal_cubic",
+                                  "zariski_sextic"])
+def test_hurwitz_moved_factorizations(name):
+    f = shipped(name, False)
+    for i in (0, len(f.factors) // 2, len(f.factors) - 2):
+        assert_same_invariants(hurwitz_move(f, i), multi=True)
+
