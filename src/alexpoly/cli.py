@@ -30,8 +30,8 @@ from .fox import alexander_one_variable, alexander_polynomial
 from .group import AbelMap, load_json_file, presentation_from_json
 from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        multivariable_delta, one_variable_delta)
-from .ring import (LaurentPoly, cyclotomic_factorization, normalize,
-                   parse_poly, poly_to_str)
+from .ring import (LaurentPoly, check_degree, cyclotomic_factorization,
+                   normalize, parse_poly, poly_to_str)
 from .verify import cyclotomic_text, generic_infinity_delta, run_verification
 
 
@@ -170,7 +170,9 @@ def _delta_from_text(text: str) -> LaurentPoly:
             if phi is None:
                 phi = AbelMap.constant_one(len(pres.generators))
         return alexander_one_variable(pres, phi)
-    return parse_poly(text, nvars=1, source="--delta")
+    delta = parse_poly(text, nvars=1, source="--delta")
+    check_degree(delta, source="--delta")
+    return delta
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -201,11 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cyclo(args: argparse.Namespace) -> int:
-    p = parse_poly(args.poly, source="argument")
+    p = parse_poly(args.poly, nvars=1, source="argument")
     if p.is_zero:
         print("error: the zero polynomial is not a cyclotomic product",
               file=sys.stderr)
         return 1
+    check_degree(p, source="argument")
     factors, remainder = cyclotomic_factorization(normalize(p))
     if remainder.is_unit:
         text = cyclotomic_text(factors)

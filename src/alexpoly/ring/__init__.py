@@ -11,20 +11,22 @@ from .poly import (
 )
 from .gcd import gcd, gcd_many
 from .cyclotomic import (
+    MAX_DEGREE,
+    check_degree,
     cyclotomic_factorization,
     cyclotomic_polynomial,
-    euler_phi,
 )
 from .textfmt import parse_poly, poly_to_str
 
 __all__ = [
     "INFINITY",
     "LaurentPoly",
+    "MAX_DEGREE",
+    "check_degree",
     "cyclotomic_factorization",
     "cyclotomic_polynomial",
     "divides_up_to_units",
     "equal_up_to_units",
-    "euler_phi",
     "exact_divide",
     "gcd",
     "gcd_many",

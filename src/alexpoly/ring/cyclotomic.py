@@ -1,93 +1,215 @@
 """Cyclotomic polynomials and cyclotomic factor extraction.
 
 An irreducible integer polynomial of degree k is cyclotomic exactly when
-it divides t^n - 1 for some n with euler_phi(n) = k, and euler_phi(n) >=
-sqrt(n/2) bounds the search by n <= 2*k^2.  We therefore trial-divide by
-Phi_n for every candidate index n up to 2*deg(p)^2, skipping indices
-whose phi exceeds the remaining degree.
+it divides t^n - 1 for some n with euler_phi(n) = k.  Extraction works on
+dense integer coefficient lists (constant term first):
+
+* **Candidates.**  The indices n with phi(n) <= deg are enumerated
+  directly, by a depth-first walk over prime powers p^a with
+  p <= deg + 1 (p - 1 divides phi(n)) that multiplies phi as it goes.
+  Degree 120 gives 242 indices, the largest 462, with no scan.
+* **Phi_n.**  For the radical r of n (the product of its distinct
+  primes), Phi_r is the product over d | r of (1 - t^d)^mu(r/d), mu the
+  Moebius function, truncated at degree phi(r): each factor is one
+  in-place pass over an int list.  Then Phi_n(t) = Phi_r(t^(n/r)).
+* **Filter.**  If Phi_n divides the remainder a, then Phi_n(x) divides
+  a(x) for every integer x.  With x the smallest integer >= 2 that is
+  not a root of a, candidates failing this one big-integer test are
+  skipped; a(x) is updated by exact division along with a.
+* **Certificate.**  Each remaining candidate is tried by integer
+  synthetic division of the primitive remainder by the monic Phi_n; a
+  nonzero remainder means it does not divide.  By Gauss's lemma the
+  quotient stays primitive with a positive leading coefficient.
+
+Inputs above ``MAX_DEGREE`` are refused before any dense list exists.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import prod
 
-from .poly import LaurentPoly, exact_divide, normalize
+from ..errors import InputError
+from .poly import LaurentPoly, normalize
 
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi requires a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result = result // p * (p - 1)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result = result // m * (m - 1)
-    return result
+#: Largest normalized degree (top minus bottom exponent) that
+#: ``cyclotomic_factorization`` accepts.  At this degree ``t^1000 + 2``
+#: and dense random input take under 0.1 s and ``(t - 1)^1000`` about
+#: 0.2 s (CPython 3.11 on a shared Intel Xeon core).
+MAX_DEGREE = 1000
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def check_degree(p: LaurentPoly, source: str | None = None) -> None:
+    """Raise InputError when univariate ``p`` exceeds ``MAX_DEGREE``."""
+    if p.is_zero:
+        return
+    degree = p.max_exponents()[0] - p.min_exponents()[0]
+    if degree > MAX_DEGREE:
+        raise InputError(
+            f"degree {degree} exceeds the cyclotomic extraction limit "
+            f"{MAX_DEGREE}", source=source)
 
 
-@lru_cache(maxsize=None)
+def _primes(limit: int) -> list[int]:
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(limit + 1) if sieve[p]]
+
+
+def _candidates(k: int) -> list[tuple[int, int, list[int]]]:
+    """(n, phi(n), primes of n) for every n with phi(n) <= k, by n."""
+    primes = _primes(k + 1)
+    found = [(1, 1, [])]
+
+    def walk(start: int, n: int, phi: int, support: list[int]) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            f = phi * (p - 1)
+            if f > k:
+                break
+            m, m_support = n * p, support + [p]
+            while f <= k:
+                found.append((m, f, m_support))
+                walk(i + 1, m, f, m_support)
+                m *= p
+                f *= p
+
+    walk(0, 1, 1, [])
+    found.sort()
+    return found
+
+
+def _moebius_divisors(support: list[int]) -> list[tuple[int, bool]]:
+    """(d, mu(r/d) == -1) for the divisors d of r, the product of the
+    distinct primes ``support``."""
+    divisors = [(1, len(support) % 2 == 1)]
+    for p in support:
+        divisors += [(d * p, not odd) for d, odd in divisors]
+    return divisors
+
+
+def _phi_at(n: int, support: list[int], x: int) -> int:
+    """Phi_n(x) for an integer x >= 2: the product of
+    (x^(d*n/r) - 1)^mu(r/d) over the divisors d of r = rad(n)."""
+    rad = prod(support)
+    num = den = 1
+    for d, odd in _moebius_divisors(support):
+        value = x ** (d * n // rad) - 1
+        if odd:
+            den *= value
+        else:
+            num *= value
+    return num // den
+
+
+def _phi_coeffs(n: int, phi: int, support: list[int]) -> list[int]:
+    """Coefficients of Phi_n, constant term first; ``support`` holds the
+    primes of n and ``phi`` is euler_phi(n)."""
+    if n == 1:  # the product formula in 1 - t^d holds for n > 1
+        return [-1, 1]
+    rad = prod(support)
+    top = phi * rad // n  # euler_phi(rad)
+    c = [1] + [0] * top
+    for d, odd in _moebius_divisors(support):
+        if odd:  # divide by 1 - t^d: multiply by 1 + t^d + t^2d + ...
+            for i in range(d, top + 1):
+                c[i] += c[i - d]
+        else:  # multiply by 1 - t^d
+            for i in range(top, d - 1, -1):
+                c[i] -= c[i - d]
+    step = n // rad
+    if step == 1:
+        return c
+    out = [0] * (phi + 1)
+    out[::step] = c
+    return out
+
+
+def _divide(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b for monic b when the division is exact, else None."""
+    m = len(b) - 1
+    terms = [(j, bj) for j, bj in enumerate(b[:m]) if bj]
+    r = a[:]
+    q = [0] * (len(a) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + m]
+        if c:
+            q[i] = c
+            for j, bj in terms:
+                r[i + j] -= c * bj
+    if any(r[:m]):
+        return None
+    return q
+
+
+def _evaluate(coeffs: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
 def cyclotomic_polynomial(n: int) -> LaurentPoly:
     """Phi_n, unit-normal (monic with integer coefficients)."""
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    if n == 1:
-        return LaurentPoly.univariate({1: 1, 0: -1})
-    p = LaurentPoly.univariate({n: 1, 0: -1})
-    for d in _divisors(n):
-        if d == n:
-            continue
-        q = exact_divide(p, cyclotomic_polynomial(d))
-        if q is None:  # pragma: no cover - t^n - 1 is the product of the Phi_d
-            raise ArithmeticError("cyclotomic recursion failed")
-        p = q
-    return normalize(p)
+    support, phi, m, p = [], 1, n, 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left of n is prime
+        if m % p == 0:
+            support.append(p)
+            phi *= p - 1
+            m //= p
+            while m % p == 0:
+                phi *= p
+                m //= p
+        p += 1
+    coeffs = _phi_coeffs(n, phi, support)
+    return LaurentPoly.univariate({i: c for i, c in enumerate(coeffs) if c})
 
 
 def cyclotomic_factorization(p: LaurentPoly) -> tuple[dict[int, int], LaurentPoly]:
     """Split off all cyclotomic factors of a nonzero univariate polynomial.
 
-    Returns (multiplicities keyed by cyclotomic index, unit-normal
-    remainder free of cyclotomic factors).
+    Returns (multiplicities keyed by cyclotomic index, in increasing
+    order; unit-normal remainder free of cyclotomic factors).  Raises
+    InputError past ``MAX_DEGREE``.
     """
     if p.nvars != 1:
         raise ValueError("cyclotomic factorization is univariate")
     if p.is_zero:
         raise ValueError("cyclotomic factorization requires a nonzero polynomial")
+    check_degree(p)
     rem = normalize(p)
     factors: dict[int, int] = {}
     if rem.is_constant:
         return factors, rem
     degree = rem.max_exponents()[0]
-    bound = 2 * degree * degree
-    for n in range(1, bound + 1):
-        if rem.is_constant:
-            break
-        if euler_phi(n) > rem.max_exponents()[0]:
+    coeffs = [0] * (degree + 1)
+    for (e,), c in rem.terms.items():
+        coeffs[e] = int(c)
+    x = 2  # the smallest integer >= 2 that is not a root
+    value = _evaluate(coeffs, x)
+    while value == 0:
+        x += 1
+        value = _evaluate(coeffs, x)
+    for n, phi, support in _candidates(degree):
+        if phi >= len(coeffs):
             continue
-        phi_n = cyclotomic_polynomial(n)
-        while True:
-            q = exact_divide(rem, phi_n)
+        phi_value = _phi_at(n, support, x)
+        if value % phi_value:
+            continue
+        phi_n = _phi_coeffs(n, phi, support)
+        while phi < len(coeffs):
+            q = _divide(coeffs, phi_n)
             if q is None:
                 break
-            rem = normalize(q)
+            coeffs = q
+            value //= phi_value
             factors[n] = factors.get(n, 0) + 1
-    return factors, rem
+        if len(coeffs) == 1:
+            break
+    return factors, LaurentPoly.univariate(dict(enumerate(coeffs)))

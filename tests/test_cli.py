@@ -230,6 +230,30 @@ def test_cyclo_bad_poly_is_input_error(capsys):
     assert err.startswith("error:")
 
 
+def test_cyclo_rejects_several_variables(capsys):
+    code, out, err = run_cli(capsys, "cyclo", "t0*t1 - 1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: argument:")
+
+
+def test_cyclo_degree_limit(capsys):
+    code, out, err = run_cli(capsys, "cyclo", "t^1001 + 2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("error: argument: degree 1001 exceeds the "
+                           "cyclotomic extraction limit 1000")
+
+
+def test_verify_delta_degree_limit(capsys):
+    code, out, err = run_cli(capsys, "verify", str(DATA / "two_lines" / "curve.json"),
+                             "--delta", "t^1001 + 2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("error: --delta: degree 1001 exceeds the "
+                           "cyclotomic extraction limit 1000")
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "zvk", str(tmp_path / "nope.json"))
     assert code == 2

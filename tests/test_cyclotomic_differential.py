@@ -1,0 +1,91 @@
+"""Differential tests: cyclotomic extraction against the index scan.
+
+``ring.cyclotomic_factorization`` enumerates the indices with small
+phi, filters them by an integer evaluation and divides integer lists;
+``cyclotomic_reference`` scans every index up to 2*deg^2 with rational
+division.  Both must give the same factors in the same order and the
+same remainder.  sympy, where installed, is the oracle for Phi_n.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from alexpoly.errors import InputError
+from alexpoly.ring import (MAX_DEGREE, LaurentPoly, cyclotomic_factorization,
+                           cyclotomic_polynomial, parse_poly)
+from alexpoly.ring.cyclotomic import _candidates
+
+from cyclotomic_reference import cyclotomic_factorization as reference
+from cyclotomic_reference import euler_phi
+
+
+def _random_input(rng: random.Random) -> LaurentPoly:
+    scale = Fraction(rng.choice((1, -1, 2, -6, 15)), rng.choice((1, 2, 7)))
+    p = LaurentPoly.monomial(scale, (rng.randint(-6, 6),))
+    for _ in range(rng.randint(0, 4)):
+        n = rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30))
+        p = p * cyclotomic_polynomial(n) ** rng.randint(1, 3)
+    if rng.random() < 0.2:  # roots at 2 and 3 move the evaluation point
+        p = p * LaurentPoly.univariate({1: 1, 0: -2})
+        p = p * LaurentPoly.univariate({1: 1, 0: -3}) ** rng.randint(0, 1)
+    if rng.random() < 0.6:
+        degree = rng.randint(1, 6)
+        q = {i: rng.randint(-4, 4) for i in range(degree)}
+        q[degree] = rng.choice((1, -1, 2, 3))
+        p = p * LaurentPoly.univariate(q)
+    return p
+
+
+def test_factorization_matches_reference():
+    rng = random.Random(20261018)
+    seen_cyclotomic_free = seen_repeated = compared = 0
+    for _ in range(300):
+        p = _random_input(rng)
+        if p.max_exponents()[0] - p.min_exponents()[0] > 24:
+            continue
+        compared += 1
+        factors, rem = cyclotomic_factorization(p)
+        ref_factors, ref_rem = reference(p)
+        assert list(factors.items()) == list(ref_factors.items()), p
+        assert rem == ref_rem, p
+        seen_cyclotomic_free += not factors and not rem.is_constant
+        seen_repeated += any(k > 1 for k in factors.values())
+    assert compared > 150 and seen_cyclotomic_free and seen_repeated
+
+
+@pytest.mark.parametrize("text", ["t^30 - 1", "t^30 + 2", "2*t^12 + 3",
+                                  "t^-5 + t^7", "6*t^4 - 6"])
+def test_sparse_inputs_match_reference(text):
+    p = parse_poly(text)
+    assert cyclotomic_factorization(p) == reference(p)
+
+
+def test_candidates_are_the_indices_with_small_phi():
+    for k in range(1, 61):
+        expected = [n for n in range(1, 2 * k * k + 1) if euler_phi(n) <= k]
+        found = _candidates(k)
+        assert [n for n, _, _ in found] == expected, k
+        assert all(phi == euler_phi(n) for n, phi, _ in found)
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    # sympy serves as an independent oracle; it is never a runtime dependency
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 501):
+        coeffs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()
+        expected = LaurentPoly.univariate(
+            {i: int(c) for i, c in enumerate(reversed(coeffs)) if c})
+        assert cyclotomic_polynomial(n) == expected, n
+
+
+def test_degree_limit():
+    top = LaurentPoly.univariate({MAX_DEGREE: 1, 0: -1})
+    factors, rem = cyclotomic_factorization(top)
+    assert rem.is_unit and sum(euler_phi(n) for n in factors) == MAX_DEGREE
+    for terms in ({MAX_DEGREE + 1: 1, 0: 2}, {MAX_DEGREE: 1, -1: 1},
+                  {10 ** 12: 1, 0: -1}):
+        with pytest.raises(InputError, match=f"limit {MAX_DEGREE}"):
+            cyclotomic_factorization(LaurentPoly.univariate(terms))

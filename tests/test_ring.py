@@ -17,7 +17,6 @@ from alexpoly.ring import (
     cyclotomic_polynomial,
     divides_up_to_units,
     equal_up_to_units,
-    euler_phi,
     exact_divide,
     gcd,
     gcd_many,
@@ -26,6 +25,8 @@ from alexpoly.ring import (
     parse_poly,
     poly_to_str,
 )
+
+from cyclotomic_reference import euler_phi
 
 P = parse_poly
 t = LaurentPoly.variable()
