@@ -298,24 +298,32 @@ def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
 def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Quotient p/q for ordinary polynomials (min exponents 0), or None.
 
-    Single-divisor graded-lex division.  If q divides p exactly the
-    algorithm never meets a non-divisible lead term, so we abort early
-    the moment one shows up.
+    Single-divisor graded-lex division on one remainder dict, updated in
+    place.  If q divides p exactly the algorithm never meets a
+    non-divisible lead term, so we abort early the moment one shows up.
+    Each step cancels the remainder's lead term and adds only smaller
+    ones, so every quotient exponent is new.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     quot: dict[Exponents, Fraction] = {}
-    r = p
+    rem = dict(p.terms)
     q_exps, q_lead = q.leading()
-    while not r.is_zero:
-        r_exps, r_lead = r.leading()
+    while rem:
+        r_exps = max(rem, key=grlex_key)
         d = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
-        c = r_lead / q_lead
-        quot[d] = quot.get(d, _ZERO_FRAC) + c
-        r = r - q.shift(d) * c
-    return _raw(p.nvars, {e: c for e, c in quot.items() if c})
+        c = rem[r_exps] / q_lead
+        quot[d] = c
+        for e, qc in q.terms.items():
+            m = tuple(a + b for a, b in zip(e, d))
+            s = rem.get(m, _ZERO_FRAC) - qc * c
+            if s:
+                rem[m] = s
+            else:
+                del rem[m]
+    return _raw(p.nvars, quot)
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:

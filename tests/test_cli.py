@@ -86,6 +86,23 @@ def test_closure_multi_flag(capsys):
     assert payload["variables"] == 3
 
 
+def test_zvk_multi_six_line_arrangement(capsys, tmp_path):
+    # generic arrangement, A_ij = (s_{j-1} ... s_{i+1}) s_i^2 (...)^-1: its
+    # multivariable minor gcd folds 829 nonzero 5 x 5 minors of its 15 x 6
+    # Fox matrix down to 1
+    factors = []
+    for j in range(2, 7):
+        for i in range(1, j):
+            conj = list(range(j - 1, i, -1))
+            factors.append(conj + [i, i] + [-v for v in reversed(conj)])
+    path = tmp_path / "arrangement6.json"
+    path.write_text(json.dumps({"strands": 6, "factors": factors}),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "zvk", str(path), "--multi")
+    assert code == 0
+    assert out.splitlines()[-1] == "alexander: 1"
+
+
 def test_curve_sextic_json(capsys):
     code, out, _ = run_cli(capsys, "curve",
                            str(DATA / "zariski_sextic" / "curve.json"),

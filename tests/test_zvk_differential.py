@@ -84,8 +84,9 @@ def test_shipped_factorizations(name, projective):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_conjugated_arrangements(n, seed):
-    # the reference's multivariable gcd is out of reach at n = 5
-    assert_same_invariants(arrangement(n, seed), multi=n <= 4)
+    # at n = 5 the reference's 30-relator multivariable minor gcd takes
+    # seconds unconjugated and tens of seconds conjugated
+    assert_same_invariants(arrangement(n, seed), multi=n <= 4 or seed == 0)
 
 
 @pytest.mark.parametrize("name", ["nodal_cubic", "cuspidal_cubic",
