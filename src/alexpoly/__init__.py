@@ -13,7 +13,7 @@ from .braid import (BraidWord, Factorization, braid_equal,
                     factor_orbits, full_twist, validate_factorization,
                     zvk_presentation)
 from .curve import (CurveData, boundary_delta, curve_from_json,
-                    curve_to_json, euler_characteristic, first_betti)
+                    curve_to_json, euler_characteristic, first_betti, local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
 from .group import (AbelMap, Presentation, Word, load_json_file,
@@ -62,6 +62,7 @@ __all__ = [
     "link_from_json",
     "link_to_json",
     "load_json_file",
+    "local_deltas",
     "marked_torus_link",
     "multiplicity",
     "multivariable_delta",

@@ -24,7 +24,7 @@ import sys
 from .braid import (braid_from_json, factorization_from_json,
                     strand_components, zvk_presentation)
 from .curve import (affine_counts, boundary_delta, curve_from_json,
-                    euler_characteristic, first_betti)
+                    euler_characteristic, first_betti, local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
 from .group import AbelMap, load_json_file, presentation_from_json
@@ -134,7 +134,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     curve = curve_from_json(load_json_file(args.curve), source=args.curve)
     counts = affine_counts(curve)
-    boundary = poly_to_str(boundary_delta(curve))
+    boundary = poly_to_str(boundary_delta(curve, local_deltas(curve)))
     payload = {
         "degree": curve.degree,
         "curve_components": curve.n_curve_components,
@@ -169,9 +169,10 @@ def _delta_from_text(text: str) -> LaurentPoly:
             pres, phi = presentation_from_json(obj, source=text)
             if phi is None:
                 phi = AbelMap.constant_one(len(pres.generators))
-        return alexander_one_variable(pres, phi)
-    delta = parse_poly(text, nvars=1, source="--delta")
-    check_degree(delta, source="--delta")
+        delta, source = alexander_one_variable(pres, phi), text
+    else:
+        delta, source = parse_poly(text, nvars=1, source="--delta"), "--delta"
+    check_degree(delta, source=source)
     return delta
 
 
@@ -185,6 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        source=args.factorization)
         pres, phi = zvk_presentation(fact, source=args.factorization)
         delta = alexander_one_variable(pres, phi)
+        check_degree(delta, source=args.factorization)
     else:
         delta = _delta_from_text(args.delta)
     if args.infinity is None or args.infinity == "generic":

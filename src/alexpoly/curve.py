@@ -10,6 +10,7 @@ field holds the total degree of C.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -121,12 +122,31 @@ def first_betti(curve: CurveData, include_L: bool = True) -> int:
     return total - len(colours) + 1
 
 
-def boundary_delta(curve: CurveData) -> LaurentPoly:
-    """(1 - t)^{b_1(C union L)} times the hat invariants of all
-    singular points."""
+def local_deltas(curve: CurveData) -> list[LaurentPoly]:
+    """Hat invariant of each singular point, in order, with one
+    ``hat_delta`` per distinct (braid, marked strand, degree, colours)
+    key; nonzero colours are renamed by first base strand.  This is
+    sound: ``one_variable_delta`` ignores colours, and the marked path
+    depends only on ``colour_order`` and the colour-0 weights."""
+    hats: dict[tuple, LaurentPoly] = {}
+    out = []
+    for link in (sing.link for sing in curve.singularities):
+        names: dict[int, int] = {}
+        key = (link.braid, link.marked, link.degree,
+               tuple(0 if c == 0 else names.setdefault(c, len(names) + 1)
+                     for _, c in sorted(link.colours.items())))
+        if key not in hats:
+            hats[key] = hat_delta(link)
+        out.append(hats[key])
+    return out
+
+
+def boundary_delta(curve: CurveData, local: list[LaurentPoly]) -> LaurentPoly:
+    """(1 - t)^{b_1(C union L)} times the hat invariants ``local`` of
+    all singular points, each distinct one raised to its count."""
     out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve, include_L=True)
-    for sing in curve.singularities:
-        out = out * hat_delta(sing.link)
+    for hat, count in Counter(local).items():
+        out = out * hat ** count
     return normalize(out)
 
 

@@ -12,14 +12,16 @@ import pytest
 
 from alexpoly.braid import (factorization_from_json, validate_factorization,
                             zvk_presentation)
-from alexpoly.curve import curve_from_json, first_betti
+from alexpoly.curve import (boundary_delta, curve_from_json, first_betti,
+                            local_deltas)
 from alexpoly.fox import alexander_one_variable
 from alexpoly.group import (AbelMap, Presentation, Word, load_json_file,
                             parse_word)
 from alexpoly.linkpoly import (hat_delta, link_from_json, marked_torus_link,
                                multivariable_delta, one_variable_delta,
                                torus_link)
-from alexpoly.ring import LaurentPoly, equal_up_to_units, multiplicity
+from alexpoly.ring import (LaurentPoly, cyclotomic_factorization,
+                           equal_up_to_units, multiplicity)
 from alexpoly.verify import (check_local, generic_infinity_delta,
                              run_verification)
 from fox_reference import GroupRingElement, fox_derivative
@@ -154,6 +156,8 @@ def test_criterion_8_six_cusp_sextic():
 
     curve = curve_from_json(
         load_json_file(str(DATA / "zariski_sextic" / "curve.json")))
-    assert check_local(delta, curve).ok
+    local = local_deltas(curve)
+    assert check_local(delta, curve, local, boundary_delta(curve, local),
+                       cyclotomic_factorization(delta)).ok
     assert first_betti(curve) == 13
     done(8, "six-cusp sextic: delta is the order-6 cyclotomic, b1 = 13")

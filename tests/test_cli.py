@@ -13,7 +13,12 @@ import sys
 
 import pytest
 
+import alexpoly.curve
+import alexpoly.linkpoly
+import alexpoly.ring.cyclotomic
 from alexpoly.cli import main
+from alexpoly.ring import LaurentPoly, poly_to_str
+from verify_reference import arrangement_curve
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -269,6 +274,78 @@ def test_verify_delta_degree_limit(capsys):
     assert out == ""
     assert err.strip() == ("error: --delta: degree 1001 exceeds the "
                            "cyclotomic extraction limit 1000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", str(DATA / "zariski_sextic" / "curve.json"),
+     str(DATA / "zariski_sextic" / "factorization.json")],
+    ["verify", str(DATA / "zariski_sextic" / "curve.json"),
+     "--delta", str(DATA / "groups" / "trefoil.json")],
+])
+def test_verify_computed_delta_degree_limit(capsys, monkeypatch, argv):
+    # the polynomial computed from the file, t^2 - t + 1, is refused as
+    # soon as it is known, with the file named
+    monkeypatch.setattr(alexpoly.ring.cyclotomic, "MAX_DEGREE", 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (f"error: {argv[-1]}: degree 2 exceeds the "
+                           "cyclotomic extraction limit 1")
+
+
+@pytest.mark.parametrize("delta, code, ledger", [
+    ("t - 1", 0, "inapplicable cf-ledger: "),
+    ("0", 1, "fail         cf-ledger: "),
+])
+def test_verify_zero_boundary_product(capsys, tmp_path, delta, code, ledger):
+    # two lines meeting on L: the marked T(3,3) link of degree 2 has hat
+    # invariant 0, so the boundary product is 0
+    link = {"braid": {"strands": 3, "word": [1, 2, 1, 2, 1, 2]},
+            "colours": {"1": 0, "2": 1, "3": 2}, "marked": 1, "degree": 2}
+    curve = {"components": [{"name": n, "degree": 1, "genus": 0}
+                            for n in ("L", "A", "B")],
+             "singularities": [{"link": link, "on_L": True}]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    got, out, err = run_cli(capsys, "verify", str(path), "--delta", delta)
+    assert got == code
+    assert ledger in out
+    assert "Traceback" not in err
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Rebind every alexpoly.* name bound to module.name to a wrapper
+    that records each call; returns the record."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "alexpoly":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+def test_verify_arrangement_derives_local_data_once(capsys, tmp_path,
+                                                    monkeypatch):
+    # 66 nodes and 12 points on L share two distinct links; checks that
+    # each derived them for themselves made 168 hat_delta calls and two
+    # boundary products
+    path = tmp_path / "arrangement12.json"
+    path.write_text(json.dumps(arrangement_curve(12)), encoding="utf-8")
+    delta = poly_to_str(LaurentPoly.univariate({0: -1, 1: 1}) ** 11)
+    hats = count_calls(monkeypatch, alexpoly.linkpoly, "hat_delta")
+    boundaries = count_calls(monkeypatch, alexpoly.curve, "boundary_delta")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--delta", delta)
+    assert code == 0
+    assert out.splitlines()[-1] == "overall: pass"
+    assert len(hats) == 2
+    assert len(boundaries) == 1
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

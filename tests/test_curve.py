@@ -14,6 +14,7 @@ from alexpoly.curve import (
     curve_to_json,
     euler_characteristic,
     first_betti,
+    local_deltas,
 )
 from alexpoly.errors import InputError
 from alexpoly.linkpoly import MarkedLink
@@ -22,6 +23,10 @@ from alexpoly.ring import normalize, parse_poly
 
 def P(text):
     return parse_poly(text)
+
+
+def boundary_of(curve):
+    return boundary_delta(curve, local_deltas(curve))
 
 
 def line(name="L"):
@@ -142,16 +147,16 @@ def test_first_betti_numbers():
 
 
 def test_boundary_delta_conic():
-    assert boundary_delta(conic_curve()) == normalize(P("t - 1") ** 3)
+    assert boundary_of(conic_curve()) == normalize(P("t - 1") ** 3)
 
 
 def test_boundary_delta_two_lines():
-    assert boundary_delta(two_lines_curve()) == normalize(P("t - 1") ** 4)
+    assert boundary_of(two_lines_curve()) == normalize(P("t - 1") ** 4)
 
 
 def test_boundary_delta_nodal_cubic():
     # (1-t)^3 from the divisor, (t-1) from the node, (1-t) per crossing
-    assert boundary_delta(nodal_cubic_curve()) == normalize(P("t - 1") ** 7)
+    assert boundary_of(nodal_cubic_curve()) == normalize(P("t - 1") ** 7)
 
 
 def test_affine_counts():

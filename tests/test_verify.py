@@ -3,9 +3,11 @@
 import pytest
 
 from alexpoly.braid import BraidWord
-from alexpoly.curve import CurveComponent, CurveData, Singularity
+from alexpoly.curve import (CurveComponent, CurveData, Singularity,
+                            boundary_delta, local_deltas)
 from alexpoly.linkpoly import MarkedLink
-from alexpoly.ring import LaurentPoly, normalize, parse_poly
+from alexpoly.ring import (LaurentPoly, cyclotomic_factorization, normalize,
+                           parse_poly)
 from alexpoly.verify import (
     CheckResult,
     check_cf_ledger,
@@ -22,6 +24,33 @@ from alexpoly.verify import (
 
 def P(text):
     return parse_poly(text)
+
+
+def factored(delta):
+    """The invariant's cyclotomic factorization as the checks take it."""
+    return None if delta.is_zero else cyclotomic_factorization(delta)
+
+
+def local_check(delta, curve):
+    local = local_deltas(curve)
+    return check_local(delta, curve, local, boundary_delta(curve, local),
+                       factored(delta))
+
+
+def l1_check(delta, curve, transverse):
+    return check_l1_bounds(delta, curve, transverse, factored(delta))
+
+
+def ledger_check(delta, curve):
+    return check_cf_ledger(delta, curve, local_deltas(curve), factored(delta))
+
+
+def cyclo_check(delta):
+    return check_cyclotomic(delta, factored(delta))
+
+
+def transverse(curve):
+    return derive_transverse(curve, local_deltas(curve))
 
 
 def line():
@@ -76,13 +105,13 @@ def test_generic_infinity_values():
 
 
 def test_derive_transverse():
-    assert derive_transverse(two_lines_curve())
-    assert derive_transverse(cuspidal_cubic_curve())
+    assert transverse(two_lines_curve())
+    assert transverse(cuspidal_cubic_curve())
     # missing one crossing: only d - 1 points on the line
     partial = CurveData(
         (line(), CurveComponent("C", 2, 0)),
         (transverse_point(1, 2),))
-    assert not derive_transverse(partial)
+    assert not transverse(partial)
     # tangency: 2-component but the local invariant is not 1 - t
     tangent = Singularity(
         MarkedLink(BraidWord(2, (1, 1, 1, 1)), {0: 0, 1: 1},
@@ -90,7 +119,7 @@ def test_derive_transverse():
     curved = CurveData(
         (line(), CurveComponent("C", 2, 0)),
         (tangent, transverse_point(1, 2)))
-    assert not derive_transverse(curved)
+    assert not transverse(curved)
 
 
 def test_cyclotomic_text():
@@ -122,46 +151,46 @@ def test_check_infinity_zero_cases():
 
 
 def test_check_local_two_lines():
-    res = check_local(P("t - 1"), two_lines_curve())
+    res = local_check(P("t - 1"), two_lines_curve())
     assert res.status == "pass"
     assert res.witness == "t^3 - 3*t^2 + 3*t - 1"
 
 
 def test_check_local_fail():
-    res = check_local(P("t^2 + t + 1"), two_lines_curve())
+    res = local_check(P("t^2 + t + 1"), two_lines_curve())
     assert res.status == "fail"
 
 
 def test_check_local_irreducible_extras():
-    res = check_local(LaurentPoly.one(1), cuspidal_cubic_curve())
+    res = local_check(LaurentPoly.one(1), cuspidal_cubic_curve())
     assert res.status == "pass"
     assert "irreducible extras" in res.detail
     # a (t - 1) factor violates coprimality even though it divides
-    res = check_local(P("t - 1"), cuspidal_cubic_curve())
+    res = local_check(P("t - 1"), cuspidal_cubic_curve())
     assert res.status == "fail"
     assert "1 - t" in res.detail
 
 
 def test_check_l1_bounds():
     # two components force at least one (1 - t) factor
-    assert check_l1_bounds(P("t - 1"), two_lines_curve(), True).status == "pass"
-    assert check_l1_bounds(P("t^2 + 1"), two_lines_curve(), True).status == "fail"
+    assert l1_check(P("t - 1"), two_lines_curve(), True).status == "pass"
+    assert l1_check(P("t^2 + 1"), two_lines_curve(), True).status == "fail"
     # transverse line caps the multiplicity at d - 1
     high = normalize(P("t - 1") ** 2)
-    assert check_l1_bounds(high, two_lines_curve(), True).status == "fail"
-    assert check_l1_bounds(high, two_lines_curve(), False).status == "pass"
+    assert l1_check(high, two_lines_curve(), True).status == "fail"
+    assert l1_check(high, two_lines_curve(), False).status == "pass"
     # zero invariant fails only under transversality
     zero = LaurentPoly.zero(1)
-    assert check_l1_bounds(zero, two_lines_curve(), True).status == "fail"
-    assert check_l1_bounds(zero, two_lines_curve(), False).status == "pass"
+    assert l1_check(zero, two_lines_curve(), True).status == "fail"
+    assert l1_check(zero, two_lines_curve(), False).status == "pass"
     # irreducible curves need multiplicity exactly 0
-    assert check_l1_bounds(P("t - 1"), cuspidal_cubic_curve(), False).status == "fail"
-    assert check_l1_bounds(LaurentPoly.one(1),
-                           cuspidal_cubic_curve(), True).status == "pass"
+    assert l1_check(P("t - 1"), cuspidal_cubic_curve(), False).status == "fail"
+    assert l1_check(LaurentPoly.one(1),
+                    cuspidal_cubic_curve(), True).status == "pass"
 
 
 def test_check_cf_ledger_pass():
-    res = check_cf_ledger(LaurentPoly.one(1), cuspidal_cubic_curve())
+    res = ledger_check(LaurentPoly.one(1), cuspidal_cubic_curve())
     assert res.status == "pass"
     rows = {row["phi"]: row for row in res.ledger}
     # boundary strips to Phi_6 with budget row for Phi_1
@@ -173,7 +202,7 @@ def test_check_cf_ledger_pass():
 
 def test_check_cf_ledger_squared_divisibility_fail():
     # t^2 - t + 1 divides the boundary once, so its square cannot
-    res = check_cf_ledger(P("t^2 - t + 1"), cuspidal_cubic_curve())
+    res = ledger_check(P("t^2 - t + 1"), cuspidal_cubic_curve())
     assert res.status == "fail"
     rows = {row["phi"]: row for row in res.ledger}
     assert rows[6]["in_invariant"] == 1
@@ -182,21 +211,21 @@ def test_check_cf_ledger_squared_divisibility_fail():
 
 def test_check_cf_ledger_budget_fail():
     # invariant (t-1)^3 on the two-lines curve: 2a = 6 > b + e = 4 + 1
-    res = check_cf_ledger(normalize(P("t - 1") ** 3), two_lines_curve())
+    res = ledger_check(normalize(P("t - 1") ** 3), two_lines_curve())
     assert res.status == "fail"
     assert "budget" in res.detail
 
 
 def test_check_cf_ledger_zero_fail():
-    assert check_cf_ledger(LaurentPoly.zero(1), two_lines_curve()).status == "fail"
+    assert ledger_check(LaurentPoly.zero(1), two_lines_curve()).status == "fail"
 
 
 def test_check_cyclotomic():
-    assert check_cyclotomic(P("t^2 - t + 1")).status == "pass"
-    assert check_cyclotomic(P("t^2 - t + 1")).witness == "Phi_6"
-    assert check_cyclotomic(LaurentPoly.one(1)).status == "pass"
-    assert check_cyclotomic(P("t^2 + t + 2")).status == "fail"
-    assert check_cyclotomic(LaurentPoly.zero(1)).status == "fail"
+    assert cyclo_check(P("t^2 - t + 1")).status == "pass"
+    assert cyclo_check(P("t^2 - t + 1")).witness == "Phi_6"
+    assert cyclo_check(LaurentPoly.one(1)).status == "pass"
+    assert cyclo_check(P("t^2 + t + 2")).status == "fail"
+    assert cyclo_check(LaurentPoly.zero(1)).status == "fail"
 
 
 # ---------------------------------------------------------------------------
