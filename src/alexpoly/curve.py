@@ -110,7 +110,8 @@ def euler_characteristic(curve: CurveData, include_L: bool = True) -> int:
 
 def first_betti(curve: CurveData, include_L: bool = True) -> int:
     """First Betti number of the subdivisor, which is connected because
-    plane curves always intersect."""
+    plane curves always intersect (``curve_from_json`` rejects data whose
+    singular points do not join every component)."""
     idxs = range(len(curve.components)) if include_L else \
         range(1, len(curve.components))
     colours = set(idxs)
@@ -215,9 +216,32 @@ def curve_from_json(obj: object, source: str | None = None) -> CurveData:
                              source=source, field="singularities")
         singularities.append(Singularity(link, on_L))
     try:
-        return CurveData(tuple(components), tuple(singularities))
+        curve = CurveData(tuple(components), tuple(singularities))
     except ValueError as exc:
         raise InputError(str(exc), source=source) from None
+    apart = _apart_from_line(curve)
+    if apart:
+        names = ", ".join(repr(curve.components[i].name) for i in apart)
+        raise InputError(f"no chain of singular points joins {names} to the "
+                         "line; plane curves always meet, so the divisor "
+                         "must be connected", source=source,
+                         field="singularities")
+    return curve
+
+
+def _apart_from_line(curve: CurveData) -> list[int]:
+    """Indices of the components that no chain of singular points, each
+    joining the components its branches lie on, links to the line."""
+    joined = {0}
+    groups = [set(s.link.colours.values()) for s in curve.singularities]
+    grew = True
+    while grew:
+        grew = False
+        for group in groups:
+            if group & joined and not group <= joined:
+                joined |= group
+                grew = True
+    return [i for i in range(len(curve.components)) if i not in joined]
 
 
 def curve_to_json(curve: CurveData) -> dict:

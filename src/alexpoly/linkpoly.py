@@ -26,7 +26,7 @@ from .braid import (
 )
 from .errors import ComputationError, InputError
 from .fox import alexander_polynomial
-from .group import AbelMap
+from .group import AbelMap, Presentation
 from .ring import LaurentPoly, equal_up_to_units, normalize, poly_to_str
 
 
@@ -97,12 +97,18 @@ def _colour_phi(link: MarkedLink) -> AbelMap:
     return AbelMap(len(order), images)
 
 
-def multivariable_delta(link: MarkedLink) -> LaurentPoly:
-    """Invariant with one variable per colour; needs at least two colours."""
+def multivariable_delta(link: MarkedLink,
+                        pres: Presentation | None = None) -> LaurentPoly:
+    """Invariant with one variable per colour; needs at least two colours.
+
+    ``pres`` is the closure presentation of ``link.braid`` when the caller
+    has already built it.
+    """
     if link.n_colours() < 2:
         raise ValueError("the multivariable invariant needs at least 2 colours")
-    return alexander_polynomial(closure_presentation(link.braid),
-                                _colour_phi(link))
+    if pres is None:
+        pres = closure_presentation(link.braid)
+    return alexander_polynomial(pres, _colour_phi(link))
 
 
 def one_variable_delta(link: MarkedLink) -> LaurentPoly:
@@ -123,10 +129,10 @@ def hat_delta(link: MarkedLink) -> LaurentPoly:
     base_of = link.component_of_strand()
     images = tuple((-d,) if base_of[s] == link.marked else (1,)
                    for s in range(link.braid.strands))
-    direct = alexander_polynomial(closure_presentation(link.braid),
-                                  AbelMap(1, images))
+    pres = closure_presentation(link.braid)
+    direct = alexander_polynomial(pres, AbelMap(1, images))
 
-    multi = multivariable_delta(link)
+    multi = multivariable_delta(link, pres)
     weights = tuple(-d if c == 0 else 1 for c in link.colour_order())
     shifted = normalize(multi.substitute(weights) * LaurentPoly.univariate({0: 1, 1: -1}))
     if not equal_up_to_units(direct, shifted):

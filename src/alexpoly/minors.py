@@ -11,7 +11,18 @@ of the smaller matrix.  What remains takes one route per ring:
   the Euclidean domain Q[t], and the gcd is the k-th determinant divisor,
   the product of the first k invariant factors of a Smith normal form;
 * several variables: the minors are enumerated, sharing the expansion of
-  common row prefixes, and their gcd is folded until it becomes a unit.
+  common row prefixes, and their gcd is folded until it reaches a floor.
+
+The floor is a polynomial the caller knows to divide every k-minor, 1 by
+default.  ``fox.alexander_polynomial`` passes u_j0 / gcd(u) for Fox
+matrices with column j0 omitted, which by Fox's fundamental identity
+divides each of their minors; without it the fold would run through
+every row subset waiting for a unit that never comes.  Row operations,
+contraction and dropping zero or repeated rows keep the ideal of minors,
+so the floor still divides every minor of the reduced matrix.  The Smith
+normal form needs no floor.  The enumeration over every column subset
+stays for the Fox matrices where the identity gives nothing, such as
+projective presentations, whose product relator is not killed.
 """
 
 from __future__ import annotations
@@ -24,8 +35,13 @@ from .ring import LaurentPoly, gcd, normalize
 Row = tuple[LaurentPoly, ...]
 
 
-def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int) -> LaurentPoly:
-    """Unit-normal gcd of all k x k minors; zero when every minor vanishes."""
+def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
+              floor: LaurentPoly | None = None) -> LaurentPoly:
+    """Unit-normal gcd of all k x k minors; zero when every minor vanishes.
+
+    ``floor`` (default 1) must divide every k-minor; the enumeration stops
+    once the running gcd reaches it.
+    """
     if k <= 0:
         return LaurentPoly.one(nvars)
     work = _tidy([tuple(r) for r in rows])
@@ -42,7 +58,7 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int) -> 
         return LaurentPoly.zero(nvars)
     if nvars == 1:
         return _snf_minor_gcd(work, k)
-    return _enumerate_minor_gcd(work, k, nvars)
+    return _enumerate_minor_gcd(work, k, nvars, floor)
 
 
 def _tidy(rows: list[Row]) -> list[Row]:
@@ -77,10 +93,12 @@ def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
 # several variables: exhaustive enumeration with shared-prefix expansion
 
 
-def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int) -> LaurentPoly:
+def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int,
+                         floor: LaurentPoly | None = None) -> LaurentPoly:
     m = len(rows)
     n = len(rows[0])
     one = LaurentPoly.one(nvars)
+    floor = one if floor is None else normalize(floor)
     zero = LaurentPoly.zero(nvars)
     running = zero
 
@@ -109,7 +127,7 @@ def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int) -> LaurentPoly:
         if depth == k:
             for det in state.values():
                 running = gcd(running, det)
-                if running.is_unit:
+                if running == floor:
                     return True
             return False
         for i in range(start, m - (k - depth) + 1):

@@ -91,18 +91,33 @@ def test_closure_multi_flag(capsys):
     assert payload["variables"] == 3
 
 
-def test_zvk_multi_six_line_arrangement(capsys, tmp_path):
-    # generic arrangement, A_ij = (s_{j-1} ... s_{i+1}) s_i^2 (...)^-1: its
-    # multivariable minor gcd folds 829 nonzero 5 x 5 minors of its 15 x 6
-    # Fox matrix down to 1
+def arrangement_factorization(tmp_path, n):
+    """Generic n-line arrangement, A_ij = (s_{j-1} ... s_{i+1}) s_i^2 (...)^-1."""
     factors = []
-    for j in range(2, 7):
+    for j in range(2, n + 1):
         for i in range(1, j):
             conj = list(range(j - 1, i, -1))
             factors.append(conj + [i, i] + [-v for v in reversed(conj)])
-    path = tmp_path / "arrangement6.json"
-    path.write_text(json.dumps({"strands": 6, "factors": factors}),
+    path = tmp_path / f"arrangement{n}.json"
+    path.write_text(json.dumps({"strands": n, "factors": factors}),
                     encoding="utf-8")
+    return path
+
+
+def test_zvk_multi_six_line_arrangement(capsys, tmp_path):
+    # the Fox matrix is 15 x 6; with the first column omitted, its 5 x 5
+    # minors are all multiples of u_0 = t0 - 1, and the fold stops once
+    # their gcd reaches it
+    path = arrangement_factorization(tmp_path, 6)
+    code, out, _ = run_cli(capsys, "zvk", str(path), "--multi")
+    assert code == 0
+    assert out.splitlines()[-1] == "alexander: 1"
+
+
+def test_zvk_multi_seven_line_arrangement(capsys, tmp_path):
+    # 21 x 7 Fox matrix: the 6 x 6 minors omitting the first column fold
+    # down to their floor t0 - 1 in about a second
+    path = arrangement_factorization(tmp_path, 7)
     code, out, _ = run_cli(capsys, "zvk", str(path), "--multi")
     assert code == 0
     assert out.splitlines()[-1] == "alexander: 1"
@@ -379,6 +394,29 @@ def test_zvk_rejects_factor_not_conjugate_of_generator_power(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: field 'factors': factor 0 ")
+
+
+@pytest.mark.parametrize("argv", [["curve"], ["verify", "--delta", "1"]])
+@pytest.mark.parametrize("names, singularities, apart", [
+    ("LA", [], "'A'"),
+    # A and B meet each other but neither meets the line
+    ("LAB", [{"link": {"braid": {"strands": 2, "word": [1, 1]},
+                       "colours": {"1": 1, "2": 2}}, "on_L": False}],
+     "'A', 'B'"),
+])
+def test_disconnected_divisor_is_input_error(capsys, tmp_path, argv, names,
+                                             singularities, apart):
+    comps = [{"name": name, "degree": 1, "genus": 0} for name in names]
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({"components": comps,
+                                "singularities": singularities}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: field 'singularities': no chain of "
+                   f"singular points joins {apart} to the line; plane "
+                   "curves always meet, so the divisor must be connected\n")
 
 
 def test_validation_diagnostic_names_the_file(capsys, tmp_path):
