@@ -47,26 +47,26 @@ class BraidWord:
         return BraidWord(self.strands, base.letters * abs(n))
 
 
-def _letter_images(letter: int, strands: int) -> list[Word]:
-    i = abs(letter) - 1
-    images = [Word.generator(j) for j in range(strands)]
-    xi, xj = Word.generator(i), Word.generator(i + 1)
-    if letter > 0:
-        images[i] = xi * xj * xi.inverse()
-        images[i + 1] = xi
-    else:
-        images[i] = xj
-        images[i + 1] = xj.inverse() * xi * xj
-    return images
-
-
 def artin_action(braid: BraidWord) -> list[Word]:
     """Images of the free generators under the braid, letters acting
-    left to right."""
+    left to right.
+
+    The images of the composite phi_l1 then ... then phi_lk are built by
+    reading the letters right to left: with the images of the letters
+    after l in hand, prepending l = s_i rewrites only images i and i+1,
+    (a, b) -> (a b a^-1, a), and l = s_i^-1 rewrites them
+    (a, b) -> (b, b^-1 a b).
+    """
     images = [Word.generator(j) for j in range(braid.strands)]
-    for letter in braid.letters:
-        step = _letter_images(letter, braid.strands)
-        images = [apply_endomorphism(step, w) for w in images]
+    for letter in reversed(braid.letters):
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            images[i] = Word(a.syllables + b.syllables + a.inverse().syllables)
+            images[i + 1] = a
+        else:
+            images[i] = b
+            images[i + 1] = Word(b.inverse().syllables + a.syllables + b.syllables)
     return images
 
 

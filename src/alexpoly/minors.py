@@ -27,10 +27,9 @@ projective presentations, whose product relator is not killed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .group import smith_diagonal
 from .ring import LaurentPoly, gcd, normalize
+from .ring.poly import Scalar, scalar_quotient
 
 Row = tuple[LaurentPoly, ...]
 
@@ -143,8 +142,9 @@ def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int,
 # ---------------------------------------------------------------------------
 # one variable: Smith normal form over Q[t]
 #
-# entries become dense Fraction coefficient lists; the k-th determinant
-# divisor (gcd of k-minors) is the product of the first k invariant factors
+# entries become dense coefficient lists (int, or Fraction once a division
+# is not integral); the k-th determinant divisor (gcd of k-minors) is the
+# product of the first k invariant factors
 
 
 def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
@@ -155,36 +155,36 @@ def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
     diag = smith_diagonal(mat, _pdivmod, _padd, _psub, _pmul, len)
     if len(diag) < k:
         return LaurentPoly.zero(1)
-    product = [Fraction(1)]
+    product = [1]
     for d in diag[:k]:
         product = _pmul(product, d)
     return normalize(_from_dense(product))
 
 
-def _dense(p: LaurentPoly) -> list[Fraction]:
+def _dense(p: LaurentPoly) -> list[Scalar]:
     if p.is_zero:
         return []
     top = p.max_exponents()[0]
-    out = [Fraction(0)] * (top + 1)
+    out = [0] * (top + 1)
     for exps, coeff in p.terms.items():
         out[exps[0]] = coeff
     return out
 
 
-def _from_dense(coeffs: list[Fraction]) -> LaurentPoly:
+def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
     return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def _ptrim(a: list[Fraction]) -> list[Fraction]:
+def _ptrim(a: list[Scalar]) -> list[Scalar]:
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -193,8 +193,8 @@ def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _ptrim(out)
 
 
-def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
+def _padd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    out = [0] * max(len(a), len(b))
     for i, ai in enumerate(a):
         out[i] += ai
     for i, bi in enumerate(b):
@@ -202,8 +202,8 @@ def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _ptrim(out)
 
 
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
+def _psub(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    out = [0] * max(len(a), len(b))
     for i, ai in enumerate(a):
         out[i] += ai
     for i, bi in enumerate(b):
@@ -211,16 +211,16 @@ def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _ptrim(out)
 
 
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
     db = len(b) - 1
     lead = b[-1]
     while len(rem) - 1 >= db and rem:
         shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
+        factor = scalar_quotient(rem[-1], lead)
         quo[shift] = factor
         for i, bi in enumerate(b):
             rem[shift + i] -= factor * bi

@@ -190,7 +190,7 @@ def cyclotomic_factorization(p: LaurentPoly) -> tuple[dict[int, int], LaurentPol
     degree = rem.max_exponents()[0]
     coeffs = [0] * (degree + 1)
     for (e,), c in rem.terms.items():
-        coeffs[e] = int(c)
+        coeffs[e] = c
     x = 2  # the smallest integer >= 2 that is not a root
     value = _evaluate(coeffs, x)
     while value == 0:

@@ -2,8 +2,12 @@
 
 A polynomial knows its variable count ``nvars``; exponent vectors are
 integer tuples of that length and may be negative.  All arithmetic is
-exact (``fractions.Fraction`` coefficients).  The univariate case is
-simply ``nvars == 1``.
+exact.  A coefficient is stored as an ``int`` when it is integral and as
+a ``fractions.Fraction`` (denominator > 1) only otherwise, so the integer
+polynomials that Fox matrices, minors and unit-normal forms produce stay
+on integer arithmetic.  Division is exact: a quotient of two coefficients
+is a ``Fraction`` demoted to ``int`` when integral, never a ``float``.
+The univariate case is simply ``nvars == 1``.
 
 Monomial order: graded lexicographic with t0 < t1 < ... (total degree
 first, then the exponent of the highest-indexed variable decides).
@@ -16,7 +20,6 @@ from math import gcd as int_gcd
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
-Coeff = Fraction
 Scalar = Union[int, Fraction]
 
 #: multiplicity of a factor of the zero polynomial
@@ -25,6 +28,36 @@ INFINITY = float("inf")
 
 def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
+
+
+def _scalar(c) -> Scalar:
+    """``c`` as a stored coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
+def scalar_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a / b of two coefficients, as ``_scalar`` stores it."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _demote(terms: dict) -> dict:
+    """Store integral ``Fraction`` values of ``terms`` as ``int``, in place.
+
+    Only a sum or product involving a ``Fraction`` can yield one; on
+    all-integer terms this is a scan for the type and nothing else.
+    """
+    if Fraction in map(type, terms.values()):
+        for e, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[e] = c.numerator
+    return terms
 
 
 class LaurentPoly:
@@ -37,18 +70,18 @@ class LaurentPoly:
         if not isinstance(nvars, int) or nvars < 1:
             raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
-            c = acc.get(exps, _ZERO_FRAC) + Fraction(coeff)
+            c = acc.get(exps, 0) + _scalar(coeff)
             if c:
                 acc[exps] = c
             elif exps in acc:
                 del acc[exps]
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "terms", _demote(acc))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
@@ -65,23 +98,23 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: Scalar, nvars: int = 1) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, index: int = 0, nvars: int = 1) -> "LaurentPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     @classmethod
     def monomial(cls, coeff: Scalar, exps: Iterable[int]) -> "LaurentPoly":
         exps = tuple(int(e) for e in exps)
-        return cls(len(exps), {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def univariate(cls, coeffs: Mapping[int, Scalar]) -> "LaurentPoly":
-        return cls(1, {(int(e),): Fraction(c) for e, c in coeffs.items()})
+        return cls(1, {(int(e),): c for e, c in coeffs.items()})
 
     # -- basic queries -------------------------------------------------
 
@@ -98,8 +131,8 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO_FRAC)
+    def coefficient(self, exps: Iterable[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
     def min_exponents(self) -> Exponents:
         if self.is_zero:
@@ -111,7 +144,7 @@ class LaurentPoly:
             return (0,) * self.nvars
         return tuple(max(e[i] for e in self.terms) for i in range(self.nvars))
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) under graded lex; errors on zero."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
@@ -129,12 +162,12 @@ class LaurentPoly:
         self._require_same_ring(other)
         acc = dict(self.terms)
         for exps, c in other.terms.items():
-            s = acc.get(exps, _ZERO_FRAC) + c
+            s = acc.get(exps, 0) + c
             if s:
                 acc[exps] = s
             elif exps in acc:
                 del acc[exps]
-        return _raw(self.nvars, acc)
+        return _raw(self.nvars, _demote(acc))
 
     __radd__ = __add__
 
@@ -149,23 +182,23 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+            f = _scalar(other)
             if not f:
                 return LaurentPoly.zero(self.nvars)
-            return _raw(self.nvars, {e: c * f for e, c in self.terms.items()})
+            return _raw(self.nvars, _demote({e: c * f for e, c in self.terms.items()}))
         self._require_same_ring(other)
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero(self.nvars)
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, _ZERO_FRAC) + c1 * c2
+                s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        return _raw(self.nvars, acc)
+        return _raw(self.nvars, _demote(acc))
 
     __rmul__ = __mul__
 
@@ -176,7 +209,7 @@ class LaurentPoly:
             if not self.is_unit:
                 raise ValueError("negative power of a non-unit")
             (exps, c), = self.terms.items()
-            inv = LaurentPoly(self.nvars, {tuple(-e for e in exps): 1 / c})
+            inv = _raw(self.nvars, {tuple(-e for e in exps): scalar_quotient(1, c)})
             return inv ** (-n)
         result = LaurentPoly.one(self.nvars)
         base = self
@@ -212,15 +245,15 @@ class LaurentPoly:
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for exps, c in self.terms.items():
             e = (sum(a * b for a, b in zip(exps, exponents)),)
-            s = acc.get(e, _ZERO_FRAC) + c
+            s = acc.get(e, 0) + c
             if s:
                 acc[e] = s
             elif e in acc:
                 del acc[e]
-        return _raw(1, acc)
+        return _raw(1, _demote(acc))
 
     # -- comparison / hashing -------------------------------------------
 
@@ -246,11 +279,9 @@ class LaurentPoly:
         return poly_to_str(self)
 
 
-_ZERO_FRAC = Fraction(0)
-
-
-def _raw(nvars: int, terms: dict[Exponents, Fraction]) -> LaurentPoly:
-    """Internal fast constructor; `terms` must already be clean."""
+def _raw(nvars: int, terms: dict[Exponents, Scalar]) -> LaurentPoly:
+    """Internal fast constructor; `terms` must already be clean: nonzero
+    coefficients stored as ``_scalar`` stores them."""
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", terms)
@@ -272,18 +303,19 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
         return p
     shift = tuple(-e for e in p.min_exponents())
     shifted = p.shift(shift)
-    denom_lcm = 1
-    for c in shifted.terms.values():
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    content = 0
-    for c in shifted.terms.values():
-        content = int_gcd(content, c.numerator * (denom_lcm // c.denominator))
-    scale = Fraction(denom_lcm, content)
-    result = shifted * scale
-    _, lead = result.leading()
-    if lead < 0:
-        result = -result
-    return result
+    terms = shifted.terms
+    if Fraction in map(type, terms.values()):
+        denom_lcm = 1
+        for c in terms.values():
+            denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
+        terms = {e: c.numerator * (denom_lcm // c.denominator)
+                 for e, c in terms.items()}
+    content = int_gcd(*terms.values())
+    if shifted.leading()[1] < 0:
+        content = -content
+    if content == 1:
+        return shifted if terms is shifted.terms else _raw(p.nvars, terms)
+    return _raw(p.nvars, {e: c // content for e, c in terms.items()})
 
 
 def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -306,7 +338,7 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    quot: dict[Exponents, Fraction] = {}
+    quot: dict[Exponents, Scalar] = {}
     rem = dict(p.terms)
     q_exps, q_lead = q.leading()
     while rem:
@@ -314,11 +346,11 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         d = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
-        c = rem[r_exps] / q_lead
+        c = scalar_quotient(rem[r_exps], q_lead)
         quot[d] = c
         for e, qc in q.terms.items():
             m = tuple(a + b for a, b in zip(e, d))
-            s = rem.get(m, _ZERO_FRAC) - qc * c
+            s = rem.get(m, 0) - qc * c
             if s:
                 rem[m] = s
             else:

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from ..errors import InputError
-from .poly import LaurentPoly, grlex_key
+from .poly import LaurentPoly, Scalar, grlex_key
 
 _VAR_RE = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
@@ -125,7 +125,7 @@ def _monomial_str(exps: tuple[int, ...], univariate: bool) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

@@ -36,7 +36,7 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         d = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
-        c = r_lead / q_lead
+        c = Fraction(r_lead) / q_lead
         quot[d] = quot.get(d, _ZERO_FRAC) + c
         r = r - q.shift(d) * c
     return _raw(p.nvars, {e: c for e, c in quot.items() if c})

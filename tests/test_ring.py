@@ -52,7 +52,7 @@ def naive_divmod(num: list[Fraction], den: list[Fraction]):
     assert den, "oracle division by zero"
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
+        c = Fraction(num[k + len(den) - 1]) / den[-1]
         quot[k] = c
         for i, d in enumerate(den):
             num[k + i] -= c * d
