@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .braid import (braid_from_json, factorization_from_json,
                     strand_components, zvk_presentation)
@@ -225,35 +226,21 @@ def cmd_cyclo(args: argparse.Namespace) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--output", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
-
-    parser = argparse.ArgumentParser(
-        prog="alexpoly",
-        description="Alexander polynomials of plane curve complements "
-                    "and links, with exact divisibility checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fox", parents=[shared],
-                       help="Alexander polynomial of a presented group")
+def _fox_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("presentation", help="presentation JSON file")
     p.add_argument("--one", action="store_true",
                    help="compose the abelianization to a single variable")
-    p.set_defaults(func=cmd_fox)
 
-    p = sub.add_parser("zvk", parents=[shared],
-                       help="presentation and polynomial from braid monodromy")
+
+def _zvk_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("factorization", help="factorization JSON file")
     p.add_argument("--projective", action="store_true",
                    help="add the projective relation regardless of the file")
     p.add_argument("--multi", action="store_true",
                    help="one variable per curve component")
-    p.set_defaults(func=cmd_zvk)
 
-    p = sub.add_parser("closure", parents=[shared],
-                       help="polynomials of a (marked) braid closure")
+
+def _closure_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("link", help="link JSON file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--one", action="store_true",
@@ -266,15 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marked", type=int, metavar="STRAND",
                    help="base strand of the marked component (bare braid "
                         "files only)")
-    p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("curve", parents=[shared],
-                       help="topology derived from curve data")
+
+def _curve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("curve", help="curve JSON file")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("verify", parents=[shared],
-                       help="run the divisibility and cyclotomicity checks")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("curve", help="curve JSON file")
     p.add_argument("factorization", nargs="?",
                    help="factorization JSON file (or use --delta)")
@@ -284,18 +269,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinity", metavar="POLY_OR_LINK",
                    help="polynomial at infinity: 'generic' (the default), "
                         "a link JSON file, or polynomial text")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cyclo", parents=[shared],
-                       help="cyclotomic factorization of a polynomial")
+
+def _cyclo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("poly", help="polynomial, e.g. 't^2 - t + 1'")
-    p.set_defaults(func=cmd_cyclo)
 
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS: dict[str, Command] = {
+    "fox": Command("Alexander polynomial of a presented group",
+                   _fox_arguments, cmd_fox),
+    "zvk": Command("presentation and polynomial from braid monodromy",
+                   _zvk_arguments, cmd_zvk),
+    "closure": Command("polynomials of a (marked) braid closure",
+                       _closure_arguments, cmd_closure),
+    "curve": Command("topology derived from curve data",
+                     _curve_arguments, cmd_curve),
+    "verify": Command("run the divisibility and cyclotomicity checks",
+                      _verify_arguments, cmd_verify),
+    "cyclo": Command("cyclotomic factorization of a polynomial",
+                     _cyclo_arguments, cmd_cyclo),
+}
+
+
+def _fill_command_parser(p: argparse.ArgumentParser, name: str) -> None:
+    """Give p the options of command `name`, --output first, as its help
+    lists them."""
+    p.add_argument("--output", choices=("text", "json"), default="text",
+                   help="output format (default: text)")
+    COMMANDS[name].add_arguments(p)
+    p.set_defaults(func=COMMANDS[name].run)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with one subparser per entry of COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="alexpoly",
+        description="Alexander polynomials of plane curve complements "
+                    "and links, with exact divisibility checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _fill_command_parser(sub.add_parser(name, help=command.help), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Building and running the full parser (eight ArgumentParsers, with
+    # gettext lookups, a HelpFormatter per add_argument and regex
+    # compiles) took about 4.4 ms of a 4.7 ms `fox` call in a fresh
+    # Python 3.11 process; the one parser of the named command takes about
+    # 2.5 ms, most of it argparse's first use (the locale import).  So a
+    # named command gets only the parser build_parser() makes as its
+    # subparser; no arguments, -h or an unknown command go to the full
+    # parser for its help and errors.
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"alexpoly {argv[0]}")
+        _fill_command_parser(parser, argv[0])
+        args = parser.parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -228,10 +228,17 @@ class LaurentPoly:
         raise TypeError(f"cannot coerce {type(other).__name__} to LaurentPoly")
 
     def shift(self, exps: Iterable[int]) -> "LaurentPoly":
-        """Multiply by the monomial t^exps (a unit)."""
+        """Multiply by the monomial t^exps (a unit).
+
+        A zero shift returns self: polynomials are immutable, and
+        normalize and exact_divide mostly shift ones already at minimum
+        exponent 0.
+        """
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars:
             raise ValueError("shift exponent length mismatch")
+        if not any(exps):
+            return self
         return _raw(self.nvars, {tuple(a + b for a, b in zip(e, exps)): c
                                  for e, c in self.terms.items()})
 

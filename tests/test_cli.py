@@ -5,6 +5,7 @@ three exit statuses (0 success, 1 failed check, 2 bad input) and that
 ``--output json`` is byte-for-byte reproducible.
 """
 
+import argparse
 import json
 import pathlib
 import shlex
@@ -16,7 +17,7 @@ import pytest
 import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
-from alexpoly.cli import main
+from alexpoly.cli import COMMANDS, build_parser, main
 from alexpoly.ring import LaurentPoly, poly_to_str
 from verify_reference import arrangement_curve
 
@@ -451,6 +452,86 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Phi_6" in proc.stdout
+
+
+def test_cli_builds_one_parser(capsys, monkeypatch):
+    # counts every ArgumentParser, subparsers included; a subclass put in
+    # place of argparse.ArgumentParser would recurse, as argparse's own
+    # __init__ calls super(ArgumentParser, self)
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["cyclo", "t - 1"]) == 0
+    assert built == ["alexpoly cyclo"]
+    for argv, code in ((["-h"], 0), (["bogus"], 2)):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert len(built) == 1 + len(COMMANDS)
+    capsys.readouterr()
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    """The parser build_parser() makes for subcommand `name`."""
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_help_is_the_subparser_help(capsys, name):
+    assert exit_of(capsys, main, [name, "-h"]) == (
+        0, subparser(name).format_help(), "")
+
+
+FOX_FILE = str(DATA / "groups" / "trefoil.json")
+LINK_FILE = str(DATA / "torus" / "t22.json")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["fox"], ["cyclo", "--output", "xml", "t"],
+    ["closure", LINK_FILE, "--multi", "--hat"],
+    ["closure", LINK_FILE, "--hat", "x"],
+])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    code, out, err = exit_of(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert ": error: " in err
+    assert exit_of(capsys, build_parser().parse_args, argv) == (code, out, err)
+
+
+def test_unrecognized_argument_names_the_command(capsys):
+    # the one stderr difference from the full parser: the command's own
+    # parser reports the argument it does not know, with its own usage
+    argv = ["fox", FOX_FILE, "--bogus"]
+    assert exit_of(capsys, main, argv) == (
+        2, "", subparser("fox").format_usage()
+        + "alexpoly fox: error: unrecognized arguments: --bogus\n")
+    code, out, err = exit_of(capsys, build_parser().parse_args, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: alexpoly [-h]")
+    assert err.endswith("alexpoly: error: unrecognized arguments: --bogus\n")
+
+
+def test_option_spellings_accepted(capsys):
+    fact = str(DATA / "two_lines" / "factorization.json")
+    code, out, _ = run_cli(capsys, "cyclo", "--output=json", "t - 1")
+    assert code == 0
+    assert json.loads(out)["cyclotomic"] is True
+    assert run_cli(capsys, "zvk", fact, "--mult") == run_cli(
+        capsys, "zvk", fact, "--multi")
 
 
 def readme_examples():

@@ -121,7 +121,11 @@ def test_variable_count_mismatch_rejected():
 
 def test_normalize_clears_denominators_and_shifts():
     p = P("3/2*t^-1 - 3/2 + 3/2*t")
-    assert normalize(p) == P("t^2 - t + 1")
+    q = normalize(p)
+    assert q == P("t^2 - t + 1")
+    # a zero shift, hence normalize of a normal form, returns its argument
+    assert q.shift((0,)) is q
+    assert normalize(q) is q
 
 
 def test_normalize_unit_is_one():
