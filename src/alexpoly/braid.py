@@ -138,36 +138,35 @@ class Factorization:
                 raise ValueError("every factor must be a braid on the same strands")
 
     def product(self) -> BraidWord:
-        out = BraidWord.identity(self.strands)
-        for f in self.factors:
-            out = out * f
-        return out
+        return BraidWord(self.strands,
+                         tuple(v for f in self.factors for v in f.letters))
 
 
-def validate_factorization(f: Factorization, source: str | None = None) -> None:
+def validate_factorization(f: Factorization, source: str | None = None
+                           ) -> list[tuple[BraidWord, BraidWord]]:
     """Require every factor to read literally w s_i^k w^-1 (k != 0) and
-    the factors to multiply to the full twist."""
-    for idx in range(len(f.factors)):
-        _split_factor(f, idx, source=source)
+    the factors to multiply to the full twist.
+
+    Returns the split (w, s_i^k) of each factor, in order, found by
+    stripping the longest w ... w^-1 wrapping.
+    """
+    splits = []
+    for idx, factor in enumerate(f.factors):
+        letters = factor.letters
+        n = len(letters)
+        k = 0
+        while k < n // 2 and letters[n - 1 - k] == -letters[k]:
+            k += 1
+        core = letters[k:n - k]
+        if not core or any(v != core[0] for v in core):
+            raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
+                             source=source, field="factors")
+        splits.append((BraidWord(f.strands, letters[:k]),
+                       BraidWord(f.strands, core)))
     if not braid_equal(f.product(), full_twist(f.strands)):
         raise InputError("product of the factors is not the full twist",
                          source=source, field="factors")
-
-
-def _split_factor(f: Factorization, idx: int, source: str | None = None
-                 ) -> tuple[BraidWord, BraidWord]:
-    """Split factor idx, read literally as w s_i^k w^-1 with k != 0, into
-    (w, s_i^k) by stripping the longest w ... w^-1 wrapping."""
-    letters = f.factors[idx].letters
-    n = len(letters)
-    k = 0
-    while k < n // 2 and letters[n - 1 - k] == -letters[k]:
-        k += 1
-    core = letters[k:n - k]
-    if not core or any(v != core[0] for v in core):
-        raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
-                         source=source, field="factors")
-    return BraidWord(f.strands, letters[:k]), BraidWord(f.strands, core)
+    return splits
 
 
 def factor_orbits(f: Factorization) -> list[tuple[int, ...]]:
@@ -200,13 +199,12 @@ def zvk_presentation(f: Factorization, projective: bool | None = None,
     x_1 ... x_d as well.  The returned map sends each generator to the
     coordinate of its component (orbits ordered by least strand).
     """
-    validate_factorization(f, source=source)
+    splits = validate_factorization(f, source=source)
     if projective is None:
         projective = f.projective
     d = f.strands
     relators = []
-    for idx in range(len(f.factors)):
-        w, core = _split_factor(f, idx)
+    for w, core in splits:
         x = Word.generator(abs(core.letters[0]) - 1)
         relators.append(apply_braid(w.inverse(),
                                     apply_braid(core, x) * x.inverse()))
@@ -247,14 +245,20 @@ def closure_presentation(braid: BraidWord) -> Presentation:
 # JSON formats
 
 
-def braid_from_json(obj: object, source: str | None = None) -> BraidWord:
-    """Decode {"strands": d, "word": [i, ...]} braid data."""
+def _strands_from_json(obj: object, kind: str, source: str | None) -> int:
+    """The "strands" field of a braid or factorization object."""
     if not isinstance(obj, dict):
-        raise InputError("braid must be a JSON object", source=source)
+        raise InputError(f"{kind} must be a JSON object", source=source)
     strands = obj.get("strands")
     if not isinstance(strands, int) or strands < 2:
         raise InputError("strands must be an integer >= 2",
                          source=source, field="strands")
+    return strands
+
+
+def braid_from_json(obj: object, source: str | None = None) -> BraidWord:
+    """Decode {"strands": d, "word": [i, ...]} braid data."""
+    strands = _strands_from_json(obj, "braid", source)
     word = obj.get("word", [])
     if not isinstance(word, list) or not all(isinstance(v, int) for v in word):
         raise InputError("word must be a list of nonzero integers",
@@ -271,12 +275,7 @@ def braid_to_json(braid: BraidWord) -> dict:
 
 def factorization_from_json(obj: object, source: str | None = None) -> Factorization:
     """Decode {"strands": d, "factors": [[...], ...], "projective": bool}."""
-    if not isinstance(obj, dict):
-        raise InputError("factorization must be a JSON object", source=source)
-    strands = obj.get("strands")
-    if not isinstance(strands, int) or strands < 2:
-        raise InputError("strands must be an integer >= 2",
-                         source=source, field="strands")
+    strands = _strands_from_json(obj, "factorization", source)
     factors_obj = obj.get("factors")
     if not isinstance(factors_obj, list) or not factors_obj:
         raise InputError("factors must be a nonempty list of letter lists",

@@ -28,12 +28,12 @@ from .curve import (affine_counts, boundary_delta, curve_from_json,
                     euler_characteristic, first_betti, local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
-from .group import AbelMap, load_json_file, presentation_from_json
+from .group import AbelMap, Presentation, load_json_file, presentation_from_json
 from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        multivariable_delta, one_variable_delta)
 from .ring import (LaurentPoly, check_degree, cyclotomic_factorization,
                    normalize, parse_poly, poly_to_str)
-from .verify import cyclotomic_text, generic_infinity_delta, run_verification
+from .verify import cyclotomic_text, run_verification
 
 
 def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -43,11 +43,22 @@ def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def cmd_fox(args: argparse.Namespace) -> int:
-    pres, phi = presentation_from_json(load_json_file(args.presentation),
-                                       source=args.presentation)
+def _is_file(arg: str) -> bool:
+    """Whether a --delta or --infinity value names a file, not polynomial text."""
+    return os.path.exists(arg) or arg.endswith(".json")
+
+
+def _presentation(obj: object, source: str) -> tuple[Presentation, AbelMap]:
+    """A decoded presentation and its phi, by default every generator to t."""
+    pres, phi = presentation_from_json(obj, source=source)
     if phi is None:
         phi = AbelMap.constant_one(len(pres.generators))
+    return pres, phi
+
+
+def cmd_fox(args: argparse.Namespace) -> int:
+    pres, phi = _presentation(load_json_file(args.presentation),
+                              args.presentation)
     delta = (alexander_one_variable(pres, phi) if args.one
              else alexander_polynomial(pres, phi))
     text = poly_to_str(delta)
@@ -84,15 +95,16 @@ def _load_closure_link(args: argparse.Namespace) -> MarkedLink:
     strand order; --marked (a 1-based base strand) selects the colour-0
     component and --hat DEGREE supplies the degree.
     """
+    degree = args.hat if isinstance(args.hat, int) and args.hat > 0 else None
     obj = load_json_file(args.link)
     if isinstance(obj, dict) and "braid" in obj:
         link = link_from_json(obj, source=args.link)
         if args.marked is not None:
             raise InputError("--marked applies to bare braid files; this "
                              "file sets the marking itself", source=args.link)
-        if isinstance(args.hat, int) and args.hat > 0 and link.degree != args.hat:
+        if degree is not None and link.degree != degree:
             link = MarkedLink(link.braid, link.colours, marked=link.marked,
-                              degree=args.hat)
+                              degree=degree)
         return link
     braid = braid_from_json(obj, source=args.link)
     bases = sorted(min(comp) for comp in strand_components(braid))
@@ -108,7 +120,6 @@ def _load_closure_link(args: argparse.Namespace) -> MarkedLink:
         else:
             colours[base] = nxt
             nxt += 1
-    degree = args.hat if isinstance(args.hat, int) and args.hat > 0 else None
     try:
         return MarkedLink(braid, colours, marked=marked, degree=degree)
     except ValueError as exc:
@@ -135,46 +146,32 @@ def cmd_closure(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     curve = curve_from_json(load_json_file(args.curve), source=args.curve)
     counts = affine_counts(curve)
-    boundary = poly_to_str(boundary_delta(curve, local_deltas(curve)))
-    payload = {
-        "degree": curve.degree,
-        "curve_components": curve.n_curve_components,
-        "euler_characteristic": euler_characteristic(curve),
-        "first_betti": first_betti(curve),
-        "boundary_delta": boundary,
-        "affine_points": counts.s_aff,
-        "affine_chi": counts.chi_ns,
-    }
-    lines = [
-        f"degree: {curve.degree}",
-        f"curve components: {curve.n_curve_components}",
-        f"chi of the divisor: {euler_characteristic(curve)}",
-        f"first Betti number: {first_betti(curve)}",
-        f"boundary delta: {boundary}",
-        f"affine singular points: {counts.s_aff}",
-        f"affine chi bound: {counts.chi_ns}",
+    fields = [  # (JSON key, text label, value)
+        ("degree", "degree", curve.degree),
+        ("curve_components", "curve components", curve.n_curve_components),
+        ("euler_characteristic", "chi of the divisor",
+         euler_characteristic(curve)),
+        ("first_betti", "first Betti number", first_betti(curve)),
+        ("boundary_delta", "boundary delta",
+         poly_to_str(boundary_delta(curve, local_deltas(curve)))),
+        ("affine_points", "affine singular points", counts.s_aff),
+        ("affine_chi", "affine chi bound", counts.chi_ns),
     ]
-    _print(args, payload, "\n".join(lines))
+    _print(args, {key: value for key, _, value in fields},
+           "\n".join(f"{label}: {value}" for _, label, value in fields))
     return 0
 
 
-def _delta_from_text(text: str) -> LaurentPoly:
-    """Resolve a --delta value: a polynomial, or a JSON file holding a
-    factorization or a presentation from which the polynomial is computed."""
-    if os.path.exists(text) or text.endswith(".json"):
-        obj = load_json_file(text)
-        if isinstance(obj, dict) and "factors" in obj:
-            pres, phi = zvk_presentation(
-                factorization_from_json(obj, source=text), source=text)
-        else:
-            pres, phi = presentation_from_json(obj, source=text)
-            if phi is None:
-                phi = AbelMap.constant_one(len(pres.generators))
-        delta, source = alexander_one_variable(pres, phi), text
+def _file_delta(path: str, presentation_ok: bool) -> LaurentPoly:
+    """One-variable polynomial of the factorization in a JSON file, or,
+    when presentation_ok, of the presentation in a file without "factors"."""
+    obj = load_json_file(path)
+    if presentation_ok and not (isinstance(obj, dict) and "factors" in obj):
+        pres, phi = _presentation(obj, path)
     else:
-        delta, source = parse_poly(text, nvars=1, source="--delta"), "--delta"
-    check_degree(delta, source=source)
-    return delta
+        pres, phi = zvk_presentation(factorization_from_json(obj, source=path),
+                                     source=path)
+    return alexander_one_variable(pres, phi)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -183,16 +180,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("give either a factorization file or --delta, "
                          "not both", source="verify")
     if args.factorization is not None:
-        fact = factorization_from_json(load_json_file(args.factorization),
-                                       source=args.factorization)
-        pres, phi = zvk_presentation(fact, source=args.factorization)
-        delta = alexander_one_variable(pres, phi)
-        check_degree(delta, source=args.factorization)
+        delta, source = _file_delta(args.factorization, False), args.factorization
+    elif _is_file(args.delta):
+        delta, source = _file_delta(args.delta, True), args.delta
     else:
-        delta = _delta_from_text(args.delta)
+        delta, source = parse_poly(args.delta, nvars=1, source="--delta"), "--delta"
+    check_degree(delta, source=source)
     if args.infinity is None or args.infinity == "generic":
-        delta_inf = generic_infinity_delta(curve.degree)
-    elif os.path.exists(args.infinity) or args.infinity.endswith(".json"):
+        delta_inf = None  # run_verification derives the generic one
+    elif _is_file(args.infinity):
         link = link_from_json(load_json_file(args.infinity),
                               source=args.infinity)
         delta_inf = one_variable_delta(link)

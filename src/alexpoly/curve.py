@@ -109,18 +109,12 @@ def euler_characteristic(curve: CurveData, include_L: bool = True) -> int:
 
 
 def first_betti(curve: CurveData, include_L: bool = True) -> int:
-    """First Betti number of the subdivisor, which is connected because
-    plane curves always intersect (``curve_from_json`` rejects data whose
-    singular points do not join every component)."""
-    idxs = range(len(curve.components)) if include_L else \
-        range(1, len(curve.components))
-    colours = set(idxs)
-    total = sum(2 * curve.components[i].genus for i in idxs)
-    for sing in curve.singularities:
-        b = sing.branch_count(colours)
-        if b > 1:
-            total += b - 1
-    return total - len(colours) + 1
+    """First Betti number 1 + c - chi of the subdivisor with c components,
+    which is connected because plane curves always intersect
+    (``curve_from_json`` rejects data whose singular points do not join
+    every component)."""
+    c = len(curve.components) if include_L else curve.n_curve_components
+    return 1 + c - euler_characteristic(curve, include_L)
 
 
 def local_deltas(curve: CurveData) -> list[LaurentPoly]:

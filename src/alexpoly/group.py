@@ -338,7 +338,10 @@ def presentation_from_json(obj: object, source: str | None = None) -> tuple[Pres
         raise InputError("expected a list of word strings",
                          source=source, field="relators")
     relators = tuple(parse_word(r, gens, source=source) for r in relator_texts)
-    pres = Presentation(tuple(gens), relators)
+    try:
+        pres = Presentation(tuple(gens), relators)
+    except ValueError as exc:
+        raise InputError(str(exc), source=source, field="generators") from None
 
     phi = None
     if "phi" in obj:
@@ -367,7 +370,10 @@ def presentation_from_json(obj: object, source: str | None = None) -> tuple[Pres
         if unknown:
             raise InputError(f"phi names unknown generators {sorted(unknown)}",
                              source=source, field="phi")
-        phi = AbelMap(rank, tuple(images))
+        try:
+            phi = AbelMap(rank, tuple(images))
+        except ValueError as exc:
+            raise InputError(str(exc), source=source, field="phi") from None
     return pres, phi
 
 

@@ -22,6 +22,7 @@ from .braid import (
     braid_from_json,
     braid_to_json,
     closure_presentation,
+    full_twist,
     strand_components,
 )
 from .errors import ComputationError, InputError
@@ -146,18 +147,15 @@ def hat_delta(link: MarkedLink) -> LaurentPoly:
 # stock links
 
 
-def torus_link(strands: int, colour_start: int = 1) -> MarkedLink:
+def torus_link(strands: int) -> MarkedLink:
     """Closure of the full twist: strands pairwise-linked circles."""
-    braid = BraidWord(strands, tuple(range(1, strands)) * strands)
-    colours = {s: colour_start + s for s in range(strands)}
-    return MarkedLink(braid, colours)
+    return MarkedLink(full_twist(strands), {s: 1 + s for s in range(strands)})
 
 
 def marked_torus_link(strands: int, degree: int) -> MarkedLink:
     """Full-twist closure with strand 0 as the marked line branch."""
-    braid = BraidWord(strands, tuple(range(1, strands)) * strands)
-    colours = {s: s for s in range(strands)}
-    return MarkedLink(braid, colours, marked=0, degree=degree)
+    return MarkedLink(full_twist(strands), {s: s for s in range(strands)},
+                      marked=0, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,10 @@ def link_from_json(obj: object, source: str | None = None) -> MarkedLink:
     """
     if not isinstance(obj, dict):
         raise InputError("link must be a JSON object", source=source)
-    braid = braid_from_json(obj.get("braid"), source=source)
+    if not isinstance(obj.get("braid"), dict):
+        raise InputError("braid must be a JSON object",
+                         source=source, field="braid")
+    braid = braid_from_json(obj["braid"], source=source)
     colours_obj = obj.get("colours")
     if not isinstance(colours_obj, dict):
         raise InputError("colours must map base strands to colour numbers",
@@ -207,6 +208,9 @@ def link_from_json(obj: object, source: str | None = None) -> MarkedLink:
     degree = obj.get("degree")
     if degree is not None and not isinstance(degree, int):
         raise InputError("degree must be an integer or null",
+                         source=source, field="degree")
+    if marked is not None and (degree is None or degree < 1):
+        raise InputError("a marked link needs a degree >= 1",
                          source=source, field="degree")
     try:
         return MarkedLink(braid, colours, marked=marked, degree=degree)

@@ -3,7 +3,6 @@
 from .poly import (
     INFINITY,
     LaurentPoly,
-    divides_up_to_units,
     equal_up_to_units,
     exact_divide,
     multiplicity,
@@ -25,7 +24,6 @@ __all__ = [
     "check_degree",
     "cyclotomic_factorization",
     "cyclotomic_polynomial",
-    "divides_up_to_units",
     "equal_up_to_units",
     "exact_divide",
     "gcd",

@@ -388,15 +388,6 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     return c.shift(tuple(a - b for a, b in zip(p_min, q_min)))
 
 
-def divides_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
-    """True iff b = a*c for some c.  Everything divides 0; 0 divides only 0."""
-    if b.is_zero:
-        return True
-    if a.is_zero:
-        return False
-    return exact_divide(b, a) is not None
-
-
 def multiplicity(p: LaurentPoly, q: LaurentPoly):
     """Largest k with q^k | p; INFINITY when p = 0.
 

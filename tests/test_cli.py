@@ -434,6 +434,57 @@ def test_validation_diagnostic_names_the_file(capsys, tmp_path):
         assert err == expected, argv
 
 
+@pytest.mark.parametrize("presentation, field, message", [
+    ({"generators": ["a", "a"]}, "generators", "generator names must be distinct"),
+    ({"generators": ["a", "b"], "phi": {"a": [], "b": []}}, "phi",
+     "rank must be at least 1"),
+])
+def test_presentation_constructor_errors_are_input_errors(
+        capsys, tmp_path, presentation, field, message):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(presentation), encoding="utf-8")
+    curve = str(DATA / "two_lines" / "curve.json")
+    for argv in (("fox", str(path)), ("verify", curve, "--delta", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: {path}: field '{field}': {message}\n", argv
+
+
+HOPF = {"strands": 2, "word": [1, 1]}
+
+
+@pytest.mark.parametrize("link, field, message", [
+    (HOPF, "braid", "braid must be a JSON object"),   # a bare braid file
+    ({"braid": 5, "colours": {"1": 1}}, "braid", "braid must be a JSON object"),
+    ({"braid": HOPF, "colours": {"1": 0, "2": 1}, "marked": 1, "degree": 0},
+     "degree", "a marked link needs a degree >= 1"),
+    ({"braid": HOPF, "colours": {"1": 0, "2": 1}, "marked": 1},
+     "degree", "a marked link needs a degree >= 1"),
+])
+def test_link_diagnostics_name_the_field(capsys, tmp_path, link, field, message):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(link), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify",
+                             str(DATA / "two_lines" / "curve.json"),
+                             str(DATA / "two_lines" / "factorization.json"),
+                             "--infinity", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: field '{field}': {message}\n"
+
+    # the same link as the singularity of a curve
+    curve = json.loads((DATA / "two_lines" / "curve.json").read_text("utf-8"))
+    marked = next(s for s in curve["singularities"] if s["on_L"])
+    marked["link"] = link
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    for argv in (("curve", str(path)), ("verify", str(path), "--delta", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: {path}: field '{field}': {message}\n", argv
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ("verify", str(DATA / "zariski_sextic" / "curve.json"),
             str(DATA / "zariski_sextic" / "factorization.json"),

@@ -15,7 +15,6 @@ from alexpoly.ring import (
     LaurentPoly,
     cyclotomic_factorization,
     cyclotomic_polynomial,
-    divides_up_to_units,
     equal_up_to_units,
     exact_divide,
     gcd,
@@ -207,23 +206,23 @@ def test_divides_frozen_example():
     a = P("t^2 - t + 1")
     b = P("t - 1") * (P("t^6 - 1") ** 4)
     assert oracle_divides(a, b)  # independent long-division oracle
-    assert divides_up_to_units(a, b)
+    assert exact_divide(b, a) is not None
 
 
 def test_everything_divides_zero():
-    assert divides_up_to_units(P("t^3 + 7"), LaurentPoly.zero())
-    assert divides_up_to_units(LaurentPoly.zero(), LaurentPoly.zero())
+    assert exact_divide(LaurentPoly.zero(), P("t^3 + 7")) is not None
+    assert exact_divide(LaurentPoly.zero(), LaurentPoly.zero()) is not None
 
 
 def test_zero_divides_only_zero():
-    assert not divides_up_to_units(LaurentPoly.zero(), P("t"))
+    assert exact_divide(P("t"), LaurentPoly.zero()) is None
 
 
 def test_non_divisor_rejected():
     a = P("t - 2")
     b = P("t^2 - 1")
     assert not oracle_divides(a, b)
-    assert not divides_up_to_units(a, b)
+    assert exact_divide(b, a) is None
 
 
 def test_exact_divide_returns_witness():
@@ -235,21 +234,21 @@ def test_exact_divide_returns_witness():
 
 @given(laurent_polys(min_terms=1), laurent_polys(min_terms=1))
 def test_divides_consistent_with_oracle(a, b):
-    assert divides_up_to_units(a, b) == oracle_divides(a, b)
+    assert (exact_divide(b, a) is not None) == oracle_divides(a, b)
 
 
 @given(laurent_polys(nvars=2, min_terms=1), laurent_polys(nvars=2, min_terms=1))
 @settings(max_examples=60)
 def test_product_always_divisible_two_vars(a, b):
     prod = a * b
-    assert divides_up_to_units(a, prod)
+    assert exact_divide(prod, a) is not None
     c = exact_divide(prod, a)
     assert c is not None and a * c == prod
 
 
 @given(laurent_polys(min_terms=1), laurent_polys(min_terms=1))
 def test_mutual_divisibility_is_unit_equality(a, b):
-    both = divides_up_to_units(a, b) and divides_up_to_units(b, a)
+    both = exact_divide(b, a) is not None and exact_divide(a, b) is not None
     assert both == equal_up_to_units(a, b)
 
 
@@ -355,8 +354,8 @@ def test_gcd_many_early_unit():
 @settings(max_examples=80)
 def test_gcd_divides_both(a, b):
     g = gcd(a, b)
-    assert divides_up_to_units(g, a)
-    assert divides_up_to_units(g, b)
+    assert exact_divide(a, g) is not None
+    assert exact_divide(b, g) is not None
 
 
 @given(laurent_polys(min_terms=1), laurent_polys(min_terms=1))
@@ -369,7 +368,7 @@ def test_gcd_symmetric(a, b):
 @settings(max_examples=40)
 def test_gcd_respects_common_factor(a, b, c):
     g = gcd(a * c, b * c)
-    assert divides_up_to_units(c, g)
+    assert exact_divide(g, c) is not None
     assert equal_up_to_units(g, gcd(a, b) * c)
 
 
@@ -377,8 +376,8 @@ def test_gcd_respects_common_factor(a, b, c):
 @settings(max_examples=25, deadline=None)
 def test_gcd_divides_both_two_vars(a, b):
     g = gcd(a, b)
-    assert divides_up_to_units(g, a)
-    assert divides_up_to_units(g, b)
+    assert exact_divide(a, g) is not None
+    assert exact_divide(b, g) is not None
 
 
 # ---------------------------------------------------------------------------
