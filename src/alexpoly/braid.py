@@ -47,6 +47,14 @@ class BraidWord:
         return BraidWord(self.strands, base.letters * abs(n))
 
 
+#: Largest total syllable count of the generator images that
+#: ``artin_action`` builds.  Images can grow exponentially with the word.
+#: The largest total any shipped or benchmark braid reaches is 251, for
+#: the factor product of the generic 7-line arrangement; that of the
+#: generic 32-line arrangement reaches 7,476.
+MAX_SYLLABLES = 100_000
+
+
 def artin_action(braid: BraidWord) -> list[Word]:
     """Images of the free generators under the braid, letters acting
     left to right.
@@ -55,18 +63,25 @@ def artin_action(braid: BraidWord) -> list[Word]:
     reading the letters right to left: with the images of the letters
     after l in hand, prepending l = s_i rewrites only images i and i+1,
     (a, b) -> (a b a^-1, a), and l = s_i^-1 rewrites them
-    (a, b) -> (b, b^-1 a b).
+    (a, b) -> (b, b^-1 a b).  Raises InputError once the images hold more
+    than MAX_SYLLABLES syllables in all.
     """
     images = [Word.generator(j) for j in range(braid.strands)]
+    total = braid.strands
     for letter in reversed(braid.letters):
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
         if letter > 0:
             images[i] = Word(a.syllables + b.syllables + a.inverse().syllables)
             images[i + 1] = a
+            total += len(images[i].syllables) - len(b.syllables)
         else:
             images[i] = b
             images[i + 1] = Word(b.inverse().syllables + a.syllables + b.syllables)
+            total += len(images[i + 1].syllables) - len(a.syllables)
+        if total > MAX_SYLLABLES:
+            raise InputError("the braid's generator images exceed "
+                             f"{MAX_SYLLABLES} syllables", field="word")
     return images
 
 

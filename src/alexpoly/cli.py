@@ -16,11 +16,11 @@ check or computation fails, 2 for malformed input.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .braid import (braid_from_json, factorization_from_json,
                     strand_components, zvk_presentation)
@@ -35,8 +35,11 @@ from .ring import (LaurentPoly, check_degree, cyclotomic_factorization,
                    normalize, parse_poly, poly_to_str)
 from .verify import cyclotomic_text, run_verification
 
+if TYPE_CHECKING:  # argparse is imported only for help and usage errors
+    import argparse
 
-def _print(args: argparse.Namespace, payload: dict, text: str) -> None:
+
+def _print(args: SimpleNamespace, payload: dict, text: str) -> None:
     if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -56,7 +59,7 @@ def _presentation(obj: object, source: str) -> tuple[Presentation, AbelMap]:
     return pres, phi
 
 
-def cmd_fox(args: argparse.Namespace) -> int:
+def cmd_fox(args: SimpleNamespace) -> int:
     pres, phi = _presentation(load_json_file(args.presentation),
                               args.presentation)
     delta = (alexander_one_variable(pres, phi) if args.one
@@ -66,7 +69,7 @@ def cmd_fox(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_zvk(args: argparse.Namespace) -> int:
+def cmd_zvk(args: SimpleNamespace) -> int:
     fact = factorization_from_json(load_json_file(args.factorization),
                                    source=args.factorization)
     projective = True if args.projective else None
@@ -88,7 +91,7 @@ def cmd_zvk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_closure_link(args: argparse.Namespace) -> MarkedLink:
+def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     """Accept either a link file or a bare braid file.
 
     For a bare braid, closure components get distinct colours in base
@@ -126,7 +129,7 @@ def _load_closure_link(args: argparse.Namespace) -> MarkedLink:
         raise InputError(str(exc), source=args.link) from exc
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_closure(args: SimpleNamespace) -> int:
     link = _load_closure_link(args)
     try:
         if args.multi:
@@ -143,7 +146,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: SimpleNamespace) -> int:
     curve = curve_from_json(load_json_file(args.curve), source=args.curve)
     counts = affine_counts(curve)
     fields = [  # (JSON key, text label, value)
@@ -174,7 +177,7 @@ def _file_delta(path: str, presentation_ok: bool) -> LaurentPoly:
     return alexander_one_variable(pres, phi)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     curve = curve_from_json(load_json_file(args.curve), source=args.curve)
     if (args.factorization is None) == (args.delta is None):
         raise InputError("give either a factorization file or --delta, "
@@ -201,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_cyclo(args: argparse.Namespace) -> int:
+def cmd_cyclo(args: SimpleNamespace) -> int:
     p = parse_poly(args.poly, nvars=1, source="argument")
     if p.is_zero:
         print("error: the zero polynomial is not a cyclotomic product",
@@ -222,88 +225,152 @@ def cmd_cyclo(args: argparse.Namespace) -> int:
     return 1
 
 
-def _fox_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("presentation", help="presentation JSON file")
-    p.add_argument("--one", action="store_true",
-                   help="compose the abelianization to a single variable")
+class Arg(NamedTuple):
+    """One argument of a command: `name` is a positional's dest or an
+    option's one spelling, `spec` the other add_argument keywords."""
+    name: str
+    help: str
+    spec: dict = {}
+    exclusive: bool = False  # in the command's mutually exclusive group
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
 
 
-def _zvk_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("factorization", help="factorization JSON file")
-    p.add_argument("--projective", action="store_true",
-                   help="add the projective relation regardless of the file")
-    p.add_argument("--multi", action="store_true",
-                   help="one variable per curve component")
+FLAG = {"action": "store_true"}
 
-
-def _closure_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("link", help="link JSON file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--one", action="store_true",
-                      help="single-variable polynomial (the default)")
-    mode.add_argument("--multi", action="store_true",
-                      help="one variable per colour")
-    mode.add_argument("--hat", nargs="?", const=0, type=int, metavar="DEGREE",
-                      help="specialized polynomial of a marked link; the "
-                           "degree defaults to the one in the file")
-    p.add_argument("--marked", type=int, metavar="STRAND",
-                   help="base strand of the marked component (bare braid "
-                        "files only)")
-
-
-def _curve_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("curve", help="curve JSON file")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("curve", help="curve JSON file")
-    p.add_argument("factorization", nargs="?",
-                   help="factorization JSON file (or use --delta)")
-    p.add_argument("--delta", metavar="POLY_OR_JSON",
-                   help="the curve polynomial, or a factorization or "
-                        "presentation file to compute it from")
-    p.add_argument("--infinity", metavar="POLY_OR_LINK",
-                   help="polynomial at infinity: 'generic' (the default), "
-                        "a link JSON file, or polynomial text")
-
-
-def _cyclo_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("poly", help="polynomial, e.g. 't^2 - t + 1'")
+OUTPUT = Arg("--output", "output format (default: text)",
+             {"choices": ("text", "json"), "default": "text"})
 
 
 class Command(NamedTuple):
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+    arguments: tuple[Arg, ...]  # after OUTPUT, in the order help lists them
+    run: Callable[[SimpleNamespace], int]
 
 
 COMMANDS: dict[str, Command] = {
-    "fox": Command("Alexander polynomial of a presented group",
-                   _fox_arguments, cmd_fox),
-    "zvk": Command("presentation and polynomial from braid monodromy",
-                   _zvk_arguments, cmd_zvk),
-    "closure": Command("polynomials of a (marked) braid closure",
-                       _closure_arguments, cmd_closure),
-    "curve": Command("topology derived from curve data",
-                     _curve_arguments, cmd_curve),
-    "verify": Command("run the divisibility and cyclotomicity checks",
-                      _verify_arguments, cmd_verify),
-    "cyclo": Command("cyclotomic factorization of a polynomial",
-                     _cyclo_arguments, cmd_cyclo),
+    "fox": Command("Alexander polynomial of a presented group", (
+        Arg("presentation", "presentation JSON file"),
+        Arg("--one", "compose the abelianization to a single variable", FLAG),
+    ), cmd_fox),
+    "zvk": Command("presentation and polynomial from braid monodromy", (
+        Arg("factorization", "factorization JSON file"),
+        Arg("--projective",
+            "add the projective relation regardless of the file", FLAG),
+        Arg("--multi", "one variable per curve component", FLAG),
+    ), cmd_zvk),
+    "closure": Command("polynomials of a (marked) braid closure", (
+        Arg("link", "link JSON file"),
+        Arg("--one", "single-variable polynomial (the default)", FLAG,
+            exclusive=True),
+        Arg("--multi", "one variable per colour", FLAG, exclusive=True),
+        Arg("--hat", "specialized polynomial of a marked link; the degree "
+            "defaults to the one in the file",
+            {"nargs": "?", "const": 0, "type": int, "metavar": "DEGREE"},
+            exclusive=True),
+        Arg("--marked", "base strand of the marked component (bare braid "
+            "files only)", {"type": int, "metavar": "STRAND"}),
+    ), cmd_closure),
+    "curve": Command("topology derived from curve data", (
+        Arg("curve", "curve JSON file"),
+    ), cmd_curve),
+    "verify": Command("run the divisibility and cyclotomicity checks", (
+        Arg("curve", "curve JSON file"),
+        Arg("factorization", "factorization JSON file (or use --delta)",
+            {"nargs": "?"}),
+        Arg("--delta", "the curve polynomial, or a factorization or "
+            "presentation file to compute it from", {"metavar": "POLY_OR_JSON"}),
+        Arg("--infinity", "polynomial at infinity: 'generic' (the default), "
+            "a link JSON file, or polynomial text", {"metavar": "POLY_OR_LINK"}),
+    ), cmd_verify),
+    "cyclo": Command("cyclotomic factorization of a polynomial", (
+        Arg("poly", "polynomial, e.g. 't^2 - t + 1'"),
+    ), cmd_cyclo),
 }
 
 
+def parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """What the command's argparse parser returns for argv, read without
+    argparse, when argv is a command, then all its positionals, then exact
+    option names as `--opt value` or `--opt=value` with valid values.
+
+    Anything else is None and left to argparse: help, abbreviations,
+    `--`, any other token or a separate value starting with `-`, a
+    missing, extra or refused value, two exclusive options.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values: dict[str, object] = {"func": command.run}
+    options, positionals = {}, []
+    for arg in (OUTPUT,) + command.arguments:
+        if arg.name.startswith("-"):
+            options[arg.name] = arg
+            values[arg.dest] = (False if arg.spec == FLAG
+                                else arg.spec.get("default"))
+        else:
+            positionals.append(arg)
+            values[arg.dest] = None
+    tokens = argv[1:]
+    k = next((i for i, token in enumerate(tokens) if token.startswith("-")),
+             len(tokens))
+    required = sum(arg.spec.get("nargs") != "?" for arg in positionals)
+    if not required <= k <= len(positionals):
+        return None
+    values.update(zip((arg.dest for arg in positionals), tokens[:k]))
+    exclusive = None
+    while k < len(tokens):
+        name, eq, value = tokens[k].partition("=")
+        arg = options.get(name)
+        if arg is None:
+            return None
+        k += 1
+        if arg.spec == FLAG:
+            if eq:
+                return None
+            value = True
+        elif eq or (k < len(tokens) and not tokens[k].startswith("-")):
+            if not eq:
+                value, k = tokens[k], k + 1
+            if "type" in arg.spec:
+                try:
+                    value = arg.spec["type"](value)
+                except ValueError:
+                    return None
+            if value not in arg.spec.get("choices", (value,)):
+                return None
+        elif "const" in arg.spec:
+            value = arg.spec["const"]
+        else:
+            return None
+        if arg.exclusive:
+            if exclusive not in (None, arg):
+                return None
+            exclusive = arg
+        values[arg.dest] = value
+    return SimpleNamespace(**values)
+
+
 def _fill_command_parser(p: argparse.ArgumentParser, name: str) -> None:
-    """Give p the options of command `name`, --output first, as its help
+    """Give p the arguments of command `name`, --output first, as its help
     lists them."""
-    p.add_argument("--output", choices=("text", "json"), default="text",
-                   help="output format (default: text)")
-    COMMANDS[name].add_arguments(p)
+    group = None
+    for arg in (OUTPUT,) + COMMANDS[name].arguments:
+        target = p
+        if arg.exclusive:
+            if group is None:
+                group = p.add_mutually_exclusive_group()
+            target = group
+        target.add_argument(arg.name, help=arg.help, **arg.spec)
     p.set_defaults(func=COMMANDS[name].run)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with one subparser per entry of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="alexpoly",
         description="Alexander polynomials of plane curve complements "
@@ -316,20 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Building and running the full parser (eight ArgumentParsers, with
-    # gettext lookups, a HelpFormatter per add_argument and regex
-    # compiles) took about 4.4 ms of a 4.7 ms `fox` call in a fresh
-    # Python 3.11 process; the one parser of the named command takes about
-    # 2.5 ms, most of it argparse's first use (the locale import).  So a
-    # named command gets only the parser build_parser() makes as its
-    # subparser; no arguments, -h or an unknown command go to the full
-    # parser for its help and errors.
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"alexpoly {argv[0]}")
-        _fill_command_parser(parser, argv[0])
-        args = parser.parse_args(argv[1:])
-    else:
-        args = build_parser().parse_args(argv)
+    # In a fresh Python 3.11 process, building and running the command's
+    # ArgumentParser took 2.2-2.7 ms, most of it gettext importing locale,
+    # and importing argparse about 3 ms more; most commands take 0.5-0.9 ms.
+    # parse_well_formed reads the same argv in about 0.02 ms.  Help, usage
+    # errors and any argv outside its subset go to the command's own parser
+    # (the subparser build_parser() makes), or to the full parser when no
+    # command is named.
+    args = parse_well_formed(argv)
+    if args is None:
+        import argparse
+
+        if argv and argv[0] in COMMANDS:
+            parser = argparse.ArgumentParser(prog=f"alexpoly {argv[0]}")
+            _fill_command_parser(parser, argv[0])
+            argv = argv[1:]
+        else:
+            parser = build_parser()
+        args = SimpleNamespace(**vars(parser.parse_args(argv)))
     try:
         return args.func(args)
     except InputError as exc:

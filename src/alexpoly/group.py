@@ -396,6 +396,10 @@ def load_json_file(path: str) -> object:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError("file not found", source=path) from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise InputError(f"cannot read: {exc.strerror}", source=path) from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", source=path,
                          line=exc.lineno) from None
+    except ValueError as exc:  # not UTF-8, or an int past Python's digit limit
+        raise InputError(f"invalid JSON: {exc}", source=path) from None

@@ -15,12 +15,13 @@ from .cyclotomic import (
     cyclotomic_factorization,
     cyclotomic_polynomial,
 )
-from .textfmt import parse_poly, poly_to_str
+from .textfmt import MAX_VARIABLES, parse_poly, poly_to_str
 
 __all__ = [
     "INFINITY",
     "LaurentPoly",
     "MAX_DEGREE",
+    "MAX_VARIABLES",
     "check_degree",
     "cyclotomic_factorization",
     "cyclotomic_polynomial",

@@ -1,10 +1,13 @@
 """Tests for braid words, the Artin action, and derived presentations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexpoly.braid import (
+    MAX_SYLLABLES,
     BraidWord,
     Factorization,
     apply_braid,
@@ -116,6 +119,23 @@ def test_inverse_cancels(b):
 def test_action_fixes_generator_product(b):
     prod = Word(tuple((i, 1) for i in range(b.strands)))
     assert apply_braid(b, prod) == prod
+
+
+def seeded_word(seed: int, strands: int, length: int) -> tuple[int, ...]:
+    rng = random.Random(seed)
+    return tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                 for _ in range(length))
+
+
+def test_artin_action_syllable_budget():
+    # the images of a uniformly random word grow exponentially: this one
+    # passes MAX_SYLLABLES at its 62nd letter from the right
+    with pytest.raises(InputError) as exc:
+        artin_action(BraidWord(5, seeded_word(1, 5, 75)))
+    assert exc.value.field == "word"
+    assert str(exc.value).endswith(f"exceed {MAX_SYLLABLES} syllables")
+    # this one peaks at 35,089 syllables
+    assert len(artin_action(BraidWord(5, seeded_word(0, 5, 75)))) == 5
 
 
 def test_full_twist_basics():

@@ -8,6 +8,7 @@ three exit statuses (0 success, 1 failed check, 2 bad input) and that
 import argparse
 import json
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -17,12 +18,17 @@ import pytest
 import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
+from alexpoly.braid import MAX_SYLLABLES
 from alexpoly.cli import COMMANDS, build_parser, main
 from alexpoly.ring import LaurentPoly, poly_to_str
 from verify_reference import arrangement_curve
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+
+
+FOX_FILE = str(DATA / "groups" / "trefoil.json")
+LINK_FILE = str(DATA / "torus" / "t22.json")
 
 
 def run_cli(capsys, *argv):
@@ -378,6 +384,47 @@ def test_invalid_json_is_input_error(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("not UTF-8", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("directory", "cannot read: Is a directory"),
+    ("5000-digit int", "invalid JSON: Exceeds the limit"),
+])
+def test_unreadable_file_is_input_error(capsys, tmp_path, kind, message):
+    path = tmp_path / "presentation.json"
+    if kind == "not UTF-8":
+        path.write_bytes(b'{"generators": ["\xff"], "relators": []}')
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"generators": ["a"], "relators": [], "n": '
+                        + "1" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fox", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cyclo", "1" * 5000 + "*t + 1"],
+    ["verify", str(DATA / "two_lines" / "curve.json"), "--delta",
+     "t^" + "1" * 5000],
+])
+def test_overlong_number_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("field 'polynomial': 5000-digit number is too long\n")
+
+
+def test_closure_syllable_budget(capsys, tmp_path):
+    rng = random.Random(1)  # the word of test_braid's syllable budget test
+    word = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(75)]
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps({"strands": 5, "word": word}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "closure", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: field 'word': the braid's generator "
+                   f"images exceed {MAX_SYLLABLES} syllables\n")
+
+
 def test_wrong_shape_is_input_error(capsys, tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"strands": "six"}), encoding="utf-8")
@@ -505,7 +552,7 @@ def test_module_entry_point():
     assert "Phi_6" in proc.stdout
 
 
-def test_cli_builds_one_parser(capsys, monkeypatch):
+def test_cli_builds_parsers_only_for_help_and_errors(capsys, monkeypatch):
     # counts every ArgumentParser, subparsers included; a subclass put in
     # place of argparse.ArgumentParser would recurse, as argparse's own
     # __init__ calls super(ArgumentParser, self)
@@ -517,7 +564,11 @@ def test_cli_builds_one_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["cyclo", "t - 1"]) == 0
-    assert built == ["alexpoly cyclo"]
+    assert main(["closure", LINK_FILE, "--hat", "--output=json"]) == 0
+    assert built == []
+    # an abbreviation is left to the command's own parser
+    assert main(["fox", FOX_FILE, "--on"]) == 0
+    assert built == ["alexpoly fox"]
     for argv, code in ((["-h"], 0), (["bogus"], 2)):
         built.clear()
         with pytest.raises(SystemExit) as exc:
@@ -525,6 +576,17 @@ def test_cli_builds_one_parser(capsys, monkeypatch):
         assert exc.value.code == code
         assert len(built) == 1 + len(COMMANDS)
     capsys.readouterr()
+
+
+def test_well_formed_call_imports_neither_argparse_nor_locale():
+    code = ("import sys\n"
+            "import alexpoly.cli\n"
+            "assert alexpoly.cli.main(['fox', sys.argv[1], '--one']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code, FOX_FILE],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "t^2 - t + 1\n[]\n"
 
 
 def subparser(name: str) -> argparse.ArgumentParser:
@@ -545,10 +607,6 @@ def exit_of(capsys, parse, argv):
 def test_command_help_is_the_subparser_help(capsys, name):
     assert exit_of(capsys, main, [name, "-h"]) == (
         0, subparser(name).format_help(), "")
-
-
-FOX_FILE = str(DATA / "groups" / "trefoil.json")
-LINK_FILE = str(DATA / "torus" / "t22.json")
 
 
 @pytest.mark.parametrize("argv", [

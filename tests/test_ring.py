@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from alexpoly.errors import InputError
 from alexpoly.ring import (
     INFINITY,
+    MAX_VARIABLES,
     LaurentPoly,
     cyclotomic_factorization,
     cyclotomic_polynomial,
@@ -479,6 +480,26 @@ def test_parse_respects_forced_nvars():
     assert p.nvars == 3
     with pytest.raises(InputError):
         parse_poly("t2", nvars=2)
+
+
+@pytest.mark.parametrize("text, nvars, message", [
+    ("1" * 5000 + "*t + 1", 1, "5000-digit number is too long"),
+    ("t^" + "1" * 5000, 1, "5000-digit number is too long"),
+    ("3/" + "1" * 5000, None, "5000-digit number is too long"),
+    ("t" + "1" * 5000, None, "5000-digit number is too long"),
+    ("t675887310 + t0", None, "variable index 675887310 exceeds the limit 999"),
+])
+def test_parse_refuses_numbers_out_of_range(text, nvars, message):
+    with pytest.raises(InputError) as exc:
+        parse_poly(text, nvars=nvars)
+    assert exc.value.field == "polynomial"
+    assert str(exc.value).endswith(message)
+
+
+def test_parse_infers_up_to_max_variables():
+    assert parse_poly(f"t{MAX_VARIABLES - 1} + t0").nvars == MAX_VARIABLES
+    assert parse_poly(f"t{MAX_VARIABLES}", nvars=MAX_VARIABLES + 1).nvars \
+        == MAX_VARIABLES + 1
 
 
 def test_print_univariate_descending():
