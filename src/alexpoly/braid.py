@@ -30,10 +30,6 @@ class BraidWord:
                     f"letter {v} out of range for {self.strands} strands")
         object.__setattr__(self, "letters", letters)
 
-    @classmethod
-    def identity(cls, strands: int) -> "BraidWord":
-        return cls(strands, ())
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise ValueError("strand counts differ")
@@ -178,7 +174,11 @@ def validate_factorization(f: Factorization, source: str | None = None
                              source=source, field="factors")
         splits.append((BraidWord(f.strands, letters[:k]),
                        BraidWord(f.strands, core)))
-    if not braid_equal(f.product(), full_twist(f.strands)):
+    try:
+        is_twist = braid_equal(f.product(), full_twist(f.strands))
+    except InputError as exc:  # the product's images pass MAX_SYLLABLES
+        raise InputError(exc.args[0], source=source, field="factors") from None
+    if not is_twist:
         raise InputError("product of the factors is not the full twist",
                          source=source, field="factors")
     return splits

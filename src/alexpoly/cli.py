@@ -148,6 +148,10 @@ def cmd_closure(args: SimpleNamespace) -> int:
 
 def cmd_curve(args: SimpleNamespace) -> int:
     curve = curve_from_json(load_json_file(args.curve), source=args.curve)
+    try:
+        local = local_deltas(curve)
+    except InputError as exc:  # a link's braid passes MAX_SYLLABLES
+        raise InputError(str(exc), source=args.curve) from None
     counts = affine_counts(curve)
     fields = [  # (JSON key, text label, value)
         ("degree", "degree", curve.degree),
@@ -156,7 +160,7 @@ def cmd_curve(args: SimpleNamespace) -> int:
          euler_characteristic(curve)),
         ("first_betti", "first Betti number", first_betti(curve)),
         ("boundary_delta", "boundary delta",
-         poly_to_str(boundary_delta(curve, local_deltas(curve)))),
+         poly_to_str(boundary_delta(curve, local))),
         ("affine_points", "affine singular points", counts.s_aff),
         ("affine_chi", "affine chi bound", counts.chi_ns),
     ]
@@ -197,7 +201,10 @@ def cmd_verify(args: SimpleNamespace) -> int:
         delta_inf = one_variable_delta(link)
     else:
         delta_inf = parse_poly(args.infinity, nvars=1, source="--infinity")
-    report = run_verification(curve, delta, delta_inf)
+    try:
+        report = run_verification(curve, delta, delta_inf)
+    except InputError as exc:  # a link's braid passes MAX_SYLLABLES
+        raise InputError(str(exc), source=args.curve) from None
     payload = report.to_json()
     payload["alexander"] = poly_to_str(delta)
     _print(args, payload, report.to_text())

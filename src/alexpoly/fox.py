@@ -131,11 +131,11 @@ def _floor(images: list[tuple[int, ...]]) -> LaurentPoly:
 def alexander_one_variable(pres: Presentation, phi: AbelMap) -> LaurentPoly:
     """One-variable invariant through phi followed by coordinate sum.
 
-    The composed map must still be onto Z, otherwise the substitution
-    does not define the invariant.
+    The composed map must still be onto Z, its images having gcd 1,
+    otherwise the substitution does not define the invariant.
     """
     composed = phi.composed_to_one() if phi.rank > 1 else phi
-    if not composed.is_surjective():
+    if math.gcd(*(v for v, in composed.images)) != 1:
         raise ComputationError(
             "composed abelianization map is not onto Z; the one-variable "
             "invariant is undefined for this marking")

@@ -8,10 +8,9 @@ multiplication and endomorphism application keep that invariant.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -138,24 +137,6 @@ class Presentation:
     def m(self) -> int:
         return len(self.relators)
 
-    def relator_abelianization(self) -> list[list[int]]:
-        """m x n integer matrix of abelianized relators."""
-        rows = []
-        for r in self.relators:
-            row = [0] * self.n
-            for g, e in r.syllables:
-                row[g] += e
-            rows.append(row)
-        return rows
-
-    def abelianization_invariants(self) -> tuple[int, list[int]]:
-        """(free rank, torsion coefficients > 1) of the abelianized group."""
-        diag = smith_normal_form(self.relator_abelianization(), self.n)
-        nonzero = [d for d in diag if d != 0]
-        rank = self.n - len(nonzero)
-        torsion = [d for d in nonzero if d > 1]
-        return rank, torsion
-
 
 # ---------------------------------------------------------------------------
 # abelianization maps
@@ -197,101 +178,9 @@ class AbelMap:
                 vec[i] += e * img[i]
         return tuple(vec)
 
-    def is_surjective(self) -> bool:
-        """Surjectivity onto Z^rank: generator images must span."""
-        rows = [list(img) for img in self.images]
-        diag = smith_normal_form(rows, self.rank)
-        nonzero = [d for d in diag if d != 0]
-        return len(nonzero) == self.rank and all(d == 1 for d in nonzero)
-
     def composed_to_one(self) -> "AbelMap":
         """Compose with Z^rank -> Z summing all coordinates."""
         return AbelMap(1, tuple((sum(img),) for img in self.images))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form over a Euclidean domain
-
-
-def smith_diagonal(a: list[list], divmod_: Callable, add: Callable,
-                   sub: Callable, mul: Callable, size: Callable) -> list:
-    """Nonzero diagonal of the Smith normal form, each entry dividing the next.
-
-    a is a list of equal-length rows over a Euclidean domain whose elements
-    are falsy exactly when zero; it is reduced in place.  The ring enters
-    through its divmod, add, sub and mul, and size is the Euclidean norm
-    (abs over Z, coefficient-list length over Q[t]).  Entries come back
-    as the loop leaves them, signs and leading coefficients included.
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    diag = []
-    top = left = 0
-    while top < m and left < n:
-        pivot = min(((i, j) for i in range(top, m) for j in range(left, n)
-                     if a[i][j]),
-                    key=lambda ij: size(a[ij[0]][ij[1]]), default=None)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[left], row[j0] = row[j0], row[left]
-        # clear the pivot row and column (Euclidean steps); a nonzero
-        # remainder becomes the smaller pivot of the next sweep
-        dirty = True
-        while dirty:
-            dirty = False
-            p = a[top][left]
-            for i in range(top + 1, m):
-                if a[i][left]:
-                    q = divmod_(a[i][left], p)[0]
-                    for j in range(left, n):
-                        a[i][j] = sub(a[i][j], mul(q, a[top][j]))
-                    if a[i][left]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(left + 1, n):
-                if a[top][j]:
-                    q = divmod_(a[top][j], p)[0]
-                    for i in range(top, m):
-                        a[i][j] = sub(a[i][j], mul(q, a[i][left]))
-                    if a[top][j]:
-                        for row in a:
-                            row[left], row[j] = row[j], row[left]
-                        dirty = True
-                        break
-        # enforce divisibility of the remaining block by the pivot: add an
-        # offending row to the pivot row and reduce again
-        p = a[top][left]
-        offender = next((i for i in range(top + 1, m)
-                         if any(a[i][j] and divmod_(a[i][j], p)[1]
-                                for j in range(left + 1, n))), None)
-        if offender is not None:
-            for j in range(left, n):
-                a[top][j] = add(a[top][j], a[offender][j])
-            continue
-        diag.append(p)
-        top += 1
-        left += 1
-    return diag
-
-
-def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Input is a list of rows (possibly empty); returns min(m, n) diagonal
-    entries, nonnegative, each dividing the next.
-    """
-    a = [list(map(int, row)) for row in rows]
-    if any(len(row) != ncols for row in a):
-        raise ValueError("ragged matrix")
-    diag = [abs(d) for d in smith_diagonal(a, divmod, operator.add,
-                                           operator.sub, operator.mul, abs)]
-    return diag + [0] * (min(len(a), ncols) - len(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +204,6 @@ def parse_word(text: str, generators: Sequence[str], source: str | None = None) 
                              source=source, field="relators")
         pairs.append((index[name], int(exp_text) if exp_text else 1))
     return Word(pairs)
-
-
-def word_to_text(w: Word, generators: Sequence[str]) -> str:
-    parts = []
-    for g, e in w.syllables:
-        name = generators[g]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(parts)
 
 
 def presentation_from_json(obj: object, source: str | None = None) -> tuple[Presentation, AbelMap | None]:
@@ -377,19 +258,6 @@ def presentation_from_json(obj: object, source: str | None = None) -> tuple[Pres
     return pres, phi
 
 
-def presentation_to_json(pres: Presentation, phi: AbelMap | None = None) -> dict:
-    obj: dict = {
-        "generators": list(pres.generators),
-        "relators": [word_to_text(r, pres.generators) for r in pres.relators],
-    }
-    if phi is not None:
-        obj["phi"] = {
-            name: (img[0] if phi.rank == 1 else list(img))
-            for name, img in zip(pres.generators, phi.images)
-        }
-    return obj
-
-
 def load_json_file(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -403,3 +271,5 @@ def load_json_file(path: str) -> object:
                          line=exc.lineno) from None
     except ValueError as exc:  # not UTF-8, or an int past Python's digit limit
         raise InputError(f"invalid JSON: {exc}", source=path) from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply", source=path) from None

@@ -388,6 +388,7 @@ def test_invalid_json_is_input_error(capsys, tmp_path):
     ("not UTF-8", "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
     ("directory", "cannot read: Is a directory"),
     ("5000-digit int", "invalid JSON: Exceeds the limit"),
+    ("nested 100,000 deep", "invalid JSON: nested too deeply"),
 ])
 def test_unreadable_file_is_input_error(capsys, tmp_path, kind, message):
     path = tmp_path / "presentation.json"
@@ -395,6 +396,8 @@ def test_unreadable_file_is_input_error(capsys, tmp_path, kind, message):
         path.write_bytes(b'{"generators": ["\xff"], "relators": []}')
     elif kind == "directory":
         path.mkdir()
+    elif kind == "nested 100,000 deep":
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     else:
         path.write_text('{"generators": ["a"], "relators": [], "n": '
                         + "1" * 5000 + "}", encoding="utf-8")
@@ -420,6 +423,41 @@ def test_closure_syllable_budget(capsys, tmp_path):
     path = tmp_path / "braid.json"
     path.write_text(json.dumps({"strands": 5, "word": word}), encoding="utf-8")
     code, out, err = run_cli(capsys, "closure", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: field 'word': the braid's generator "
+                   f"images exceed {MAX_SYLLABLES} syllables\n")
+
+
+def test_factorization_syllable_budget(capsys, tmp_path):
+    # one factor w s_1 w^-1 with a random 40-letter w: the images of the
+    # factor product pass MAX_SYLLABLES before it can be compared with
+    # the full twist
+    rng = random.Random(0)
+    w = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(40)]
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps({"strands": 5, "factors": [
+        w + [1] + [-v for v in reversed(w)]]}), encoding="utf-8")
+    for argv in (["zvk", str(path)],
+                 ["verify", str(DATA / "two_lines" / "curve.json"), str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: field 'factors': the braid's generator "
+                       f"images exceed {MAX_SYLLABLES} syllables\n")
+
+
+@pytest.mark.parametrize("argv", [["curve"], ["verify", "--delta", "t - 1"]])
+def test_curve_link_syllable_budget(capsys, tmp_path, argv):
+    # the node of two_lines with the braid of the closure test instead
+    rng = random.Random(1)
+    word = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(75)]
+    curve = json.loads((DATA / "two_lines" / "curve.json")
+                       .read_text(encoding="utf-8"))
+    curve["singularities"][0]["link"] = {
+        "braid": {"strands": 5, "word": word},
+        "colours": {"1": 1, "2": 2}}  # components (1, 3, 4) and (2, 5)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err == (f"error: {path}: field 'word': the braid's generator "
                    f"images exceed {MAX_SYLLABLES} syllables\n")

@@ -109,7 +109,7 @@ def test_sextic_betti_number():
 def test_sextic_presentation_rank():
     pres, phi = zvk_presentation(load_factorization("zariski_sextic"))
     assert isinstance(pres, Presentation)
-    assert phi.rank == 1 and phi.is_surjective()
+    assert phi.rank == 1 and phi.images == ((1,),) * pres.n
 
 
 TORUS_HATS = {

@@ -244,6 +244,48 @@ def test_enumeration_and_snf_agree(rows, k):
     assert by_snf == by_enum
 
 
+def sympy_determinant_divisor(rows, k):
+    """Product of the first k invariant factors over Q[t] from sympy,
+    which serves as an independent oracle and is never a runtime
+    dependency; unit-normal, zero when fewer than k are nonzero."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    t = sympy.Symbol("t")
+    matrix = sympy.Matrix([[sum(c * t ** e for (e,), c in entry.terms.items())
+                            for entry in row] for row in rows])
+    factors = invariant_factors(matrix, domain=sympy.QQ[t])
+    product = sympy.Poly(sympy.prod(factors[:k]), t)
+    return normalize(LaurentPoly(1, {
+        e: Fraction(int(c.p), int(c.q))
+        for e, c in zip(product.monoms(), product.coeffs()) if c}))
+
+
+def test_snf_minor_gcd_matches_sympy():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = []
+        while len(rows) < m:
+            row = tuple(LaurentPoly(1, {(e,): rng.randint(-3, 3)
+                                        for e in range(rng.randint(0, 3))})
+                        if rng.random() < 0.7 else LaurentPoly.zero(1)
+                        for _ in range(n))
+            if any(not e.is_zero for e in row):
+                rows.append(row)
+        for k in range(1, min(m, n) + 1):
+            assert _snf_minor_gcd(rows, k) == sympy_determinant_divisor(rows, k), \
+                (rows, k)
+
+
+def test_snf_minor_gcd_divisibility_fix():
+    # invariant factors 1 and t^2 - 1: the pivot t - 1 does not divide
+    # t + 1, so the loop adds the offending row to the pivot row
+    rows = [(P("t - 1"), P("0", 1)), (P("0", 1), P("t + 1"))]
+    for k, expected in ((1, P("1", 1)), (2, P("t^2 - 1"))):
+        assert _snf_minor_gcd(rows, k) == expected
+        assert sympy_determinant_divisor(rows, k) == expected
+
+
 # ---------------------------------------------------------------------------
 # polynomial invariants of presentations
 
@@ -359,6 +401,11 @@ def test_one_variable_from_two_variable_marking():
 
 def test_one_variable_rejects_non_surjective():
     pres = Presentation(("x", "y"), (W("x y x^-1 y^-1"),))
-    phi = AbelMap(2, ((1, 1), (1, 1)))
-    with pytest.raises(ComputationError):
-        alexander_one_variable(pres, phi)
+    # a rank-1 map is onto Z exactly when its images have gcd 1
+    for images in (((2,), (4,)), ((0,), (0,))):
+        with pytest.raises(ComputationError, match="not onto Z"):
+            alexander_one_variable(pres, AbelMap(1, images))
+    assert alexander_one_variable(pres, AbelMap(1, ((2,), (3,)))) == P("t - 1")
+    # a rank-2 map is composed with the coordinate sum first: (2,), (2,)
+    with pytest.raises(ComputationError, match="not onto Z"):
+        alexander_one_variable(pres, AbelMap(2, ((1, 1), (1, 1))))

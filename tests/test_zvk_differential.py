@@ -18,7 +18,7 @@ import pytest
 from alexpoly.braid import BraidWord, Factorization, zvk_presentation
 from alexpoly.fox import alexander_one_variable, alexander_polynomial
 
-from zvk_reference import full_zvk_presentation
+from zvk_reference import abelianization_invariants, full_zvk_presentation
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -69,10 +69,11 @@ def assert_same_invariants(f: Factorization, multi: bool) -> None:
     pres, phi = zvk_presentation(f)
     ref = full_zvk_presentation(f)
     assert pres.m == len(f.factors) + f.projective
-    assert pres.abelianization_invariants() == ref.abelianization_invariants()
     assert alexander_one_variable(pres, phi) == alexander_one_variable(ref, phi)
     if multi:
         assert alexander_polynomial(pres, phi) == alexander_polynomial(ref, phi)
+    # last: skipped without sympy
+    assert abelianization_invariants(pres) == abelianization_invariants(ref)
 
 
 @pytest.mark.parametrize("projective", [False, True])
