@@ -153,7 +153,7 @@ class Factorization:
                          tuple(v for f in self.factors for v in f.letters))
 
 
-def validate_factorization(f: Factorization, source: str | None = None
+def validate_factorization(f: Factorization
                            ) -> list[tuple[BraidWord, BraidWord]]:
     """Require every factor to read literally w s_i^k w^-1 (k != 0) and
     the factors to multiply to the full twist.
@@ -171,16 +171,16 @@ def validate_factorization(f: Factorization, source: str | None = None
         core = letters[k:n - k]
         if not core or any(v != core[0] for v in core):
             raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
-                             source=source, field="factors")
+                             field="factors")
         splits.append((BraidWord(f.strands, letters[:k]),
                        BraidWord(f.strands, core)))
     try:
         is_twist = braid_equal(f.product(), full_twist(f.strands))
     except InputError as exc:  # the product's images pass MAX_SYLLABLES
-        raise InputError(exc.args[0], source=source, field="factors") from None
+        raise InputError(exc.args[0], field="factors") from None
     if not is_twist:
         raise InputError("product of the factors is not the full twist",
-                         source=source, field="factors")
+                         field="factors")
     return splits
 
 
@@ -201,20 +201,18 @@ def _generator_names(strands: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(strands))
 
 
-def zvk_presentation(f: Factorization, projective: bool | None = None,
-                     source: str | None = None
+def zvk_presentation(f: Factorization, projective: bool | None = None
                      ) -> tuple[Presentation, AbelMap]:
     """Presentation of the curve complement cut out by a factorization.
 
-    The factorization is validated first; source names its file in the
-    diagnostic.  Each factor w s_i^k w^-1 gives one relator, w^-1 applied
+    The factorization is validated first.  Each factor w s_i^k w^-1 gives one relator, w^-1 applied
     to s_i^k(x_i) x_i^-1: s_i^k fixes x_i x_{i+1} and the other
     generators, so the relators b(x_j) x_j^-1 of the factor b for every j
     follow from this one.  The projective variant kills the product
     x_1 ... x_d as well.  The returned map sends each generator to the
     coordinate of its component (orbits ordered by least strand).
     """
-    splits = validate_factorization(f, source=source)
+    splits = validate_factorization(f)
     if projective is None:
         projective = f.projective
     d = f.strands
@@ -260,55 +258,52 @@ def closure_presentation(braid: BraidWord) -> Presentation:
 # JSON formats
 
 
-def _strands_from_json(obj: object, kind: str, source: str | None) -> int:
+def _strands_from_json(obj: object, kind: str) -> int:
     """The "strands" field of a braid or factorization object."""
     if not isinstance(obj, dict):
-        raise InputError(f"{kind} must be a JSON object", source=source)
+        raise InputError(f"{kind} must be a JSON object")
     strands = obj.get("strands")
-    if not isinstance(strands, int) or strands < 2:
-        raise InputError("strands must be an integer >= 2",
-                         source=source, field="strands")
+    if type(strands) is not int or strands < 2:
+        raise InputError("strands must be an integer >= 2", field="strands")
     return strands
 
 
-def braid_from_json(obj: object, source: str | None = None) -> BraidWord:
+def braid_from_json(obj: object) -> BraidWord:
     """Decode {"strands": d, "word": [i, ...]} braid data."""
-    strands = _strands_from_json(obj, "braid", source)
+    strands = _strands_from_json(obj, "braid")
     word = obj.get("word", [])
-    if not isinstance(word, list) or not all(isinstance(v, int) for v in word):
+    if not isinstance(word, list) or not all(type(v) is int for v in word):
         raise InputError("word must be a list of nonzero integers",
-                         source=source, field="word")
+                         field="word")
     try:
         return BraidWord(strands, tuple(word))
     except ValueError as exc:
-        raise InputError(str(exc), source=source, field="word") from None
+        raise InputError(str(exc), field="word") from None
 
 
 def braid_to_json(braid: BraidWord) -> dict:
     return {"strands": braid.strands, "word": list(braid.letters)}
 
 
-def factorization_from_json(obj: object, source: str | None = None) -> Factorization:
+def factorization_from_json(obj: object) -> Factorization:
     """Decode {"strands": d, "factors": [[...], ...], "projective": bool}."""
-    strands = _strands_from_json(obj, "factorization", source)
+    strands = _strands_from_json(obj, "factorization")
     factors_obj = obj.get("factors")
     if not isinstance(factors_obj, list) or not factors_obj:
         raise InputError("factors must be a nonempty list of letter lists",
-                         source=source, field="factors")
+                         field="factors")
     factors = []
     for idx, letters in enumerate(factors_obj):
-        if not isinstance(letters, list) or not all(isinstance(v, int) for v in letters):
+        if not isinstance(letters, list) or not all(type(v) is int for v in letters):
             raise InputError(f"factor {idx} must be a list of integers",
-                             source=source, field="factors")
+                             field="factors")
         try:
             factors.append(BraidWord(strands, tuple(letters)))
         except ValueError as exc:
-            raise InputError(f"factor {idx}: {exc}",
-                             source=source, field="factors") from None
+            raise InputError(f"factor {idx}: {exc}", field="factors") from None
     projective = obj.get("projective", False)
     if not isinstance(projective, bool):
-        raise InputError("projective must be a boolean",
-                         source=source, field="projective")
+        raise InputError("projective must be a boolean", field="projective")
     return Factorization(strands, tuple(factors), projective)
 
 

@@ -16,11 +16,12 @@ check or computation fails, 2 for malformed input.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .braid import (braid_from_json, factorization_from_json,
                     strand_components, zvk_presentation)
@@ -51,17 +52,29 @@ def _is_file(arg: str) -> bool:
     return os.path.exists(arg) or arg.endswith(".json")
 
 
-def _presentation(obj: object, source: str) -> tuple[Presentation, AbelMap]:
+@contextlib.contextmanager
+def _reading(name: str) -> Iterator[None]:
+    """Name the file or argument `name` in an InputError raised inside
+    that names none yet."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.source is None:
+            exc.source = name
+        raise
+
+
+def _presentation(obj: object) -> tuple[Presentation, AbelMap]:
     """A decoded presentation and its phi, by default every generator to t."""
-    pres, phi = presentation_from_json(obj, source=source)
+    pres, phi = presentation_from_json(obj)
     if phi is None:
         phi = AbelMap.constant_one(len(pres.generators))
     return pres, phi
 
 
 def cmd_fox(args: SimpleNamespace) -> int:
-    pres, phi = _presentation(load_json_file(args.presentation),
-                              args.presentation)
+    with _reading(args.presentation):
+        pres, phi = _presentation(load_json_file(args.presentation))
     delta = (alexander_one_variable(pres, phi) if args.one
              else alexander_polynomial(pres, phi))
     text = poly_to_str(delta)
@@ -70,11 +83,10 @@ def cmd_fox(args: SimpleNamespace) -> int:
 
 
 def cmd_zvk(args: SimpleNamespace) -> int:
-    fact = factorization_from_json(load_json_file(args.factorization),
-                                   source=args.factorization)
     projective = True if args.projective else None
-    pres, phi = zvk_presentation(fact, projective=projective,
-                                 source=args.factorization)
+    with _reading(args.factorization):
+        fact = factorization_from_json(load_json_file(args.factorization))
+        pres, phi = zvk_presentation(fact, projective=projective)
     delta = (alexander_polynomial(pres, phi) if args.multi
              else alexander_one_variable(pres, phi))
     text = poly_to_str(delta)
@@ -101,21 +113,20 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     degree = args.hat if isinstance(args.hat, int) and args.hat > 0 else None
     obj = load_json_file(args.link)
     if isinstance(obj, dict) and "braid" in obj:
-        link = link_from_json(obj, source=args.link)
+        link = link_from_json(obj)
         if args.marked is not None:
             raise InputError("--marked applies to bare braid files; this "
-                             "file sets the marking itself", source=args.link)
+                             "file sets the marking itself")
         if degree is not None and link.degree != degree:
             link = MarkedLink(link.braid, link.colours, marked=link.marked,
                               degree=degree)
         return link
-    braid = braid_from_json(obj, source=args.link)
+    braid = braid_from_json(obj)
     bases = sorted(min(comp) for comp in strand_components(braid))
     marked = args.marked - 1 if args.marked is not None else None
     if marked is not None and marked not in bases:
         raise InputError("marked must be the base strand of a component "
-                         f"{[b + 1 for b in bases]}", source=args.link,
-                         field="--marked")
+                         f"{[b + 1 for b in bases]}", field="--marked")
     colours, nxt = {}, 1
     for base in bases:
         if base == marked:
@@ -126,20 +137,18 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     try:
         return MarkedLink(braid, colours, marked=marked, degree=degree)
     except ValueError as exc:
-        raise InputError(str(exc), source=args.link) from exc
+        raise InputError(str(exc)) from exc
 
 
 def cmd_closure(args: SimpleNamespace) -> int:
-    link = _load_closure_link(args)
-    try:
+    with _reading(args.link):
+        link = _load_closure_link(args)
         if args.multi:
             kind, delta = "multivariable", multivariable_delta(link)
         elif args.hat is not None:
             kind, delta = "hat", hat_delta(link)
         else:
             kind, delta = "one-variable", one_variable_delta(link)
-    except ValueError as exc:
-        raise InputError(str(exc), source=args.link) from exc
     text = poly_to_str(delta)
     _print(args, {"alexander": text, "kind": kind, "variables": delta.nvars},
            text)
@@ -147,11 +156,9 @@ def cmd_closure(args: SimpleNamespace) -> int:
 
 
 def cmd_curve(args: SimpleNamespace) -> int:
-    curve = curve_from_json(load_json_file(args.curve), source=args.curve)
-    try:
+    with _reading(args.curve):
+        curve = curve_from_json(load_json_file(args.curve))
         local = local_deltas(curve)
-    except InputError as exc:  # a link's braid passes MAX_SYLLABLES
-        raise InputError(str(exc), source=args.curve) from None
     counts = affine_counts(curve)
     fields = [  # (JSON key, text label, value)
         ("degree", "degree", curve.degree),
@@ -171,40 +178,44 @@ def cmd_curve(args: SimpleNamespace) -> int:
 
 def _file_delta(path: str, presentation_ok: bool) -> LaurentPoly:
     """One-variable polynomial of the factorization in a JSON file, or,
-    when presentation_ok, of the presentation in a file without "factors"."""
-    obj = load_json_file(path)
-    if presentation_ok and not (isinstance(obj, dict) and "factors" in obj):
-        pres, phi = _presentation(obj, path)
-    else:
-        pres, phi = zvk_presentation(factorization_from_json(obj, source=path),
-                                     source=path)
-    return alexander_one_variable(pres, phi)
+    when presentation_ok, of the presentation in a file without "factors".
+    An InputError names the file, also one for a degree past MAX_DEGREE."""
+    with _reading(path):
+        obj = load_json_file(path)
+        if presentation_ok and not (isinstance(obj, dict) and "factors" in obj):
+            pres, phi = _presentation(obj)
+        else:
+            pres, phi = zvk_presentation(factorization_from_json(obj))
+        delta = alexander_one_variable(pres, phi)
+        check_degree(delta)
+    return delta
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    curve = curve_from_json(load_json_file(args.curve), source=args.curve)
+    with _reading(args.curve):
+        curve = curve_from_json(load_json_file(args.curve))
     if (args.factorization is None) == (args.delta is None):
         raise InputError("give either a factorization file or --delta, "
                          "not both", source="verify")
     if args.factorization is not None:
-        delta, source = _file_delta(args.factorization, False), args.factorization
+        delta = _file_delta(args.factorization, False)
     elif _is_file(args.delta):
-        delta, source = _file_delta(args.delta, True), args.delta
+        delta = _file_delta(args.delta, True)
     else:
-        delta, source = parse_poly(args.delta, nvars=1, source="--delta"), "--delta"
-    check_degree(delta, source=source)
+        with _reading("--delta"):
+            delta = parse_poly(args.delta, nvars=1)
+            check_degree(delta)
     if args.infinity is None or args.infinity == "generic":
         delta_inf = None  # run_verification derives the generic one
     elif _is_file(args.infinity):
-        link = link_from_json(load_json_file(args.infinity),
-                              source=args.infinity)
-        delta_inf = one_variable_delta(link)
+        with _reading(args.infinity):
+            delta_inf = one_variable_delta(
+                link_from_json(load_json_file(args.infinity)))
     else:
-        delta_inf = parse_poly(args.infinity, nvars=1, source="--infinity")
-    try:
+        with _reading("--infinity"):
+            delta_inf = parse_poly(args.infinity, nvars=1)
+    with _reading(args.curve):  # a curve link passes MAX_SYLLABLES
         report = run_verification(curve, delta, delta_inf)
-    except InputError as exc:  # a link's braid passes MAX_SYLLABLES
-        raise InputError(str(exc), source=args.curve) from None
     payload = report.to_json()
     payload["alexander"] = poly_to_str(delta)
     _print(args, payload, report.to_text())
@@ -212,12 +223,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_cyclo(args: SimpleNamespace) -> int:
-    p = parse_poly(args.poly, nvars=1, source="argument")
+    with _reading("argument"):
+        p = parse_poly(args.poly, nvars=1)
+        check_degree(p)
     if p.is_zero:
         print("error: the zero polynomial is not a cyclotomic product",
               file=sys.stderr)
         return 1
-    check_degree(p, source="argument")
     factors, remainder = cyclotomic_factorization(normalize(p))
     if remainder.is_unit:
         text = cyclotomic_text(factors)

@@ -166,60 +166,57 @@ def affine_counts(curve: CurveData) -> AffineCounts:
 # JSON format
 
 
-def curve_from_json(obj: object, source: str | None = None) -> CurveData:
+def curve_from_json(obj: object) -> CurveData:
     """Decode {"components": [{"name", "degree", "genus"}, ...],
     "singularities": [{"link": {...}, "on_L": bool}, ...]} data."""
     if not isinstance(obj, dict):
-        raise InputError("curve must be a JSON object", source=source)
+        raise InputError("curve must be a JSON object")
     comps_obj = obj.get("components")
     if not isinstance(comps_obj, list) or len(comps_obj) < 2:
         raise InputError("components must list the line and at least one "
-                         "curve component", source=source, field="components")
+                         "curve component", field="components")
     components = []
     for idx, comp in enumerate(comps_obj):
         if not isinstance(comp, dict):
             raise InputError(f"component {idx} must be an object",
-                             source=source, field="components")
+                             field="components")
         name = comp.get("name", f"component{idx}")
         degree = comp.get("degree")
         genus = comp.get("genus", 0)
         if not isinstance(name, str):
             raise InputError(f"component {idx} name must be a string",
-                             source=source, field="components")
-        if not isinstance(degree, int) or not isinstance(genus, int):
+                             field="components")
+        if type(degree) is not int or type(genus) is not int:
             raise InputError(f"component {idx} needs integer degree and genus",
-                             source=source, field="components")
+                             field="components")
         try:
             components.append(CurveComponent(name, degree, genus))
         except ValueError as exc:
-            raise InputError(str(exc), source=source,
-                             field="components") from None
+            raise InputError(str(exc), field="components") from None
     sings_obj = obj.get("singularities", [])
     if not isinstance(sings_obj, list):
-        raise InputError("singularities must be a list",
-                         source=source, field="singularities")
+        raise InputError("singularities must be a list", field="singularities")
     singularities = []
     for idx, sing in enumerate(sings_obj):
         if not isinstance(sing, dict) or "link" not in sing:
             raise InputError(f"singularity {idx} must be an object with a link",
-                             source=source, field="singularities")
-        link = link_from_json(sing["link"], source=source)
+                             field="singularities")
+        link = link_from_json(sing["link"])
         on_L = sing.get("on_L", link.marked is not None)
         if not isinstance(on_L, bool):
             raise InputError(f"singularity {idx}: on_L must be a boolean",
-                             source=source, field="singularities")
+                             field="singularities")
         singularities.append(Singularity(link, on_L))
     try:
         curve = CurveData(tuple(components), tuple(singularities))
     except ValueError as exc:
-        raise InputError(str(exc), source=source) from None
+        raise InputError(str(exc)) from None
     apart = _apart_from_line(curve)
     if apart:
         names = ", ".join(repr(curve.components[i].name) for i in apart)
         raise InputError(f"no chain of singular points joins {names} to the "
                          "line; plane curves always meet, so the divisor "
-                         "must be connected", source=source,
-                         field="singularities")
+                         "must be connected", field="singularities")
     return curve
 
 

@@ -7,7 +7,10 @@ class InputError(ValueError):
     """Malformed user-supplied data (files, CLI strings).
 
     Carries enough context for a diagnostic naming the file, line and
-    field.  The CLI maps this to exit code 2.
+    field.  Decoders and parsers set only the field; ``load_json_file``
+    sets the file (``source``) and line of what it cannot read, and the
+    CLI sets ``source`` to the file or argument it was reading when the
+    error passed through.  The CLI maps this to exit code 2.
     """
 
     def __init__(self, message: str, *, source: str | None = None,

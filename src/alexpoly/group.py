@@ -189,7 +189,7 @@ class AbelMap:
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
-def parse_word(text: str, generators: Sequence[str], source: str | None = None) -> Word:
+def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse 'x1 x2^-1 x1' style word text against a generator list."""
     index = {name: i for i, name in enumerate(generators)}
     pairs: list[Syllable] = []
@@ -197,64 +197,61 @@ def parse_word(text: str, generators: Sequence[str], source: str | None = None) 
         m = _TOKEN_RE.match(token)
         if not m:
             raise InputError(f"cannot parse word token {token!r}",
-                             source=source, field="relators")
+                             field="relators")
         name, exp_text = m.groups()
         if name not in index:
-            raise InputError(f"unknown generator {name!r}",
-                             source=source, field="relators")
+            raise InputError(f"unknown generator {name!r}", field="relators")
         pairs.append((index[name], int(exp_text) if exp_text else 1))
     return Word(pairs)
 
 
-def presentation_from_json(obj: object, source: str | None = None) -> tuple[Presentation, AbelMap | None]:
+def presentation_from_json(obj: object) -> tuple[Presentation, AbelMap | None]:
     """Decode {"generators": [...], "relators": [...], "phi": {...}} data."""
     if not isinstance(obj, dict):
-        raise InputError("presentation must be a JSON object", source=source)
+        raise InputError("presentation must be a JSON object")
     gens = obj.get("generators")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens) or not gens:
         raise InputError("expected a nonempty list of generator names",
-                         source=source, field="generators")
+                         field="generators")
     relator_texts = obj.get("relators", [])
     if not isinstance(relator_texts, list) or not all(isinstance(r, str) for r in relator_texts):
-        raise InputError("expected a list of word strings",
-                         source=source, field="relators")
-    relators = tuple(parse_word(r, gens, source=source) for r in relator_texts)
+        raise InputError("expected a list of word strings", field="relators")
+    relators = tuple(parse_word(r, gens) for r in relator_texts)
     try:
         pres = Presentation(tuple(gens), relators)
     except ValueError as exc:
-        raise InputError(str(exc), source=source, field="generators") from None
+        raise InputError(str(exc), field="generators") from None
 
     phi = None
     if "phi" in obj:
         phi_obj = obj["phi"]
         if not isinstance(phi_obj, dict):
             raise InputError("phi must map generator names to integers or "
-                             "integer vectors", source=source, field="phi")
+                             "integer vectors", field="phi")
         images: list[tuple[int, ...]] = []
         rank = None
         for name in gens:
             if name not in phi_obj:
                 raise InputError(f"phi is missing generator {name!r}",
-                                 source=source, field="phi")
+                                 field="phi")
             val = phi_obj[name]
             vec = tuple(val) if isinstance(val, list) else (val,)
-            if not all(isinstance(v, int) for v in vec):
+            if not all(type(v) is int for v in vec):
                 raise InputError(f"phi[{name!r}] must be an integer or a list "
-                                 "of integers", source=source, field="phi")
+                                 "of integers", field="phi")
             if rank is None:
                 rank = len(vec)
             elif len(vec) != rank:
-                raise InputError("phi image lengths disagree",
-                                 source=source, field="phi")
+                raise InputError("phi image lengths disagree", field="phi")
             images.append(vec)
         unknown = set(phi_obj) - set(gens)
         if unknown:
             raise InputError(f"phi names unknown generators {sorted(unknown)}",
-                             source=source, field="phi")
+                             field="phi")
         try:
             phi = AbelMap(rank, tuple(images))
         except ValueError as exc:
-            raise InputError(str(exc), source=source, field="phi") from None
+            raise InputError(str(exc), field="phi") from None
     return pres, phi
 
 

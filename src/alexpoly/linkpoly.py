@@ -106,7 +106,7 @@ def multivariable_delta(link: MarkedLink,
     has already built it.
     """
     if link.n_colours() < 2:
-        raise ValueError("the multivariable invariant needs at least 2 colours")
+        raise InputError("the multivariable invariant needs at least 2 colours")
     if pres is None:
         pres = closure_presentation(link.braid)
     return alexander_polynomial(pres, _colour_phi(link))
@@ -162,7 +162,7 @@ def marked_torus_link(strands: int, degree: int) -> MarkedLink:
 # JSON format
 
 
-def link_from_json(obj: object, source: str | None = None) -> MarkedLink:
+def link_from_json(obj: object) -> MarkedLink:
     """Decode {"braid": {...}, "colours": {"1": 1, ...},
     "marked": 1 | null, "degree": d | null} link data.
 
@@ -170,52 +170,47 @@ def link_from_json(obj: object, source: str | None = None) -> MarkedLink:
     each component is keyed by its smallest strand.
     """
     if not isinstance(obj, dict):
-        raise InputError("link must be a JSON object", source=source)
+        raise InputError("link must be a JSON object")
     if not isinstance(obj.get("braid"), dict):
-        raise InputError("braid must be a JSON object",
-                         source=source, field="braid")
-    braid = braid_from_json(obj["braid"], source=source)
+        raise InputError("braid must be a JSON object", field="braid")
+    braid = braid_from_json(obj["braid"])
     colours_obj = obj.get("colours")
     if not isinstance(colours_obj, dict):
         raise InputError("colours must map base strands to colour numbers",
-                         source=source, field="colours")
+                         field="colours")
     colours = {}
     for key, value in colours_obj.items():
         try:
             strand = int(key)
         except (TypeError, ValueError):
             raise InputError(f"colour key {key!r} is not a strand number",
-                             source=source, field="colours") from None
+                             field="colours") from None
         if not 1 <= strand <= braid.strands:
             raise InputError(f"strand {strand} is out of range 1.."
-                             f"{braid.strands}", source=source,
-                             field="colours")
-        if not isinstance(value, int):
+                             f"{braid.strands}", field="colours")
+        if type(value) is not int:
             raise InputError(f"colour of strand {key} must be an integer",
-                             source=source, field="colours")
+                             field="colours")
         colours[strand - 1] = value
     expected = sorted(min(c) + 1 for c in strand_components(braid))
     if sorted(k + 1 for k in colours) != expected:
         raise InputError("colours must be keyed by the component base "
-                         f"strands {expected}", source=source,
-                         field="colours")
+                         f"strands {expected}", field="colours")
     marked = obj.get("marked")
     if marked is not None:
-        if not isinstance(marked, int) or marked - 1 not in colours:
+        if type(marked) is not int or marked - 1 not in colours:
             raise InputError("marked must be the base strand of a component "
-                             "or null", source=source, field="marked")
+                             "or null", field="marked")
         marked -= 1
     degree = obj.get("degree")
-    if degree is not None and not isinstance(degree, int):
-        raise InputError("degree must be an integer or null",
-                         source=source, field="degree")
+    if degree is not None and type(degree) is not int:
+        raise InputError("degree must be an integer or null", field="degree")
     if marked is not None and (degree is None or degree < 1):
-        raise InputError("a marked link needs a degree >= 1",
-                         source=source, field="degree")
+        raise InputError("a marked link needs a degree >= 1", field="degree")
     try:
         return MarkedLink(braid, colours, marked=marked, degree=degree)
     except ValueError as exc:
-        raise InputError(str(exc), source=source, field="colours") from None
+        raise InputError(str(exc), field="colours") from None
 
 
 def link_to_json(link: MarkedLink) -> dict:

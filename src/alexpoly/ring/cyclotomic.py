@@ -38,7 +38,7 @@ from .poly import LaurentPoly, normalize
 MAX_DEGREE = 1000
 
 
-def check_degree(p: LaurentPoly, source: str | None = None) -> None:
+def check_degree(p: LaurentPoly) -> None:
     """Raise InputError when univariate ``p`` exceeds ``MAX_DEGREE``."""
     if p.is_zero:
         return
@@ -46,7 +46,7 @@ def check_degree(p: LaurentPoly, source: str | None = None) -> None:
     if degree > MAX_DEGREE:
         raise InputError(
             f"degree {degree} exceeds the cyclotomic extraction limit "
-            f"{MAX_DEGREE}", source=source)
+            f"{MAX_DEGREE}")
 
 
 def _primes(limit: int) -> list[int]:

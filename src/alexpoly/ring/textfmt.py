@@ -27,11 +27,11 @@ _SIGN_RE = re.compile(r"(?<!\^)([+-])")  # a sign right after '^' belongs to an 
 MAX_VARIABLES = 1000
 
 
-def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -> LaurentPoly:
+def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     """Parse the text polynomial format; raises InputError on bad input."""
 
     def fail(message: str) -> InputError:
-        return InputError(message, source=source, field="polynomial")
+        return InputError(message, field="polynomial")
 
     def number(digits: str) -> int:
         try:

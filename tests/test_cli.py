@@ -445,19 +445,27 @@ def test_factorization_syllable_budget(capsys, tmp_path):
                        f"images exceed {MAX_SYLLABLES} syllables\n")
 
 
-@pytest.mark.parametrize("argv", [["curve"], ["verify", "--delta", "t - 1"]])
+@pytest.mark.parametrize("argv", [
+    ["curve", "CURVE"],
+    ["verify", "CURVE", "--delta", "t - 1"],
+    ["verify", str(DATA / "two_lines" / "curve.json"), "--delta", "t - 1",
+     "--infinity", "LINK"],
+])
 def test_curve_link_syllable_budget(capsys, tmp_path, argv):
-    # the node of two_lines with the braid of the closure test instead
+    # the braid of the closure test as a link file (LINK) and at the node
+    # of two_lines (CURVE); the diagnostic names the file that holds it
     rng = random.Random(1)
     word = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(75)]
+    link = {"braid": {"strands": 5, "word": word},
+            "colours": {"1": 1, "2": 2}}  # components (1, 3, 4) and (2, 5)
     curve = json.loads((DATA / "two_lines" / "curve.json")
                        .read_text(encoding="utf-8"))
-    curve["singularities"][0]["link"] = {
-        "braid": {"strands": 5, "word": word},
-        "colours": {"1": 1, "2": 2}}  # components (1, 3, 4) and (2, 5)
-    path = tmp_path / "curve.json"
-    path.write_text(json.dumps(curve), encoding="utf-8")
-    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    curve["singularities"][0]["link"] = link
+    files = {"CURVE": tmp_path / "curve.json", "LINK": tmp_path / "link.json"}
+    files["CURVE"].write_text(json.dumps(curve), encoding="utf-8")
+    files["LINK"].write_text(json.dumps(link), encoding="utf-8")
+    code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
+    path = files["LINK" if "LINK" in argv else "CURVE"]
     assert (code, out) == (2, "")
     assert err == (f"error: {path}: field 'word': the braid's generator "
                    f"images exceed {MAX_SYLLABLES} syllables\n")
@@ -568,6 +576,49 @@ def test_link_diagnostics_name_the_field(capsys, tmp_path, link, field, message)
         assert code == 2, argv
         assert out == ""
         assert err == f"error: {path}: field '{field}': {message}\n", argv
+
+
+def _two_lines_with(**component_a):
+    curve = json.loads((DATA / "two_lines" / "curve.json").read_text("utf-8"))
+    curve["components"][1].update(component_a)
+    return curve
+
+
+HOPF_MARKED = {"braid": HOPF, "colours": {"1": 0, "2": 1}, "marked": 1,
+               "degree": 2}
+
+
+@pytest.mark.parametrize("command, obj, field, message", [
+    ("closure", {"strands": True, "word": []}, "strands",
+     "strands must be an integer >= 2"),
+    ("closure", {"strands": 2, "word": [True, True, True]}, "word",
+     "word must be a list of nonzero integers"),
+    ("zvk", {"strands": 2, "factors": [[True, True]]}, "factors",
+     "factor 0 must be a list of integers"),
+    ("closure", {"braid": HOPF, "colours": {"1": 1, "2": True}}, "colours",
+     "colour of strand 2 must be an integer"),
+    ("closure", dict(HOPF_MARKED, marked=True), "marked",
+     "marked must be the base strand of a component or null"),
+    ("closure", dict(HOPF_MARKED, degree=True), "degree",
+     "degree must be an integer or null"),
+    ("fox", {"generators": ["a"], "relators": [], "phi": {"a": True}}, "phi",
+     "phi['a'] must be an integer or a list of integers"),
+    ("curve", _two_lines_with(degree=True), "components",
+     "component 1 needs integer degree and genus"),
+    ("curve", _two_lines_with(genus=False), "components",
+     "component 1 needs integer degree and genus"),
+], ids=["strands", "word", "factor letters", "colour", "marked", "degree",
+        "phi", "component degree", "component genus"])
+def test_boolean_is_not_an_integer(capsys, tmp_path, command, obj, field,
+                                   message):
+    # JSON true and false decode to Python bools, which are ints; with
+    # the same value in place of each boolean, every file but the first
+    # is accepted
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: field '{field}': {message}\n"
 
 
 def test_json_output_is_deterministic(capsys):

@@ -31,7 +31,7 @@ _LONG_INDEX = re.compile(r"t\d{4}")
 
 def _outcome(parse, text, nvars):
     try:
-        p = parse(text, nvars=nvars, source="s")
+        p = parse(text, nvars=nvars)
     except Exception as exc:  # the type and message must agree too
         return "error", type(exc).__name__, str(exc)
     return "ok", p.nvars, p
