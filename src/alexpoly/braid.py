@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .group import AbelMap, Presentation, Word, apply_endomorphism
+from .group import AbelMap, Presentation, Word, _cat, _word, apply_endomorphism
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,34 @@ def artin_action(braid: BraidWord) -> list[Word]:
     reading the letters right to left: with the images of the letters
     after l in hand, prepending l = s_i rewrites only images i and i+1,
     (a, b) -> (a b a^-1, a), and l = s_i^-1 rewrites them
-    (a, b) -> (b, b^-1 a b).  Raises InputError once the images hold more
-    than MAX_SYLLABLES syllables in all.
+    (a, b) -> (b, b^-1 a b).  Each image is kept as a reduced syllable
+    tuple next to its inverse, which follows the same pattern:
+    (a^-1, b^-1) -> (a b^-1 a^-1, a^-1) and (b^-1, b^-1 a^-1 b).  So
+    every product only cancels at its seams and no image is inverted or
+    reduced again.  Raises InputError once the images hold more than
+    MAX_SYLLABLES syllables in all.
     """
-    images = [Word.generator(j) for j in range(braid.strands)]
+    images = [((j, 1),) for j in range(braid.strands)]
+    inverses = [((j, -1),) for j in range(braid.strands)]
     total = braid.strands
     for letter in reversed(braid.letters):
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
+        a_inv, b_inv = inverses[i], inverses[i + 1]
         if letter > 0:
-            images[i] = Word(a.syllables + b.syllables + a.inverse().syllables)
-            images[i + 1] = a
-            total += len(images[i].syllables) - len(b.syllables)
+            images[i] = _cat(_cat(a, b), a_inv)
+            inverses[i] = _cat(_cat(a, b_inv), a_inv)
+            images[i + 1], inverses[i + 1] = a, a_inv
+            total += len(images[i]) - len(b)
         else:
-            images[i] = b
-            images[i + 1] = Word(b.inverse().syllables + a.syllables + b.syllables)
-            total += len(images[i + 1].syllables) - len(a.syllables)
+            images[i], inverses[i] = b, b_inv
+            images[i + 1] = _cat(_cat(b_inv, a), b)
+            inverses[i + 1] = _cat(_cat(b_inv, a_inv), b)
+            total += len(images[i + 1]) - len(a)
         if total > MAX_SYLLABLES:
             raise InputError("the braid's generator images exceed "
                              f"{MAX_SYLLABLES} syllables", field="word")
-    return images
+    return [_word(s) for s in images]
 
 
 def apply_braid(braid: BraidWord, w: Word) -> Word:
@@ -95,6 +103,13 @@ def full_twist(strands: int) -> BraidWord:
     if strands < 2:
         raise ValueError("a braid needs at least 2 strands")
     return BraidWord(strands, tuple(range(1, strands)) * strands)
+
+
+def _full_twist_images(strands: int) -> list[Word]:
+    """Artin action of the full twist in closed form: it conjugates,
+    x_j -> P x_j P^-1 with P = x_1 ... x_d."""
+    p = Word(tuple((j, 1) for j in range(strands)))
+    return [p * Word.generator(j) * p.inverse() for j in range(strands)]
 
 
 def permutation(braid: BraidWord) -> list[int]:
@@ -159,7 +174,10 @@ def validate_factorization(f: Factorization
     the factors to multiply to the full twist.
 
     Returns the split (w, s_i^k) of each factor, in order, found by
-    stripping the longest w ... w^-1 wrapping.
+    stripping the longest w ... w^-1 wrapping.  The action is faithful,
+    so the product is the full twist exactly when its images are the
+    closed form x_j -> P x_j P^-1, P = x_1 ... x_d, of the full twist's;
+    only the product goes through the Artin action.
     """
     splits = []
     for idx, factor in enumerate(f.factors):
@@ -175,10 +193,10 @@ def validate_factorization(f: Factorization
         splits.append((BraidWord(f.strands, letters[:k]),
                        BraidWord(f.strands, core)))
     try:
-        is_twist = braid_equal(f.product(), full_twist(f.strands))
+        images = artin_action(f.product())
     except InputError as exc:  # the product's images pass MAX_SYLLABLES
         raise InputError(exc.args[0], field="factors") from None
-    if not is_twist:
+    if images != _full_twist_images(f.strands):
         raise InputError("product of the factors is not the full twist",
                          field="factors")
     return splits

@@ -31,6 +31,7 @@ from .errors import ComputationError
 from .group import AbelMap, Presentation
 from .minors import minor_gcd
 from .ring import LaurentPoly, exact_divide, normalize
+from .ring.poly import _raw
 
 
 def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
@@ -40,7 +41,9 @@ def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
     phi(u) of the prefix u read so far.  By the product rule a syllable
     x_g^e after u adds u (1 + x_g + ... + x_g^(e-1)) to column g when
     e > 0 and -u (x_g^-1 + ... + x_g^e) when e < 0, each word w entering
-    as the monomial with exponent vector phi(w).
+    as the monomial with exponent vector phi(w).  The entries hold int
+    coefficients keyed by int tuples of length phi.rank, so they are
+    stored as they are, without the constructor's checks.
     """
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
@@ -57,7 +60,8 @@ def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
                 exps = tuple(a + p * b for a, b in zip(at, img))
                 terms[exps] = terms.get(exps, 0) + sign
             at = tuple(a + e * b for a, b in zip(at, img))
-        rows.append([LaurentPoly(phi.rank, terms) for terms in cols])
+        rows.append([_raw(phi.rank, {e: c for e, c in terms.items() if c})
+                     for terms in cols])
     return rows
 
 

@@ -1,8 +1,11 @@
 """Free group words, finite presentations and abelianization maps.
 
 Words are run-length encoded: tuples of (generator index, nonzero
-exponent) with adjacent entries on distinct generators.  Reduction,
-multiplication and endomorphism application keep that invariant.
+exponent) with adjacent entries on distinct generators.  The public
+``Word(...)`` constructor reduces any input fully.  A product of two
+reduced words, the inverse of a reduced word and the image of a word
+under an endomorphism are reduced without a second full pass: only the
+seam where two reduced words meet can cancel or merge.
 """
 
 from __future__ import annotations
@@ -30,6 +33,34 @@ def reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
         else:
             stack.append([gen, exp])
     return tuple((g, e) for g, e in stack)
+
+
+def _cat(x: tuple[Syllable, ...], y: tuple[Syllable, ...]
+         ) -> tuple[Syllable, ...]:
+    """Reduced product of two reduced syllable tuples.
+
+    Syllables cancel pairwise from the seam outwards until two of them
+    are on different generators or merge into a nonzero exponent; the
+    rest of x and y is already reduced.
+    """
+    i, j, n = len(x), 0, len(y)
+    while i and j < n:
+        g, e = x[i - 1]
+        h, f = y[j]
+        if g != h:
+            break
+        if e + f:
+            return x[:i - 1] + ((g, e + f),) + y[j + 1:]
+        i -= 1
+        j += 1
+    return x[:i] + y[j:]
+
+
+def _word(syllables: tuple[Syllable, ...]) -> "Word":
+    """Internal fast constructor; ``syllables`` must already be reduced."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "syllables", syllables)
+    return w
 
 
 class Word:
@@ -62,10 +93,10 @@ class Word:
         return max((g for g, _ in self.syllables), default=-1)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
+        return _word(_cat(self.syllables, other.syllables))
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -87,20 +118,32 @@ class Word:
         return f"<Word {body}>"
 
 
-_IDENTITY = object.__new__(Word)
-object.__setattr__(_IDENTITY, "syllables", ())
+_IDENTITY = _word(())
+
+
+def _product(pieces: list[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
+    """Reduced product of reduced syllable tuples, split in halves so
+    that each syllable is copied about log2(len(pieces)) times rather
+    than once per later piece."""
+    if len(pieces) > 2:
+        mid = len(pieces) // 2
+        return _cat(_product(pieces[:mid]), _product(pieces[mid:]))
+    if len(pieces) == 2:
+        return _cat(pieces[0], pieces[1])
+    return pieces[0] if pieces else ()
 
 
 def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
-    """Substitute images[i] for generator i throughout w, then reduce."""
+    """Substitute images[i] for generator i throughout w; only the seams
+    between the substituted images are reduced."""
     if w.max_generator() >= len(images):
         raise ValueError(f"word uses generator {w.max_generator()} but only "
                          f"{len(images)} images are given")
-    pairs: list[Syllable] = []
+    pieces: list[tuple[Syllable, ...]] = []
     for gen, exp in w.syllables:
         img = images[gen] if exp > 0 else images[gen].inverse()
-        pairs.extend(img.syllables * abs(exp))
-    return Word(pairs)
+        pieces.extend([img.syllables] * abs(exp))
+    return _word(_product(pieces))
 
 
 # ---------------------------------------------------------------------------

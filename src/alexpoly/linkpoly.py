@@ -167,7 +167,8 @@ def link_from_json(obj: object) -> MarkedLink:
     "marked": 1 | null, "degree": d | null} link data.
 
     Strands are numbered from 1 in the JSON (matching braid letters);
-    each component is keyed by its smallest strand.
+    each component is keyed by its smallest strand, written in plain
+    decimal ("2", never "02" or " 2").
     """
     if not isinstance(obj, dict):
         raise InputError("link must be a JSON object")
@@ -183,8 +184,11 @@ def link_from_json(obj: object) -> MarkedLink:
         try:
             strand = int(key)
         except (TypeError, ValueError):
-            raise InputError(f"colour key {key!r} is not a strand number",
-                             field="colours") from None
+            strand = None
+        # one spelling per strand, so that no key silently overrides another
+        if strand is None or key != str(strand):
+            raise InputError(f"colour key {key!r} is not a strand number "
+                             "in plain decimal", field="colours")
         if not 1 <= strand <= braid.strands:
             raise InputError(f"strand {strand} is out of range 1.."
                              f"{braid.strands}", field="colours")

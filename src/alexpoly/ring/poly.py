@@ -15,9 +15,10 @@ first, then the exponent of the highest-indexed variable decides).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]

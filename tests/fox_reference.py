@@ -3,7 +3,9 @@
 The library's ``fox_matrix`` builds each entry straight in the Laurent
 ring.  This module keeps the textbook route, group-ring elements and
 their free derivatives pushed through ``theta``, so the tests can check
-the calculus itself and the library's matrix entry for entry.
+the calculus itself and the library's matrix entry for entry.  It also
+keeps ``fox_matrix`` with every entry built by the ``LaurentPoly``
+constructor, the route the library's directly stored entries replaced.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from alexpoly.group import AbelMap, Word
+from alexpoly.group import AbelMap, Presentation, Word
 from alexpoly.ring import LaurentPoly
 
 
@@ -107,3 +109,24 @@ def theta(elem: GroupRingElement, phi: AbelMap) -> LaurentPoly:
         exps = phi(word)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return LaurentPoly(phi.rank, terms)
+
+
+def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
+    """``fox.fox_matrix``'s one-pass rows, each entry passed through the
+    ``LaurentPoly`` constructor, which checks and converts every exponent
+    and drops zero coefficients; the library stores the accumulated
+    terms directly."""
+    rows = []
+    for r in pres.relators:
+        cols: list[dict[tuple[int, ...], int]] = [{} for _ in range(pres.n)]
+        at = (0,) * phi.rank
+        for g, e in r.syllables:
+            img = phi.images[g]
+            terms = cols[g]
+            sign, powers = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
+            for p in powers:
+                exps = tuple(a + p * b for a, b in zip(at, img))
+                terms[exps] = terms.get(exps, 0) + sign
+            at = tuple(a + e * b for a, b in zip(at, img))
+        rows.append([LaurentPoly(phi.rank, terms) for terms in cols])
+    return rows

@@ -621,6 +621,23 @@ def test_boolean_is_not_an_integer(capsys, tmp_path, command, obj, field,
     assert err == f"error: {path}: field '{field}': {message}\n"
 
 
+@pytest.mark.parametrize("colours, key", [
+    ({"1": 1, "2": 2, "02": 3}, "02"),   # would override strand 2's colour
+    ({"1": 1, " 2": 2}, " 2"),
+    ({"+1": 1, "2": 2}, "+1"),
+])
+def test_colour_keys_are_plain_decimal(capsys, tmp_path, colours, key):
+    # int() reads all of these; only the plain decimal spelling names a
+    # strand, so no two keys can name the same one
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({"braid": HOPF, "colours": colours}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "closure", str(path), "--multi")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: field 'colours': colour key {key!r} is "
+                   "not a strand number in plain decimal\n")
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ("verify", str(DATA / "zariski_sextic" / "curve.json"),
             str(DATA / "zariski_sextic" / "factorization.json"),
