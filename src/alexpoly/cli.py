@@ -110,7 +110,9 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     strand order; --marked (a 1-based base strand) selects the colour-0
     component and --hat DEGREE supplies the degree.
     """
-    degree = args.hat if isinstance(args.hat, int) and args.hat > 0 else None
+    if args.hat is not None and args.hat < 0:
+        raise InputError(f"degree {args.hat} is negative", field="--hat")
+    degree = args.hat or None
     obj = load_json_file(args.link)
     if isinstance(obj, dict) and "braid" in obj:
         link = link_from_json(obj)
@@ -214,6 +216,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     else:
         with _reading("--infinity"):
             delta_inf = parse_poly(args.infinity, nvars=1)
+            check_degree(delta_inf)
     with _reading(args.curve):  # a curve link passes MAX_SYLLABLES
         report = run_verification(curve, delta, delta_inf)
     payload = report.to_json()
@@ -285,8 +288,8 @@ COMMANDS: dict[str, Command] = {
         Arg("--one", "single-variable polynomial (the default)", FLAG,
             exclusive=True),
         Arg("--multi", "one variable per colour", FLAG, exclusive=True),
-        Arg("--hat", "specialized polynomial of a marked link; the degree "
-            "defaults to the one in the file",
+        Arg("--hat", "specialized polynomial of a marked link; without "
+            "DEGREE, or with 0, the degree is the one in the file",
             {"nargs": "?", "const": 0, "type": int, "metavar": "DEGREE"},
             exclusive=True),
         Arg("--marked", "base strand of the marked component (bare braid "

@@ -8,9 +8,9 @@ its row and column turns the gcd of k-minors into the gcd of (k-1)-minors
 of the smaller matrix.  What remains takes one route per ring:
 
 * one variable: after each row is shifted by a monomial the entries lie in
-  the Euclidean domain Q[t], and the gcd is the k-th determinant divisor,
-  the product of the first k invariant factors of the Smith normal form
-  that ``_smith_diagonal`` computes on dense coefficient lists;
+  the Euclidean domain Q[t].  Row operations bring the matrix to row
+  echelon form once, then each k-column submatrix in turn, and the gcd
+  is folded from the products of their pivots;
 * several variables: the minors are enumerated, sharing the expansion of
   common row prefixes, and their gcd is folded until it reaches a floor.
 
@@ -20,15 +20,18 @@ matrices with column j0 omitted, which by Fox's fundamental identity
 divides each of their minors; without it the fold would run through
 every row subset waiting for a unit that never comes.  Row operations,
 contraction and dropping zero or repeated rows keep the ideal of minors,
-so the floor still divides every minor of the reduced matrix.  The Smith
-normal form needs no floor.  The enumeration over every column subset
+so the floor still divides every minor of the reduced matrix.  The
+echelon route needs no floor: a Fox-identity matrix has exactly k
+columns, hence one submatrix.  The enumeration over every column subset
 stays for the Fox matrices where the identity gives nothing, such as
 projective presentations, whose product relator is not killed.
 """
 
 from __future__ import annotations
 
-from .ring import LaurentPoly, gcd, normalize
+from itertools import combinations
+
+from .ring import LaurentPoly, gcd, gcd_many, normalize
 from .ring.poly import Scalar, scalar_quotient
 
 Row = tuple[LaurentPoly, ...]
@@ -56,7 +59,7 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
     if len(work) < k or (work and len(work[0]) < k):
         return LaurentPoly.zero(nvars)
     if nvars == 1:
-        return _snf_minor_gcd(work, k)
+        return _echelon_minor_gcd(work, k)
     return _enumerate_minor_gcd(work, k, nvars, floor)
 
 
@@ -140,91 +143,72 @@ def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int,
 
 
 # ---------------------------------------------------------------------------
-# one variable: Smith normal form over Q[t]
+# one variable: row echelon forms over Q[t]
 #
 # entries become dense coefficient lists (int, or Fraction once a division
-# is not integral); the k-th determinant divisor (gcd of k-minors) is the
-# product of the first k invariant factors
+# is not integral).  Row operations keep every ideal of minors, the
+# k-minors are the maximal minors of the k-column submatrices, and the
+# maximal minors of an echelon matrix are generated by the product of its
+# pivots, or all zero when a column has no pivot
 
 
-def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
+def _echelon_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
     mat = []
     for row in rows:
         shift = min(e.min_exponents()[0] for e in row if not e.is_zero)
         mat.append([_dense(e.shift((-shift,))) for e in row])
-    diag = _smith_diagonal(mat)
-    if len(diag) < k:
+    # echelon the whole matrix first: each submatrix then has at most
+    # rank-many rows
+    rank = len(_echelon(mat))
+    if rank < k:
+        return LaurentPoly.zero(1)
+    del mat[rank:]
+    return gcd_many((_pivot_product([[row[c] for c in cols] for row in mat])
+                     for cols in combinations(range(len(mat[0])), k)), 1)
+
+
+def _pivot_product(a: list[list[list[Scalar]]]) -> LaurentPoly:
+    """Generator of the maximal minors of a matrix with no more columns
+    than rows; a is reduced in place."""
+    pivots = _echelon(a)
+    if len(pivots) < len(a[0]):
         return LaurentPoly.zero(1)
     product = [1]
-    for d in diag[:k]:
-        product = _pmul(product, d)
-    return normalize(_from_dense(product))
+    for p in pivots:
+        product = _pmul(product, p)
+    return _from_dense(product)
 
 
-def _smith_diagonal(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
-    """Nonzero diagonal of the Smith normal form over Q[t], each entry
-    dividing the next.
+def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
+    """Bring a to row echelon form in place; return its pivots in column
+    order, one per column that has one.
 
-    a is a list of equal-length rows of dense coefficient lists; it is
-    reduced in place.  The Euclidean size of an entry is its length.
-    Entries come back as the loop leaves them, leading coefficients
-    included.
+    a is a list of equal-length rows of dense coefficient lists, and the
+    Euclidean size of an entry is its length.  In each column the
+    shortest entry of the rows below the pivots found so far moves up and
+    reduces every other such row, until one nonzero entry is left.
     """
     m = len(a)
-    n = len(a[0]) if a else 0
-    diag = []
-    top = left = 0
-    while top < m and left < n:
-        pivot = min(((i, j) for i in range(top, m) for j in range(left, n)
-                     if a[i][j]),
-                    key=lambda ij: len(a[ij[0]][ij[1]]), default=None)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[left], row[j0] = row[j0], row[left]
-        # clear the pivot row and column (Euclidean steps); a nonzero
-        # remainder becomes the smaller pivot of the next sweep
-        dirty = True
-        while dirty:
-            dirty = False
-            p = a[top][left]
+    pivots = []
+    top = 0
+    for col in range(len(a[0])):
+        while True:
+            live = [i for i in range(top, m) if a[i][col]]
+            if not live:
+                break
+            low = min(live, key=lambda i: len(a[i][col]))
+            a[top], a[low] = a[low], a[top]
+            pivot_row = a[top]
+            if len(live) == 1:
+                pivots.append(pivot_row[col])
+                top += 1
+                break
             for i in range(top + 1, m):
-                if a[i][left]:
-                    q = _pdivmod(a[i][left], p)[0]
-                    for j in range(left, n):
-                        a[i][j] = _psub(a[i][j], _pmul(q, a[top][j]))
-                    if a[i][left]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(left + 1, n):
-                if a[top][j]:
-                    q = _pdivmod(a[top][j], p)[0]
-                    for i in range(top, m):
-                        a[i][j] = _psub(a[i][j], _pmul(q, a[i][left]))
-                    if a[top][j]:
-                        for row in a:
-                            row[left], row[j] = row[j], row[left]
-                        dirty = True
-                        break
-        # enforce divisibility of the remaining block by the pivot: add an
-        # offending row to the pivot row and reduce again
-        p = a[top][left]
-        offender = next((i for i in range(top + 1, m)
-                         if any(a[i][j] and _pdivmod(a[i][j], p)[1]
-                                for j in range(left + 1, n))), None)
-        if offender is not None:
-            for j in range(left, n):
-                a[top][j] = _padd(a[top][j], a[offender][j])
-            continue
-        diag.append(p)
-        top += 1
-        left += 1
-    return diag
+                if a[i][col]:
+                    q = _pdivmod(a[i][col], pivot_row[col])[0]
+                    a[i][col:] = [_psub(x, _pmul(q, y))
+                                  for x, y in zip(a[i][col:], pivot_row[col:])]
+    return pivots
 
 
 def _dense(p: LaurentPoly) -> list[Scalar]:
@@ -256,15 +240,6 @@ def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
             continue
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _padd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] += bi
     return _ptrim(out)
 
 

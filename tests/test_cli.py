@@ -19,7 +19,7 @@ import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
 from alexpoly.braid import MAX_SYLLABLES
-from alexpoly.cli import COMMANDS, build_parser, main
+from alexpoly.cli import COMMANDS, build_parser, main, parse_well_formed
 from alexpoly.ring import LaurentPoly, poly_to_str
 from verify_reference import arrangement_curve
 
@@ -170,6 +170,29 @@ def test_closure_bare_braid_with_flags(capsys, tmp_path):
     assert "base strand" in err
 
 
+@pytest.mark.parametrize("hat, well_formed", [
+    (["--hat", "-3"], False),  # a separate value starting with '-': argparse
+    (["--hat=-3"], True),
+])
+def test_closure_negative_hat_degree(capsys, hat, well_formed):
+    argv = ["closure", str(DATA / "torus" / "t33.json")] + hat
+    assert (parse_well_formed(argv) is not None) == well_formed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (f"error: {argv[1]}: field '--hat': degree -3 "
+                           "is negative")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("hat", [["--hat"], ["--hat", "0"], ["--hat=0"]])
+def test_closure_hat_zero_is_the_file_degree(capsys, hat):
+    code, out, _ = run_cli(capsys, "closure", str(DATA / "torus" / "t33.json"),
+                           *hat)
+    assert code == 0
+    assert out.strip() == "t^2 - 2*t + 1"
+
+
 def test_closure_one_flag_trefoil(capsys):
     code, out, _ = run_cli(capsys, "closure", str(DATA / "torus" / "trefoil.json"),
                            "--one")
@@ -295,6 +318,17 @@ def test_verify_delta_degree_limit(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == ("error: --delta: degree 1001 exceeds the "
+                           "cyclotomic extraction limit 1000")
+
+
+def test_verify_infinity_degree_limit(capsys):
+    # a sparse exponent parses at once; past the limit the written-out
+    # polynomial would take time linear in its degree
+    code, out, err = run_cli(capsys, "verify", str(DATA / "two_lines" / "curve.json"),
+                             "--delta", "t - 1", "--infinity", "t^1000000000 - 1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("error: --infinity: degree 1000000000 exceeds the "
                            "cyclotomic extraction limit 1000")
 
 

@@ -1,0 +1,108 @@
+"""Differential tests: the row echelon minor gcd against the Smith normal form.
+
+``minors._echelon_minor_gcd`` echelons the matrix once, then each
+k-column submatrix, and folds the products of their pivots.
+``snf_reference._snf_minor_gcd`` keeps the Smith normal form over Q[t]
+that it replaced, whose first k invariant factors multiply to the same
+determinantal divisor.  Both results are unit-normal, so they must be
+equal, on seeded random matrices and on every one-variable call that the
+Fox matrices of arrangements and torus links make.
+"""
+
+import random
+
+import pytest
+
+import alexpoly.minors as minors
+from alexpoly.braid import factorization_from_json, zvk_presentation
+from alexpoly.fox import alexander_one_variable
+from alexpoly.linkpoly import hat_delta, marked_torus_link, one_variable_delta, torus_link
+from alexpoly.ring import LaurentPoly
+
+import snf_reference as reference
+
+ZERO = LaurentPoly.zero(1)
+
+
+def _random_entry(rng: random.Random) -> LaurentPoly:
+    if rng.random() < 0.3:
+        return ZERO
+    return LaurentPoly(1, {(e,): rng.randint(-3, 3)
+                           for e in range(rng.randint(1, 3))})
+
+
+def _random_matrix(rng: random.Random) -> list[tuple[LaurentPoly, ...]]:
+    """Up to 8 x 6; about a quarter of the rows are combinations of
+    earlier rows with polynomial multipliers, and some rows are shifted
+    by a monomial with a negative exponent."""
+    m, n = rng.randint(1, 8), rng.randint(1, 6)
+    rows: list[tuple[LaurentPoly, ...]] = []
+    while len(rows) < m:
+        if rows and rng.random() < 0.25:
+            row = [ZERO] * n
+            for earlier in rng.sample(rows, rng.randint(1, min(2, len(rows)))):
+                factor = _random_entry(rng)
+                row = [a + factor * b for a, b in zip(row, earlier)]
+        else:
+            row = [_random_entry(rng) for _ in range(n)]
+        if rng.random() < 0.2:
+            row = [e.shift((rng.randint(-2, 0),)) for e in row]
+        if any(not e.is_zero for e in row):
+            rows.append(tuple(row))
+    return rows
+
+
+def test_random_matrices_match_smith_form():
+    rng = random.Random(20261019)
+    deficient = 0
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        for k in range(1, min(len(rows), len(rows[0])) + 1):
+            got = minors._echelon_minor_gcd(rows, k)
+            assert got == reference._snf_minor_gcd(rows, k), (rows, k)
+            deficient += got.is_zero
+    assert deficient  # rank-deficient cases were drawn
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Route every one-variable minor gcd through both loops, asserting
+    that they agree; the list collects (rows, columns, k) per call."""
+    echelon = minors._echelon_minor_gcd
+    calls = []
+
+    def both(rows, k):
+        got = echelon(rows, k)
+        assert got == reference._snf_minor_gcd(rows, k), (rows, k)
+        calls.append((len(rows), len(rows[0]), k))
+        return got
+    monkeypatch.setattr(minors, "_echelon_minor_gcd", both)
+    return calls
+
+
+def _arrangement(n: int):
+    factors = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            conj = list(range(j - 1, i, -1))
+            factors.append(conj + [i, i] + [-v for v in reversed(conj)])
+    return factorization_from_json({"strands": n, "factors": factors})
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("projective", [None, True])
+def test_arrangement_fox_matrices(compared, n, projective):
+    pres, phi = zvk_presentation(_arrangement(n), projective=projective)
+    alexander_one_variable(pres, phi)
+    # the affine Fox matrix omits a column and has one k-column subset;
+    # the projective one keeps every column and has k + 1
+    extra = 1 if projective else 0
+    assert compared
+    assert all(cols == k + extra for _, cols, k in compared)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_torus_link_fox_matrices(compared, d):
+    one_variable_delta(torus_link(d))
+    hat_delta(marked_torus_link(d, d + 1))
+    assert compared

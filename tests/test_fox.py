@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from alexpoly.errors import ComputationError
 from alexpoly.fox import alexander_one_variable, alexander_polynomial, fox_matrix
 from alexpoly.group import AbelMap, Presentation, Word, parse_word
-from alexpoly.minors import _enumerate_minor_gcd, _snf_minor_gcd, minor_gcd
+from alexpoly.minors import _echelon_minor_gcd, _enumerate_minor_gcd, minor_gcd
 from alexpoly.ring import (
     LaurentPoly,
     equal_up_to_units,
@@ -228,20 +228,20 @@ def poly_matrix_st(draw, max_rows=4, ncols=3, nvars=1):
     st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_minor_gcd_matches_bruteforce(case, k):
-    # one variable takes the Smith-normal-form route, two the enumeration
+    # one variable takes the row echelon route, two the enumeration
     nvars, rows = case
     assert minor_gcd(rows, k, nvars) == oracle_minor_gcd(rows, k, nvars)
 
 
 @given(poly_matrix_st(max_rows=4, ncols=3), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_enumeration_and_snf_agree(rows, k):
+def test_enumeration_and_echelon_agree(rows, k):
     tidy = [tuple(r) for r in rows if any(not e.is_zero for e in r)]
     if len(tidy) < k:
         return
-    by_snf = _snf_minor_gcd(tidy, k)
+    by_echelon = _echelon_minor_gcd(tidy, k)
     by_enum = _enumerate_minor_gcd(tidy, k, 1)
-    assert by_snf == by_enum
+    assert by_echelon == by_enum
 
 
 def sympy_determinant_divisor(rows, k):
@@ -260,7 +260,7 @@ def sympy_determinant_divisor(rows, k):
         for e, c in zip(product.monoms(), product.coeffs()) if c}))
 
 
-def test_snf_minor_gcd_matches_sympy():
+def test_echelon_minor_gcd_matches_sympy():
     rng = random.Random(20261018)
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -273,16 +273,17 @@ def test_snf_minor_gcd_matches_sympy():
             if any(not e.is_zero for e in row):
                 rows.append(row)
         for k in range(1, min(m, n) + 1):
-            assert _snf_minor_gcd(rows, k) == sympy_determinant_divisor(rows, k), \
+            assert _echelon_minor_gcd(rows, k) == sympy_determinant_divisor(rows, k), \
                 (rows, k)
 
 
-def test_snf_minor_gcd_divisibility_fix():
-    # invariant factors 1 and t^2 - 1: the pivot t - 1 does not divide
-    # t + 1, so the loop adds the offending row to the pivot row
+def test_echelon_minor_gcd_diagonal_not_dividing():
+    # invariant factors 1 and t^2 - 1: the diagonal entry t - 1 does not
+    # divide t + 1, so a Smith normal form would need a repair pass; the
+    # 1-minors t - 1 and t + 1 are coprime
     rows = [(P("t - 1"), P("0", 1)), (P("0", 1), P("t + 1"))]
     for k, expected in ((1, P("1", 1)), (2, P("t^2 - 1"))):
-        assert _snf_minor_gcd(rows, k) == expected
+        assert _echelon_minor_gcd(rows, k) == expected
         assert sympy_determinant_divisor(rows, k) == expected
 
 
