@@ -147,6 +147,8 @@ def cmd_closure(args: SimpleNamespace) -> int:
         link = _load_closure_link(args)
         if args.multi:
             kind, delta = "multivariable", multivariable_delta(link)
+        elif args.hat and link.marked is None:
+            raise InputError("a degree needs a marked component", field="--hat")
         elif args.hat is not None:
             kind, delta = "hat", hat_delta(link)
         else:
@@ -288,8 +290,9 @@ COMMANDS: dict[str, Command] = {
         Arg("--one", "single-variable polynomial (the default)", FLAG,
             exclusive=True),
         Arg("--multi", "one variable per colour", FLAG, exclusive=True),
-        Arg("--hat", "specialized polynomial of a marked link; without "
-            "DEGREE, or with 0, the degree is the one in the file",
+        Arg("--hat", "specialized polynomial of a marked link of degree "
+            "DEGREE, or without it or with 0 the file's; an unmarked link "
+            "takes no DEGREE and gives the one-variable polynomial",
             {"nargs": "?", "const": 0, "type": int, "metavar": "DEGREE"},
             exclusive=True),
         Arg("--marked", "base strand of the marked component (bare braid "

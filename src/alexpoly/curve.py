@@ -108,13 +108,12 @@ def euler_characteristic(curve: CurveData, include_L: bool = True) -> int:
     return total
 
 
-def first_betti(curve: CurveData, include_L: bool = True) -> int:
-    """First Betti number 1 + c - chi of the subdivisor with c components,
+def first_betti(curve: CurveData) -> int:
+    """First Betti number 1 + c - chi of C union L with c components,
     which is connected because plane curves always intersect
     (``curve_from_json`` rejects data whose singular points do not join
     every component)."""
-    c = len(curve.components) if include_L else curve.n_curve_components
-    return 1 + c - euler_characteristic(curve, include_L)
+    return 1 + len(curve.components) - euler_characteristic(curve)
 
 
 def local_deltas(curve: CurveData) -> list[LaurentPoly]:
@@ -139,7 +138,7 @@ def local_deltas(curve: CurveData) -> list[LaurentPoly]:
 def boundary_delta(curve: CurveData, local: list[LaurentPoly]) -> LaurentPoly:
     """(1 - t)^{b_1(C union L)} times the hat invariants ``local`` of
     all singular points, each distinct one raised to its count."""
-    out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve, include_L=True)
+    out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve)
     for hat, count in Counter(local).items():
         out = out * hat ** count
     return normalize(out)

@@ -227,7 +227,7 @@ def check_cf_ledger(delta: LaurentPoly, curve: CurveData, local: list[LaurentPol
     delta_factors = factorization[0]
     a = delta_factors.get(1, 0)
     stripped = normalize(exact_divide(normalize(delta), _ONE_MINUS_T ** a))
-    b = first_betti(curve, include_L=True)
+    b = first_betti(curve)
     remainder = LaurentPoly.one(1)
     for hat, count in distinct.items():
         k = multiplicity(hat, _ONE_MINUS_T)

@@ -111,20 +111,12 @@ def arrangement_factorization(tmp_path, n):
     return path
 
 
-def test_zvk_multi_six_line_arrangement(capsys, tmp_path):
-    # the Fox matrix is 15 x 6; with the first column omitted, its 5 x 5
-    # minors are all multiples of u_0 = t0 - 1, and the fold stops once
-    # their gcd reaches it
-    path = arrangement_factorization(tmp_path, 6)
-    code, out, _ = run_cli(capsys, "zvk", str(path), "--multi")
-    assert code == 0
-    assert out.splitlines()[-1] == "alexander: 1"
-
-
-def test_zvk_multi_seven_line_arrangement(capsys, tmp_path):
-    # 21 x 7 Fox matrix: the 6 x 6 minors omitting the first column fold
-    # down to their floor t0 - 1 in about a second
-    path = arrangement_factorization(tmp_path, 7)
+@pytest.mark.parametrize("n", [6, 7, 8, 10, 12])
+def test_zvk_multi_arrangement(capsys, tmp_path, n):
+    # the Fox matrix is C(n, 2) x n; with the first column omitted, its
+    # (n - 1)-minors are all multiples of u_0 = t0 - 1, and the fold stops
+    # once their gcd reaches it, after n - 2 cyclic row windows
+    path = arrangement_factorization(tmp_path, n)
     code, out, _ = run_cli(capsys, "zvk", str(path), "--multi")
     assert code == 0
     assert out.splitlines()[-1] == "alexander: 1"
@@ -183,6 +175,33 @@ def test_closure_negative_hat_degree(capsys, hat, well_formed):
     assert err.strip() == (f"error: {argv[1]}: field '--hat': degree -3 "
                            "is negative")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("hat", [["--hat", "5"], ["--hat=5"]])
+@pytest.mark.parametrize("bare", [False, True])
+def test_closure_hat_degree_needs_a_marked_component(capsys, tmp_path, hat,
+                                                     bare):
+    # the trefoil link file marks no component, nor does a bare braid
+    # without --marked
+    path = DATA / "torus" / "trefoil.json"
+    if bare:
+        path = tmp_path / "hopf.json"
+        path.write_text(json.dumps({"strands": 2, "word": [1, 1]}),
+                        encoding="utf-8")
+    code, out, err = run_cli(capsys, "closure", str(path), *hat)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (f"error: {path}: field '--hat': a degree needs a "
+                           "marked component")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("hat", [["--hat"], ["--hat", "0"], ["--hat=0"]])
+def test_closure_hat_without_degree_on_unmarked_link(capsys, hat):
+    code, out, _ = run_cli(capsys, "closure",
+                           str(DATA / "torus" / "trefoil.json"), *hat)
+    assert code == 0
+    assert out.strip() == "t^2 - t + 1"
 
 
 @pytest.mark.parametrize("hat", [["--hat"], ["--hat", "0"], ["--hat=0"]])

@@ -137,13 +137,9 @@ def test_euler_characteristics():
 
 def test_first_betti_numbers():
     assert first_betti(conic_curve()) == 1
-    assert first_betti(conic_curve(), include_L=False) == 0
     assert first_betti(two_lines_curve()) == 1
-    assert first_betti(two_lines_curve(), include_L=False) == 0
     assert first_betti(nodal_cubic_curve()) == 3
-    assert first_betti(nodal_cubic_curve(), include_L=False) == 1
     assert first_betti(cuspidal_sextic_curve()) == 13
-    assert first_betti(cuspidal_sextic_curve(), include_L=False) == 8
 
 
 def test_boundary_delta_conic():

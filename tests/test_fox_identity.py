@@ -7,7 +7,8 @@ u_j = phi(x_j) - 1.  Here it is compared with ``minor_gcd`` over every
 column of the same Fox matrix, by ``==`` on the unit-normal results, on
 random closures, random presentations with relators in the commutator
 subgroup, and ZvK presentations; and the route it takes is checked by
-the number of columns handed to ``minor_gcd``.
+the number of columns handed to ``minor_gcd``.  Every multivariable fold
+on the way is also checked against the recursive reference fold.
 """
 
 import random
@@ -22,7 +23,10 @@ from alexpoly.group import AbelMap, Presentation, Word
 from alexpoly.minors import minor_gcd
 from alexpoly.ring import LaurentPoly, exact_divide, gcd_many, normalize
 
+from test_enumeration_differential import compared  # noqa: F401 (fixture)
 from test_zvk_differential import SHIPPED, arrangement, hurwitz_move, shipped
+
+pytestmark = pytest.mark.usefixtures("compared")
 
 
 @pytest.fixture

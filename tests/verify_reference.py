@@ -40,7 +40,7 @@ from alexpoly.verify import (
 def boundary_delta(curve: CurveData) -> LaurentPoly:
     """(1 - t)^{b_1(C union L)} times the hat invariants of all
     singular points."""
-    out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve, include_L=True)
+    out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve)
     for sing in curve.singularities:
         out = out * hat_delta(sing.link)
     return normalize(out)
