@@ -17,6 +17,7 @@ check or computation fails, 2 for malformed input.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -434,6 +435,15 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+# The objects that importing the package leaves allocated (thousands of
+# functions, classes and compiled patterns) live as long as the process.
+# Freezing them once, here, moves them out of the collector's generations,
+# so a later collection inside a command walks only that command's
+# objects.  It is not in main(), which one process may call many times:
+# each freeze would pin that call's garbage for good.
+gc.freeze()
 
 
 if __name__ == "__main__":

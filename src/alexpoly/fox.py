@@ -26,6 +26,7 @@ group), or every u_j is 0.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .errors import ComputationError
 from .group import AbelMap, Presentation
@@ -41,25 +42,32 @@ def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
     phi(u) of the prefix u read so far.  By the product rule a syllable
     x_g^e after u adds u (1 + x_g + ... + x_g^(e-1)) to column g when
     e > 0 and -u (x_g^-1 + ... + x_g^e) when e < 0, each word w entering
-    as the monomial with exponent vector phi(w).  The entries hold int
+    as the monomial with exponent vector phi(w).  The exponent vector
+    steps through the syllable by adding phi(x_g), or its negation when
+    e < 0, once per letter, with no multiplication.  The entries hold int
     coefficients keyed by int tuples of length phi.rank, so they are
     stored as they are, without the constructor's checks.
     """
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
                          f"presentation has {pres.n}")
+    negated = [tuple(-b for b in img) for img in phi.images]
     rows = []
     for r in pres.relators:
         cols: list[dict[tuple[int, ...], int]] = [{} for _ in range(pres.n)]
         at = (0,) * phi.rank
         for g, e in r.syllables:
-            img = phi.images[g]
             terms = cols[g]
-            sign, powers = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
-            for p in powers:
-                exps = tuple(a + p * b for a, b in zip(at, img))
-                terms[exps] = terms.get(exps, 0) + sign
-            at = tuple(a + e * b for a, b in zip(at, img))
+            if e > 0:
+                step = phi.images[g]
+                for _ in range(e):
+                    terms[at] = terms.get(at, 0) + 1
+                    at = tuple(map(add, at, step))
+            else:
+                step = negated[g]
+                for _ in range(-e):
+                    at = tuple(map(add, at, step))
+                    terms[at] = terms.get(at, 0) - 1
         rows.append([_raw(phi.rank, {e: c for e, c in terms.items() if c})
                      for terms in cols])
     return rows

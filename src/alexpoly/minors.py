@@ -1,27 +1,41 @@
 """Greatest common divisor of the k x k minors of a Laurent-polynomial matrix.
 
 The result generates the smallest principal ideal containing the ideal of
-k-minors, which is all the downstream invariants need.  Rows that are zero
-or duplicated are discarded (they add no new minors), and a unit entry lets
-the matrix contract: clearing its column with row operations and deleting
-its row and column turns the gcd of k-minors into the gcd of (k-1)-minors
-of the smaller matrix.  What remains takes one route per ring:
+k-minors, which is all the downstream invariants need.  Zero rows are
+discarded, and so, once, is every row that is a unit multiple of an
+earlier row: a minor holding both is zero and one holding the later row
+alone is a unit times a minor holding the earlier one, so neither adds to
+the ideal.  The Fox row of a conjugated relator u^-1 r u is such a
+multiple, phi(u)^-1 times the row of r.  Only rows with equal term counts
+in every entry are compared, each scaled by the unit that makes its first
+nonzero entry unit-normal.  Then a unit entry lets the matrix contract:
+clearing its column with row operations and deleting its row and column
+turns the gcd of k-minors into the gcd of (k-1)-minors of the smaller
+matrix, whose zero or repeated rows are dropped again.  What remains takes
+one route per ring:
 
 * one variable: after each row is shifted by a monomial the entries lie in
   the Euclidean domain Q[t].  Row operations bring the matrix to row
   echelon form once, then each k-column submatrix in turn, and the gcd
   is folded from the products of their pivots;
 * several variables: the minors of each k-row subset, cyclic row windows
-  first, come from one Laplace expansion and fold until the gcd hits a floor.
+  first, come from one Laplace expansion and fold until the gcd hits a
+  floor.  Each row is first shifted by a monomial so that its exponents
+  are >= 0, which changes every minor by a unit only, and each exponent
+  vector e is packed into one int, sum(e_i << (w i)) (Kronecker's
+  substitution).  An exponent of a product of entries from distinct rows
+  is at most the sum of the row maxima, so with w that sum's bit length
+  no field carries into the next, and a monomial product is one integer
+  add.  Each minor is unpacked once, just before its gcd.
 
 The floor is a polynomial the caller knows to divide every k-minor, 1 by
 default.  ``fox.alexander_polynomial`` passes u_j0 / gcd(u) for Fox
 matrices with column j0 omitted, which by Fox's fundamental identity
 divides each of their minors; without it the fold would run through
 every row subset waiting for a unit that never comes.  Row operations,
-contraction and dropping zero or repeated rows keep the ideal of minors,
-so the floor still divides every minor of the reduced matrix.  The
-echelon route needs no floor: a Fox-identity matrix has exactly k
+contraction and dropping zero rows or unit multiples keep the ideal of
+minors, so the floor still divides every minor of the reduced matrix.
+The echelon route needs no floor: a Fox-identity matrix has exactly k
 columns, hence one submatrix.  Reaching the floor certifies the gcd
 whatever the order of the minors.  The enumeration over every column
 subset stays for the Fox matrices where the identity gives nothing, such
@@ -30,11 +44,13 @@ as projective presentations, whose product relator is not killed.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from itertools import combinations
+from operator import mul, sub
 
 from .ring import LaurentPoly, gcd, gcd_many, normalize
-from .ring.poly import Scalar, scalar_quotient
+from .ring.poly import Scalar, _demote, _raw, scalar_quotient
 
 Row = tuple[LaurentPoly, ...]
 
@@ -48,7 +64,7 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
     """
     if k <= 0:
         return LaurentPoly.one(nvars)
-    work = _tidy([tuple(r) for r in rows])
+    work = _drop_unit_multiples([tuple(r) for r in rows])
     while k > 0:
         spot = _find_unit(work)
         if spot is None:
@@ -69,6 +85,44 @@ def _tidy(rows: list[Row]) -> list[Row]:
     """Drop zero rows and duplicates; neither changes the nonzero minors."""
     kept = [r for r in rows if any(not e.is_zero for e in r)]
     return list(dict.fromkeys(kept))
+
+
+def _drop_unit_multiples(rows: list[Row]) -> list[Row]:
+    """Drop zero rows and every row that is a unit multiple of an earlier
+    one; a minor holding both rows is zero, and one holding the later row
+    alone is a unit times a minor holding the earlier one.
+
+    Only rows with the same term count in every entry can be unit
+    multiples of each other, and only those are scaled: by the unit that
+    makes their first nonzero entry unit-normal, which makes unit
+    multiples equal.
+    """
+    shapes = [tuple(len(e.terms) for e in row) for row in rows]
+    count = Counter(shapes)
+    seen: set[Row] = set()
+    kept = []
+    for row, shape in zip(rows, shapes):
+        if not any(shape):
+            continue
+        if count[shape] > 1:
+            scaled = _unit_normal_row(row)
+            if scaled in seen:
+                continue
+            seen.add(scaled)
+        kept.append(row)
+    return kept
+
+
+def _unit_normal_row(row: Row) -> Row:
+    """row times the unit that makes its first nonzero entry unit-normal."""
+    first = next(e for e in row if not e.is_zero)
+    exps, coeff = first.leading()
+    # the monomial order is compatible with multiplication, so the unit
+    # c t^a maps the leading term of first to that of normalize(first)
+    target_exps, target = normalize(first).leading()
+    a = tuple(map(sub, target_exps, exps))
+    c = scalar_quotient(target, coeff)
+    return tuple(e.shift(a) * c for e in row)
 
 
 def _find_unit(rows: list[Row]) -> tuple[int, int] | None:
@@ -95,19 +149,26 @@ def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
 
 # ---------------------------------------------------------------------------
 # several variables: one Laplace expansion per row subset, windows first
+#
+# a packed polynomial is a dict {key: coefficient} whose key holds the
+# exponent vector e as sum(e_i << (width * i)), every e_i >= 0; a minor is
+# keyed by the bit set of its columns
+
+Packed = dict[int, Scalar]
 
 
 def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int,
                          floor: LaurentPoly | None = None) -> LaurentPoly:
     one = LaurentPoly.one(nvars)
     floor = one if floor is None else normalize(floor)
+    packed, width = _pack(rows, nvars)
     running = LaurentPoly.zero(nvars)
     for subset in _row_subsets(len(rows), k):
-        state = {(): one}
+        state: dict[int, Packed] = {0: {0: 1}}
         for depth, i in enumerate(subset):
-            state = _expand(state, rows[i], depth)
+            state = _expand(state, packed[i], depth)
         for det in state.values():
-            running = gcd(running, det)
+            running = gcd(running, _unpack(det, width, nvars))
             if running == floor:
                 return floor
     return normalize(running)
@@ -125,19 +186,70 @@ def _row_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
             yield subset
 
 
-def _expand(state: dict[tuple[int, ...], LaurentPoly], row: Row,
-            depth: int) -> dict[tuple[int, ...], LaurentPoly]:
+def _pack(rows: list[Row], nvars: int) -> tuple[list[list[tuple[int, Packed]]], int]:
+    """Each row shifted by the monomial that makes its exponents >= 0, as
+    (column, packed entry) pairs of its nonzero entries, and the width.
+
+    A product of entries from distinct rows has exponents at most the sum
+    of the row maxima, so a width of that sum's bit length never lets a
+    field carry into the next.
+    """
+    shifted = []
+    total = 0
+    for row in rows:
+        exps = [e for entry in row for e in entry.terms]
+        columns = list(zip(*exps))
+        low = [min(col) for col in columns]
+        total += max((max(col) - b for col, b in zip(columns, low)), default=0)
+        shifted.append((row, low))
+    width = max(total.bit_length(), 1)
+    weights = [1 << s for s in range(0, width * nvars, width)]
+    packed = []
+    for row, low in shifted:
+        base = sum(map(mul, low, weights))
+        packed.append([(c, {sum(map(mul, e, weights)) - base: v
+                            for e, v in entry.terms.items()})
+                       for c, entry in enumerate(row) if not entry.is_zero])
+    return packed, width
+
+
+def _unpack(p: Packed, width: int, nvars: int) -> LaurentPoly:
+    mask = (1 << width) - 1
+    offsets = range(0, width * nvars, width)
+    return _raw(nvars, _demote({tuple(key >> s & mask for s in offsets): v
+                                for key, v in p.items()}))
+
+
+def _expand(state: dict[int, Packed], row: list[tuple[int, Packed]],
+            depth: int) -> dict[int, Packed]:
     """Laplace step along row as row depth: the nonzero minors keyed by
-    sorted column tuple, from those of the rows above it."""
-    new: dict[tuple[int, ...], LaurentPoly] = {}
+    column bit set, from those of the rows above it.  A monomial product
+    is one integer add of packed keys."""
+    new: dict[int, Packed] = {}
     for cols, det in state.items():
-        for c, entry in enumerate(row):
-            if c in cols or entry.is_zero:
+        det_terms = det.items()
+        for c, entry in row:
+            bit = 1 << c
+            if cols & bit:
                 continue
-            ncols = tuple(sorted(cols + (c,)))
-            term = -entry * det if (depth + ncols.index(c)) % 2 else entry * det
-            new[ncols] = new[ncols] + term if ncols in new else term
-    return {cols: det for cols, det in new.items() if not det.is_zero}
+            ncols = cols | bit
+            acc = new.get(ncols)
+            if acc is None:
+                acc = new[ncols] = {}
+            get = acc.get
+            odd = (depth + (cols & (bit - 1)).bit_count()) & 1
+            for e1, c1 in entry.items():
+                if odd:
+                    c1 = -c1
+                for e2, c2 in det_terms:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+    out = {}
+    for cols, acc in new.items():
+        det = {e: v for e, v in acc.items() if v}
+        if det:
+            out[cols] = det
+    return out
 
 
 # ---------------------------------------------------------------------------

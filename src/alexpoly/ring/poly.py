@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, sub
 from typing import Union
 
 Exponents = tuple[int, ...]
@@ -193,7 +194,7 @@ class LaurentPoly:
         acc: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
@@ -240,7 +241,7 @@ class LaurentPoly:
             raise ValueError("shift exponent length mismatch")
         if not any(exps):
             return self
-        return _raw(self.nvars, {tuple(a + b for a, b in zip(e, exps)): c
+        return _raw(self.nvars, {tuple(map(add, e, exps)): c
                                  for e, c in self.terms.items()})
 
     # -- structural operations ------------------------------------------
@@ -351,13 +352,13 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     q_exps, q_lead = q.leading()
     while rem:
         r_exps = max(rem, key=grlex_key)
-        d = tuple(a - b for a, b in zip(r_exps, q_exps))
+        d = tuple(map(sub, r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
         c = scalar_quotient(rem[r_exps], q_lead)
         quot[d] = c
         for e, qc in q.terms.items():
-            m = tuple(a + b for a, b in zip(e, d))
+            m = tuple(map(add, e, d))
             s = rem.get(m, 0) - qc * c
             if s:
                 rem[m] = s

@@ -748,6 +748,20 @@ def test_well_formed_call_imports_neither_argparse_nor_locale():
     assert proc.stdout == "t^2 - t + 1\n[]\n"
 
 
+def test_only_the_cli_module_freezes_the_import_heap():
+    # cli's module body ends with gc.freeze(); the library modules make no
+    # gc calls, so importing them alone freezes nothing
+    code = ("import gc\n"
+            "import alexpoly\n"
+            "print(gc.get_freeze_count())\n"
+            "import alexpoly.cli\n"
+            "print(gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\nTrue\n"
+
+
 def subparser(name: str) -> argparse.ArgumentParser:
     """The parser build_parser() makes for subcommand `name`."""
     sub, = (action for action in build_parser()._actions

@@ -11,6 +11,8 @@ random matrices, on every multivariable call of ``test_fox_identity.py``
 """
 
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -58,21 +60,146 @@ def _leibniz(rows, nvars):
     return total
 
 
+def _row_shift(row, nvars):
+    """The monomial exponents _pack shifts a row by: minus its componentwise
+    minimum exponent."""
+    exps = [e for entry in row for e in entry.terms]
+    return tuple(-min((e[i] for e in exps), default=0) for i in range(nvars))
+
+
+def _packed_minors(rows, nvars):
+    """{columns: minor} from the packed Laplace expansion of all rows in
+    order, each minor shifted back by the units _pack multiplied in."""
+    packed, width = minors._pack(rows, nvars)
+    state = {0: {0: 1}}
+    for depth, row in enumerate(packed):
+        state = minors._expand(state, row, depth)
+    unit = tuple(-sum(v) for v in zip(*(_row_shift(r, nvars) for r in rows)))
+    return {tuple(c for c in range(len(rows[0])) if cols >> c & 1):
+            minors._unpack(det, width, nvars).shift(unit)
+            for cols, det in state.items()}
+
+
 def test_expand_gives_every_minor_with_its_sign():
-    # the Laplace expansion over the rows of a subset, in order, keyed by
-    # column set, against the permutation sum of each k-column submatrix
+    # the packed Laplace expansion over the rows of a subset, in order,
+    # keyed by column set, against the permutation sum of each k-column
+    # submatrix
     rng = random.Random(16)
     for _ in range(40):
         nvars = rng.randint(1, 2)
         k = rng.randint(1, 4)
         rows = _random_matrix(rng, nvars, k, k + rng.randint(0, 2))
-        state = {(): LaurentPoly.one(nvars)}
-        for depth, row in enumerate(rows):
-            state = minors._expand(state, row, depth)
+        state = _packed_minors(rows, nvars)
         for cols in combinations(range(len(rows[0])), k):
             det = _leibniz([[row[c] for c in cols] for row in rows], nvars)
             assert state.get(cols, LaurentPoly.zero(nvars)) == det, (rows, cols)
             assert cols in state or det.is_zero
+
+
+def _tight_matrix(rng, nvars, k, n, widest=6):
+    """A k x n matrix in nvars variables, n >= k, with negative exponents,
+    Fraction coefficients and a zero row, whose row maxima after the
+    shift sum to exactly 2^w - 1 for its packing width w, a value some
+    term of the minor on columns 0..k-1 reaches in variable v.
+
+    Row i spans exponents [lo_i, lo_i + a_i] in every variable.  Its
+    diagonal entry holds the one term with exponent lo_i + a_i in v, and
+    entry (i, k - 1 - i) the term with exponents lo_i, which fixes the
+    shift; the other terms stay below lo_i + a_i in v.  So the diagonal
+    product alone reaches sum a_i = 2^w - 1 in v.
+    """
+    v = rng.randrange(nvars)
+    w = rng.randint(2, widest)
+    cuts = sorted(rng.randint(0, 2 ** w - 1) for _ in range(k - 1))
+    spans = [b - a for a, b in zip([0] + cuts, cuts + [2 ** w - 1])]
+    rows = []
+    for i, a in enumerate(spans):
+        lo = [rng.randint(-3, 2) for _ in range(nvars)]
+
+        def below():
+            e = [x + rng.randint(0, a) for x in lo]
+            e[v] = lo[v] + rng.randint(0, a - 1) if a else lo[v]
+            return tuple(e)
+
+        entries = [{} for _ in range(n)]
+        for c in range(n):
+            if rng.random() < 0.6:
+                for _ in range(rng.randint(1, 2)):
+                    entries[c][below()] = rng.choice((1, -2, Fraction(1, 3),
+                                                      Fraction(-5, 2)))
+        top = list(lo)
+        top[v] += a
+        entries[i][tuple(top)] = rng.choice((1, -1, Fraction(2, 3)))
+        entries[k - 1 - i][tuple(lo)] = entries[k - 1 - i].get(tuple(lo), 0) + 1
+        rows.append(tuple(LaurentPoly(nvars, terms) for terms in entries))
+    zero = tuple(LaurentPoly.zero(nvars) for _ in range(n))
+    rows.insert(rng.randint(0, k), zero)
+    return rows, v, 2 ** w - 1
+
+
+def test_packing_width_is_tight():
+    # every minor comes out right although one of its terms fills a field
+    # of the packing width w exactly, with 2^w - 1: a width one bit
+    # narrower would carry it into the next field
+    rng = random.Random(17)
+    for _ in range(60):
+        nvars = rng.randint(2, 9)
+        k = rng.randint(1, 3)
+        rows, v, top = _tight_matrix(rng, nvars, k, k + rng.randint(0, 1))
+        live = [r for r in rows if any(not e.is_zero for e in r)]
+        got = _packed_minors(live, nvars)
+        for cols in combinations(range(len(rows[0])), k):
+            det = _leibniz([[row[c] for c in cols] for row in live], nvars)
+            assert got.get(cols, LaurentPoly.zero(nvars)) == det, (rows, cols)
+        det = got[tuple(range(k))]
+        unit = [sum(v) for v in zip(*(_row_shift(r, nvars) for r in live))]
+        assert max(e[v] for e in det.terms) + unit[v] == top
+        assert top == 2 ** minors._pack(rows, nvars)[1] - 1
+
+
+def _fed_to_gcd(monkeypatch, module, rows, k, nvars):
+    """The multiset of unit-normal minors module's fold hands to gcd; the
+    stand-in gcd keeps the running value at zero, so no fold stops early
+    and ring.gcd, slow on dense minors in many variables, never runs."""
+    fed = Counter()
+
+    def record(running, det):
+        fed[normalize(det)] += 1
+        return running
+    monkeypatch.setattr(module, "gcd", record)
+    module._enumerate_minor_gcd(rows, k, nvars)
+    return fed
+
+
+def _tight_rows(rng, nvars, widest):
+    # a tight matrix, zero row included, plus up to two random rows, so
+    # that m > k and the fold runs through several subsets
+    k = rng.randint(1, 3)
+    rows, _, _ = _tight_matrix(rng, nvars, k, k + rng.randint(0, 1), widest)
+    rows += _random_matrix(rng, nvars, rng.randint(0, 2), len(rows[0]))
+    rng.shuffle(rows)
+    return rows, k
+
+
+@pytest.mark.parametrize("nvars", range(2, 10))
+def test_packed_fold_folds_the_reference_minors(monkeypatch, nvars):
+    # each fold visits every k-row subset once, so both hand gcd the same
+    # minors up to units (the packed fold shifts each row by a monomial)
+    rng = random.Random(1000 + nvars)
+    for _ in range(12):
+        rows, k = _tight_rows(rng, nvars, 6)
+        assert _fed_to_gcd(monkeypatch, minors, rows, k, nvars) == \
+            _fed_to_gcd(monkeypatch, reference, rows, k, nvars), (rows, k)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_packed_fold_matches_the_recursive_fold(nvars):
+    # the whole fold, ring.gcd included; degrees stay low for its sake
+    rng = random.Random(2000 + nvars)
+    for _ in range(12):
+        rows, k = _tight_rows(rng, nvars, 3)
+        assert minors._enumerate_minor_gcd(rows, k, nvars) == \
+            reference._enumerate_minor_gcd(rows, k, nvars), (rows, k)
 
 
 def _shared_factor(rng, nvars):

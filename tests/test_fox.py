@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from alexpoly.errors import ComputationError
 from alexpoly.fox import alexander_one_variable, alexander_polynomial, fox_matrix
 from alexpoly.group import AbelMap, Presentation, Word, parse_word
-from alexpoly.minors import _echelon_minor_gcd, _enumerate_minor_gcd, minor_gcd
+from alexpoly.braid import closure_presentation, full_twist
+from alexpoly.minors import (_drop_unit_multiples, _echelon_minor_gcd,
+                             _enumerate_minor_gcd, minor_gcd)
 from alexpoly.ring import (
     LaurentPoly,
     equal_up_to_units,
@@ -205,6 +207,40 @@ def test_minor_gcd_degenerate_shapes():
     assert minor_gcd([], 1, 1).is_zero
     assert minor_gcd([[P("t")]], 2, 1).is_zero
     assert minor_gcd([[P("t")]], 0, 1) == LaurentPoly.one(1)
+
+
+def test_unit_multiple_rows_are_dropped():
+    # rows scaled by -t0^3 and by 2/3 repeat earlier rows up to units and
+    # go; a row times t0 - 1, not a unit, stays.  Either way the gcd is
+    # that of every minor, the dropped rows' included
+    base = [(P("t0 - t1", 2), P("t0*t1 + 2", 2), P("0", 2)),
+            (P("1 + t1^-1", 2), P("t0^2", 2), P("t1 - 1", 2)),
+            (P("t0", 2), P("t1 + 1", 2), P("t0 + t1", 2))]
+    scaled = base + [tuple(P("-t0^3", 2) * e for e in base[0]),
+                     tuple(e * Fraction(2, 3) for e in base[1])]
+    not_unit = base + [tuple(P("t0 - 1", 2) * e for e in base[2])]
+    assert _drop_unit_multiples(scaled) == base
+    assert _drop_unit_multiples(not_unit) == not_unit
+    for k in (1, 2, 3):
+        assert minor_gcd(scaled, k, 2) == minor_gcd(base, k, 2) == \
+            oracle_minor_gcd(scaled, k, 2)
+        assert minor_gcd(not_unit, k, 2) == oracle_minor_gcd(not_unit, k, 2)
+
+
+def test_conjugated_relators_are_dropped():
+    # phi kills r, so the Fox row of x1^-1 r x1 is phi(x1)^-1 times that of
+    # r.  The T(7,7) closure with every relator repeated so conjugated
+    # keeps only the first rows, and its polynomial (t0...t6 - 1)^5
+    d = 7
+    pres = closure_presentation(full_twist(d))
+    x1 = Word.generator(0)
+    doubled = Presentation(pres.generators, pres.relators + tuple(
+        x1.inverse() * r * x1 for r in pres.relators))
+    phi = AbelMap(d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+    rows = [tuple(row) for row in fox_matrix(doubled, phi)]
+    assert _drop_unit_multiples(rows) == rows[:len(pres.relators)]
+    expected = (LaurentPoly.monomial(1, (1,) * d) - 1) ** (d - 2)
+    assert alexander_polynomial(doubled, phi) == expected
 
 
 @st.composite
