@@ -114,10 +114,13 @@ def _full_twist_images(strands: int) -> list[Word]:
 
 def permutation(braid: BraidWord) -> list[int]:
     """Position each strand ends at, starting positions 0..d-1."""
-    pos = list(range(braid.strands))
+    at = list(range(braid.strands))  # the strand at each position
     for letter in braid.letters:
         i = abs(letter) - 1
-        pos = [i + 1 if v == i else i if v == i + 1 else v for v in pos]
+        at[i], at[i + 1] = at[i + 1], at[i]
+    pos = [0] * braid.strands
+    for p, strand in enumerate(at):
+        pos[strand] = p
     return pos
 
 

@@ -15,9 +15,13 @@ matrix, whose zero or repeated rows are dropped again.  What remains takes
 one route per ring:
 
 * one variable: after each row is shifted by a monomial the entries lie in
-  the Euclidean domain Q[t].  Row operations bring the matrix to row
-  echelon form once, then each k-column submatrix in turn, and the gcd
-  is folded from the products of their pivots;
+  the Euclidean domain Q[t], and they stay dense coefficient lists from
+  the conversion, read straight off each entry's terms with the row's
+  least exponent as offset, to the pivot products.  Row operations
+  bring the matrix to row echelon form once, then each k-column
+  submatrix in turn, and the gcd is folded from the products of their
+  pivots.  A row step x - q y is one pass per entry, and the pivot
+  column takes the remainder of the division that gave q;
 * several variables: the minors of each k-row subset, cyclic row windows
   first, come from one Laplace expansion and fold until the gcd hits a
   floor.  Each row is first shifted by a monomial so that its exponents
@@ -46,8 +50,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from itertools import combinations
-from operator import mul, sub
+from itertools import combinations, repeat
+from operator import add, mul, sub
 
 from .ring import LaurentPoly, gcd, gcd_many, normalize
 from .ring.poly import Scalar, _demote, _raw, scalar_quotient
@@ -256,17 +260,15 @@ def _expand(state: dict[int, Packed], row: list[tuple[int, Packed]],
 # one variable: row echelon forms over Q[t]
 #
 # entries become dense coefficient lists (int, or Fraction once a division
-# is not integral).  Row operations keep every ideal of minors, the
-# k-minors are the maximal minors of the k-column submatrices, and the
-# maximal minors of an echelon matrix are generated by the product of its
-# pivots, or all zero when a column has no pivot
+# is not integral), the coefficient of t^i at index i and the last one
+# nonzero.  Row operations keep every ideal of minors, the k-minors are the
+# maximal minors of the k-column submatrices, and the maximal minors of an
+# echelon matrix are generated by the product of its pivots, or all zero
+# when a column has no pivot
 
 
 def _echelon_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
-    mat = []
-    for row in rows:
-        shift = min(e.min_exponents()[0] for e in row if not e.is_zero)
-        mat.append([_dense(e.shift((-shift,))) for e in row])
+    mat = [_dense_row(row) for row in rows]
     # echelon the whole matrix first: each submatrix then has at most
     # rank-many rows
     rank = len(_echelon(mat))
@@ -275,6 +277,20 @@ def _echelon_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
     del mat[rank:]
     return gcd_many((_pivot_product([[row[c] for c in cols] for row in mat])
                      for cols in combinations(range(len(mat[0])), k)), 1)
+
+
+def _dense_row(row: Row) -> list[list[Scalar]]:
+    """The entries of row times t^-s, s its least exponent, as dense lists."""
+    low = min(e for entry in row for e, in entry.terms)
+    out = []
+    for entry in row:
+        coeffs = []
+        if entry.terms:
+            coeffs = [0] * (max(e for e, in entry.terms) - low + 1)
+            for (e,), c in entry.terms.items():
+                coeffs[e - low] = c
+        out.append(coeffs)
+    return out
 
 
 def _pivot_product(a: list[list[list[Scalar]]]) -> LaurentPoly:
@@ -296,7 +312,9 @@ def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
     a is a list of equal-length rows of dense coefficient lists, and the
     Euclidean size of an entry is its length.  In each column the
     shortest entry of the rows below the pivots found so far moves up and
-    reduces every other such row, until one nonzero entry is left.
+    reduces every other such row, until one nonzero entry is left.  A row
+    step subtracts q times the pivot row, q the quotient of the division
+    in the pivot column, whose remainder is the row's new entry there.
     """
     m = len(a)
     pivots = []
@@ -313,22 +331,38 @@ def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
                 pivots.append(pivot_row[col])
                 top += 1
                 break
-            for i in range(top + 1, m):
-                if a[i][col]:
-                    q = _pdivmod(a[i][col], pivot_row[col])[0]
-                    a[i][col:] = [_psub(x, _pmul(q, y))
-                                  for x, y in zip(a[i][col:], pivot_row[col:])]
+            rest = pivot_row[col + 1:]
+            for row in a[top + 1:]:
+                if row[col]:
+                    q, row[col] = _pdivmod(row[col], pivot_row[col])
+                    row[col + 1:] = [_submul(x, q, y) if y else x
+                                     for x, y in zip(row[col + 1:], rest)]
     return pivots
 
 
-def _dense(p: LaurentPoly) -> list[Scalar]:
-    if p.is_zero:
-        return []
-    top = p.max_exponents()[0]
-    out = [0] * (top + 1)
-    for exps, coeff in p.terms.items():
-        out[exps[0]] = coeff
-    return out
+def _submul(x: list[Scalar], q: list[Scalar], y: list[Scalar]) -> list[Scalar]:
+    """x - q y as a new trimmed list; q and y are nonzero."""
+    n = len(y)
+    out = x + [0] * (len(q) + n - 1 - len(x))
+    for i, c in enumerate(q):
+        if c:
+            out[i:i + n] = map(sub, out[i:i + n], map(mul, y, repeat(c)))
+    return _ptrim(out)
+
+
+def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """Quotient and remainder of a by the nonzero b."""
+    n = len(b)
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * max(len(a) - n + 1, 0)
+    while len(rem) >= n:
+        shift = len(rem) - n
+        factor = scalar_quotient(rem[-1], lead)
+        quo[shift] = factor
+        rem[shift:] = map(sub, rem[shift:], map(mul, b, repeat(factor)))
+        _ptrim(rem)
+    return quo, rem
 
 
 def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
@@ -342,38 +376,10 @@ def _ptrim(a: list[Scalar]) -> list[Scalar]:
 
 
 def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _psub(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        factor = scalar_quotient(rem[-1], lead)
-        quo[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] -= factor * bi
-        _ptrim(rem)
-    return _ptrim(quo), rem
+    """a b for nonzero a and b; the leading coefficients cannot cancel."""
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + n] = map(add, out[i:i + n], map(mul, b, repeat(c)))
+    return out

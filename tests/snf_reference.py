@@ -5,15 +5,16 @@ submatrix to row echelon form and folds the products of their pivots.
 This module keeps the previous route, a full Smith normal form with
 column operations and a divisibility-repair pass whose first k invariant
 factors multiply to the gcd of the k-minors, so the tests can check that
-both give the same unit-normal polynomial.
+both give the same unit-normal polynomial.  Its dense-list arithmetic is
+its own (one step per operation: multiply, then subtract), so the kernel
+under test is never its own oracle.
 """
 
 from __future__ import annotations
 
-from alexpoly.minors import (Row, _dense, _from_dense, _pdivmod, _pmul,
-                             _psub, _ptrim)
+from alexpoly.minors import Row
 from alexpoly.ring import LaurentPoly, normalize
-from alexpoly.ring.poly import Scalar
+from alexpoly.ring.poly import Scalar, scalar_quotient
 
 
 def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
@@ -103,3 +104,61 @@ def _padd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     for i, bi in enumerate(b):
         out[i] += bi
     return _ptrim(out)
+
+
+def _dense(p: LaurentPoly) -> list[Scalar]:
+    if p.is_zero:
+        return []
+    top = p.max_exponents()[0]
+    out = [0] * (top + 1)
+    for exps, coeff in p.terms.items():
+        out[exps[0]] = coeff
+    return out
+
+
+def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
+    return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+
+
+def _ptrim(a: list[Scalar]) -> list[Scalar]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ptrim(out)
+
+
+def _psub(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    out = [0] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] += ai
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return _ptrim(out)
+
+
+def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(rem) - 1 >= db and rem:
+        shift = len(rem) - 1 - db
+        factor = scalar_quotient(rem[-1], lead)
+        quo[shift] = factor
+        for i, bi in enumerate(b):
+            rem[shift + i] -= factor * bi
+        _ptrim(rem)
+    return _ptrim(quo), rem

@@ -7,6 +7,8 @@ reduction is canonical, so the syllables must agree exactly, on seeded
 random braids with 2-9 strands, 0-80 letters and both signs.
 ``braid_equal`` must agree too, on unrelated random pairs and on pairs
 where one word is the other rewritten by the braid relations.
+``permutation`` and ``strand_components`` must agree with the
+reference's rebuild-every-position loop on seeded words, d = 2..9.
 
 The images of a uniformly random word grow exponentially with its
 length: 75 letters on 5 strands gave 1.8 million syllables.  So a drawn
@@ -20,7 +22,8 @@ import random
 
 import pytest
 
-from alexpoly.braid import BraidWord, artin_action, braid_equal
+from alexpoly.braid import (BraidWord, artin_action, braid_equal,
+                            permutation, strand_components)
 
 import braid_reference
 
@@ -93,3 +96,13 @@ def test_rewrites_reach_every_move():
     lengths = {len(letters) for letters in changed}
     assert lengths >= {len(b.letters), len(b.letters) + 2}
     assert any(len(c) == len(b.letters) and c != b.letters for c in changed)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_permutation_matches_reference(d):
+    rng = random.Random(1000 + d)
+    for _ in range(200):
+        b = BraidWord(d, tuple(random_letter(rng, d)
+                               for _ in range(rng.randint(0, 60))))
+        assert permutation(b) == braid_reference.permutation(b), b
+        assert strand_components(b) == braid_reference.strand_components(b), b

@@ -6,10 +6,15 @@ k-column submatrix, and folds the products of their pivots.
 that it replaced, whose first k invariant factors multiply to the same
 determinantal divisor.  Both results are unit-normal, so they must be
 equal, on seeded random matrices and on every one-variable call that the
-Fox matrices of arrangements and torus links make.
+Fox matrices of arrangements and torus links make.  ``minor_gcd`` must
+agree too: it contracts unit entries such as 2t first, so the echelon
+route then sees ``Fraction`` coefficients.  The reference keeps its own
+dense-list arithmetic, so the conversion of a row to dense lists is
+checked against it as well.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +67,46 @@ def test_random_matrices_match_smith_form():
             assert got == reference._snf_minor_gcd(rows, k), (rows, k)
             deficient += got.is_zero
     assert deficient  # rank-deficient cases were drawn
+
+
+def test_dense_rows_match_reference_conversion():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        row = [_random_entry(rng).shift((rng.randint(-4, 2),))
+               for _ in range(rng.randint(1, 6))]
+        if all(e.is_zero for e in row):
+            continue
+        low = min(e.min_exponents()[0] for e in row if not e.is_zero)
+        assert minors._dense_row(tuple(row)) == [
+            reference._dense(e.shift((-low,))) for e in row], row
+
+
+def _with_units(rng: random.Random, rows):
+    """rows with some entries replaced by units c t^a, c in +-1, +-2, 3."""
+    return [tuple(LaurentPoly(1, {(rng.randint(-2, 2),): rng.choice((1, -1, 2, -2, 3))})
+                  if rng.random() < 0.15 else e for e in row) for row in rows]
+
+
+def test_minor_gcd_matches_smith_form(monkeypatch):
+    echelon = minors._echelon_minor_gcd
+    seen = {"fraction": 0, "tall": 0, "square": 0}
+
+    def recording(rows, k):
+        seen["fraction"] += any(type(c) is Fraction for row in rows
+                                for e in row for c in e.terms.values())
+        seen["tall" if len(rows) > k else "square"] += 1
+        return echelon(rows, k)
+    monkeypatch.setattr(minors, "_echelon_minor_gcd", recording)
+    rng = random.Random(20261021)
+    deficient = 0
+    for _ in range(150):
+        rows = _with_units(rng, _random_matrix(rng))
+        for k in range(1, min(len(rows), len(rows[0])) + 1):
+            got = minors.minor_gcd(rows, k, 1)
+            assert got == reference._snf_minor_gcd(rows, k), (rows, k)
+            deficient += got.is_zero
+    assert deficient
+    assert all(seen.values()), seen
 
 
 @pytest.fixture

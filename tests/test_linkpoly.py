@@ -102,6 +102,17 @@ def test_marked_torus_hat_values():
     assert hat_delta(marked_torus_link(4, 3)).is_zero
 
 
+@pytest.mark.parametrize("d", range(10, 17))
+def test_torus_closed_forms_larger_d(d):
+    t = LaurentPoly.univariate
+    # (t - 1)(t^d - 1)^(d-2)
+    expected = t({1: 1, 0: -1}) * t({d: 1, 0: -1}) ** (d - 2)
+    assert one_variable_delta(torus_link(d)) == normalize(expected)
+    # strand 1 marked, degree d + 1: (1 - t)(t^-2 - 1)^(d-2)
+    expected = t({0: 1, 1: -1}) * t({-2: 1, 0: -1}) ** (d - 2)
+    assert hat_delta(marked_torus_link(d, d + 1)) == normalize(expected)
+
+
 def test_hat_of_unmarked_link_is_one_variable():
     link = hopf()
     assert hat_delta(link) == one_variable_delta(link)
