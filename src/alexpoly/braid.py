@@ -5,14 +5,25 @@ Positive letter i (1-based) sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
 to x_i, fixing the rest; negative letters act by the inverse rule.
 Letters of a word act left to right.  The action is faithful, so braid
 equality is decided by comparing generator images.
+
+Inside this module free-group words are flat: tuples of signed letters
++-(g + 1) standing for x_g^+-1, freely reduced, so that an inverse is
+the reversed, negated tuple and a product of reduced words cancels only
+at its seam.  They become syllable ``Word``s once, on the way out.  The
+``MAX_SYLLABLES`` budget on the images is checked on their letter count,
+which is never below their syllable count; syllables are counted only
+once the letters pass the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, islice
+from operator import eq, neg
+from typing import Iterable
 
 from .errors import InputError
-from .group import AbelMap, Presentation, Word, _cat, _word, apply_endomorphism
+from .group import AbelMap, Presentation, Syllable, Word, _word
 
 
 @dataclass(frozen=True)
@@ -50,52 +61,119 @@ class BraidWord:
 #: generic 32-line arrangement reaches 7,476.
 MAX_SYLLABLES = 100_000
 
+Flat = tuple[int, ...]
+
+
+def _join(x: Flat, y: Flat) -> Flat:
+    """Reduced product of two reduced flat words: letters cancel
+    pairwise from the seam outwards, the rest is already reduced."""
+    i, j, n = len(x), 0, len(y)
+    while i and j < n and x[i - 1] == -y[j]:
+        i -= 1
+        j += 1
+    return x[:i] + y[j:]
+
+
+def _inverse(x: Flat) -> Flat:
+    return tuple(map(neg, reversed(x)))
+
+
+def _syllable_count(images: list[Flat]) -> int:
+    """Syllables of the flat words in all: letters minus equal neighbours."""
+    return sum(len(w) - sum(map(eq, w, islice(w, 1, None))) for w in images)
+
+
+def _flat_action(strands: int, reversed_letters: Iterable[int]) -> list[Flat]:
+    """Flat generator images of the braid whose letters, read right to
+    left, are ``reversed_letters``; see ``artin_action``."""
+    images = [(g,) for g in range(1, strands + 1)]
+    # an image's inverse while it is known, else None: an image that a
+    # letter moves keeps its inverse, a new one has none until needed
+    inverses: list[Flat | None] = [(-g,) for g in range(1, strands + 1)]
+    total = strands  # letters in all, never fewer than syllables
+    for letter in reversed_letters:
+        if letter > 0:  # images[i], images[letter] are a, b
+            i = letter - 1
+            a = images[i]
+            b = images[letter]
+            a_inv = inverses[i]
+            if a_inv is None:
+                a_inv = _inverse(a)
+            images[i] = new = _join(_join(a, b), a_inv)
+            inverses[i] = None
+            images[letter] = a
+            inverses[letter] = a_inv
+            total += len(new) - len(b)
+        else:
+            i = -letter - 1
+            a = images[i]
+            b = images[-letter]
+            b_inv = inverses[-letter]
+            if b_inv is None:
+                b_inv = _inverse(b)
+            images[i] = b
+            inverses[i] = b_inv
+            images[-letter] = new = _join(_join(b_inv, a), b)
+            inverses[-letter] = None
+            total += len(new) - len(a)
+        if total > MAX_SYLLABLES and _syllable_count(images) > MAX_SYLLABLES:
+            raise InputError("the braid's generator images exceed "
+                             f"{MAX_SYLLABLES} syllables", field="word")
+    return images
+
+
+def _syllable_table(strands: int) -> tuple[Syllable | None, ...]:
+    """The syllable of each letter, at index letter: (g, 1) at g + 1 and
+    (g, -1) at -(g + 1), counted from the end."""
+    return ((None,) + tuple((g, 1) for g in range(strands))
+            + tuple((g, -1) for g in reversed(range(strands))))
+
+
+def _flat_word(w: Flat, table: tuple[Syllable | None, ...]) -> Word:
+    """The Word of a reduced flat word; ``table`` is ``_syllable_table``
+    of at least its strands.  Runs of one letter, which relators hold,
+    merge into one syllable."""
+    if not any(map(eq, w, islice(w, 1, None))):
+        return _word(tuple(map(table.__getitem__, w)))
+    pairs = []
+    for v, run in groupby(w):
+        n = len(tuple(run))
+        pairs.append(table[v] if n == 1 else (v - 1, n) if v > 0
+                     else (-v - 1, -n))
+    return _word(tuple(pairs))
+
 
 def artin_action(braid: BraidWord) -> list[Word]:
     """Images of the free generators under the braid, letters acting
     left to right.
 
-    The images of the composite phi_l1 then ... then phi_lk are built by
-    reading the letters right to left: with the images of the letters
-    after l in hand, prepending l = s_i rewrites only images i and i+1,
-    (a, b) -> (a b a^-1, a), and l = s_i^-1 rewrites them
-    (a, b) -> (b, b^-1 a b).  Each image is kept as a reduced syllable
-    tuple next to its inverse, which follows the same pattern:
-    (a^-1, b^-1) -> (a b^-1 a^-1, a^-1) and (b^-1, b^-1 a^-1 b).  So
-    every product only cancels at its seams and no image is inverted or
-    reduced again.  Raises InputError once the images hold more than
-    MAX_SYLLABLES syllables in all.
+    The images are built as flat words, tuples of signed letters
+    +-(g + 1) for x_g^+-1, freely reduced, and converted to syllable
+    Words once at the end.  The images of the composite phi_l1 then ...
+    then phi_lk are built by reading the letters right to left: with the
+    images of the letters after l in hand, prepending l = s_i rewrites
+    only images i and i+1, (a, b) -> (a b a^-1, a), and l = s_i^-1
+    rewrites them (a, b) -> (b, b^-1 a b).  Each product only cancels at
+    its seam, so a letter costs two seam joins.  An inverse is the
+    reversed, negated tuple, made when a letter needs it; the image a
+    letter moves unchanged (a, or b) keeps the inverse it had.
+
+    Raises InputError once the images hold more than MAX_SYLLABLES
+    syllables in all.  The running total counts letters, never fewer
+    than syllables; only when it passes the bound are the syllables
+    (runs of one letter) counted exactly, so the same letter trips the
+    bound as with a syllable count.
     """
-    images = [((j, 1),) for j in range(braid.strands)]
-    inverses = [((j, -1),) for j in range(braid.strands)]
-    total = braid.strands
-    for letter in reversed(braid.letters):
-        i = abs(letter) - 1
-        a, b = images[i], images[i + 1]
-        a_inv, b_inv = inverses[i], inverses[i + 1]
-        if letter > 0:
-            images[i] = _cat(_cat(a, b), a_inv)
-            inverses[i] = _cat(_cat(a, b_inv), a_inv)
-            images[i + 1], inverses[i + 1] = a, a_inv
-            total += len(images[i]) - len(b)
-        else:
-            images[i], inverses[i] = b, b_inv
-            images[i + 1] = _cat(_cat(b_inv, a), b)
-            inverses[i + 1] = _cat(_cat(b_inv, a_inv), b)
-            total += len(images[i + 1]) - len(a)
-        if total > MAX_SYLLABLES:
-            raise InputError("the braid's generator images exceed "
-                             f"{MAX_SYLLABLES} syllables", field="word")
-    return [_word(s) for s in images]
-
-
-def apply_braid(braid: BraidWord, w: Word) -> Word:
-    return apply_endomorphism(artin_action(braid), w)
+    table = _syllable_table(braid.strands)
+    return [_flat_word(w, table)
+            for w in _flat_action(braid.strands, reversed(braid.letters))]
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Equality in the braid group via the faithful Artin action."""
-    return a.strands == b.strands and artin_action(a) == artin_action(b)
+    return a.strands == b.strands and (
+        _flat_action(a.strands, reversed(a.letters))
+        == _flat_action(b.strands, reversed(b.letters)))
 
 
 def full_twist(strands: int) -> BraidWord:
@@ -105,11 +183,11 @@ def full_twist(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(range(1, strands)) * strands)
 
 
-def _full_twist_images(strands: int) -> list[Word]:
-    """Artin action of the full twist in closed form: it conjugates,
-    x_j -> P x_j P^-1 with P = x_1 ... x_d."""
-    p = Word(tuple((j, 1) for j in range(strands)))
-    return [p * Word.generator(j) * p.inverse() for j in range(strands)]
+def _full_twist_images(strands: int) -> list[Flat]:
+    """Flat Artin action of the full twist in closed form: it
+    conjugates, x_j -> P x_j P^-1 with P = x_1 ... x_d."""
+    p = tuple(range(1, strands + 1))
+    return [_join(_join(p, (g,)), _inverse(p)) for g in p]
 
 
 def permutation(braid: BraidWord) -> list[int]:
@@ -178,9 +256,10 @@ def validate_factorization(f: Factorization
 
     Returns the split (w, s_i^k) of each factor, in order, found by
     stripping the longest w ... w^-1 wrapping.  The action is faithful,
-    so the product is the full twist exactly when its images are the
-    closed form x_j -> P x_j P^-1, P = x_1 ... x_d, of the full twist's;
-    only the product goes through the Artin action.
+    so the product is the full twist exactly when its flat images are
+    the closed form x_j -> P x_j P^-1, P = x_1 ... x_d, of the full
+    twist's; the factors' letters go through the Artin action as one
+    word, read right to left, without building the product braid.
     """
     splits = []
     for idx, factor in enumerate(f.factors):
@@ -196,7 +275,8 @@ def validate_factorization(f: Factorization
         splits.append((BraidWord(f.strands, letters[:k]),
                        BraidWord(f.strands, core)))
     try:
-        images = artin_action(f.product())
+        images = _flat_action(f.strands, chain.from_iterable(
+            reversed(b.letters) for b in reversed(f.factors)))
     except InputError as exc:  # the product's images pass MAX_SYLLABLES
         raise InputError(exc.args[0], field="factors") from None
     if images != _full_twist_images(f.strands):
@@ -226,22 +306,37 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
                      ) -> tuple[Presentation, AbelMap]:
     """Presentation of the curve complement cut out by a factorization.
 
-    The factorization is validated first.  Each factor w s_i^k w^-1 gives one relator, w^-1 applied
-    to s_i^k(x_i) x_i^-1: s_i^k fixes x_i x_{i+1} and the other
-    generators, so the relators b(x_j) x_j^-1 of the factor b for every j
-    follow from this one.  The projective variant kills the product
-    x_1 ... x_d as well.  The returned map sends each generator to the
-    coordinate of its component (orbits ordered by least strand).
+    The factorization is validated first.  Each factor w s_i^k w^-1
+    gives one relator, w^-1 applied to s_i^k(x_i) x_i^-1: s_i^k fixes
+    x_i x_{i+1} and the other generators, so the relators b(x_j) x_j^-1
+    of the factor b for every j follow from this one.  The relator is
+    built on flat words: the flat image u of x_i under s_i^k, times
+    x_i^-1, then each letter of u replaced by its image under w^-1,
+    cancelling only where two images meet; it becomes a Word once.  The
+    projective variant kills the product x_1 ... x_d as well.  The
+    returned map sends each generator to the coordinate of its component
+    (orbits ordered by least strand).
     """
     splits = validate_factorization(f)
     if projective is None:
         projective = f.projective
     d = f.strands
+    table = _syllable_table(d)
     relators = []
     for w, core in splits:
-        x = Word.generator(abs(core.letters[0]) - 1)
-        relators.append(apply_braid(w.inverse(),
-                                    apply_braid(core, x) * x.inverse()))
+        g = abs(core.letters[0])
+        u = _join(_flat_action(d, core.letters)[g - 1], (-g,))
+        # w^-1 = -l_m ... -l_1 reads -l_1 ... -l_m from the right
+        w_inv = _flat_action(d, map(neg, w.letters))
+        rel: list[int] = []
+        for v in u:
+            piece = w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1])
+            j = 0
+            while rel and j < len(piece) and rel[-1] == -piece[j]:
+                rel.pop()
+                j += 1
+            rel.extend(piece[j:])
+        relators.append(_flat_word(tuple(rel), table))
     if projective:
         prod = Word(tuple((i, 1) for i in range(d)))
         relators.append(prod)
@@ -266,12 +361,13 @@ def closure_presentation(braid: BraidWord) -> Presentation:
     dropped.
     """
     d = braid.strands
-    images = artin_action(braid)
+    images = _flat_action(d, reversed(braid.letters))
+    table = _syllable_table(d)
     relators = []
-    for i in range(d - 1):
-        rel = images[i] * Word.generator(i).inverse()
-        if not rel.is_identity:
-            relators.append(rel)
+    for g in range(1, d):
+        rel = _join(images[g - 1], (-g,))
+        if rel:
+            relators.append(_flat_word(rel, table))
     return Presentation(_generator_names(d), tuple(relators))
 
 

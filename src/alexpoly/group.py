@@ -3,9 +3,9 @@
 Words are run-length encoded: tuples of (generator index, nonzero
 exponent) with adjacent entries on distinct generators.  The public
 ``Word(...)`` constructor reduces any input fully.  A product of two
-reduced words, the inverse of a reduced word and the image of a word
-under an endomorphism are reduced without a second full pass: only the
-seam where two reduced words meet can cancel or merge.
+reduced words and the inverse of a reduced word are reduced without a
+second full pass: only the seam where two reduced words meet can cancel
+or merge.
 """
 
 from __future__ import annotations
@@ -119,31 +119,6 @@ class Word:
 
 
 _IDENTITY = _word(())
-
-
-def _product(pieces: list[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
-    """Reduced product of reduced syllable tuples, split in halves so
-    that each syllable is copied about log2(len(pieces)) times rather
-    than once per later piece."""
-    if len(pieces) > 2:
-        mid = len(pieces) // 2
-        return _cat(_product(pieces[:mid]), _product(pieces[mid:]))
-    if len(pieces) == 2:
-        return _cat(pieces[0], pieces[1])
-    return pieces[0] if pieces else ()
-
-
-def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
-    """Substitute images[i] for generator i throughout w; only the seams
-    between the substituted images are reduced."""
-    if w.max_generator() >= len(images):
-        raise ValueError(f"word uses generator {w.max_generator()} but only "
-                         f"{len(images)} images are given")
-    pieces: list[tuple[Syllable, ...]] = []
-    for gen, exp in w.syllables:
-        img = images[gen] if exp > 0 else images[gen].inverse()
-        pieces.extend([img.syllables] * abs(exp))
-    return _word(_product(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Three invariants are computed from the closure presentation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .braid import (
     BraidWord,
@@ -37,9 +37,13 @@ class MarkedLink:
     colours: dict[int, int]
     marked: int | None = None
     degree: int | None = None
+    #: strand sets of the closure's components, computed once
+    components: list[tuple[int, ...]] = field(init=False, compare=False,
+                                              repr=False)
 
     def __post_init__(self):
         comps = strand_components(self.braid)
+        object.__setattr__(self, "components", comps)
         keys = {min(c) for c in comps}
         if set(self.colours) != keys:
             raise ValueError(
@@ -60,10 +64,6 @@ class MarkedLink:
                 raise ValueError("the marked component must have colour 0")
             if not isinstance(self.degree, int) or self.degree < 1:
                 raise ValueError("a marked link needs a degree >= 1")
-
-    @property
-    def components(self) -> list[tuple[int, ...]]:
-        return strand_components(self.braid)
 
     def component_of_strand(self) -> dict[int, int]:
         """strand -> base strand of its component."""

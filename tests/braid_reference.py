@@ -4,16 +4,48 @@ Each letter l is the endomorphism phi_l of the free group given by its d
 generator images; the letters act left to right, so after the letters
 l1 ... lk the images are phi_lk(... phi_l1(x_j) ...), every image
 rewritten at every letter.  ``braid.artin_action`` reads the letters
-right to left and rewrites only the two images a letter moves; the
-tests check that both give the same freely reduced words.
+right to left, on flat signed-letter words, and rewrites only the two
+images a letter moves; the tests check that both give the same freely
+reduced words.
+
+``apply_endomorphism`` substitutes syllable Words into a Word, reducing
+only the seams between the substituted images (multiplied in halves),
+and ``apply_braid`` applies a braid's images that way.
 
 ``permutation`` rebuilds the list of all d positions at every letter and
 ``strand_components`` walks its cycles; ``braid.permutation`` swaps the
 two strands a letter moves and inverts once at the end.
 """
 
+from typing import Sequence
+
 from alexpoly.braid import BraidWord
-from alexpoly.group import Word, apply_endomorphism
+from alexpoly.group import Syllable, Word, _cat, _word
+
+
+def _product(pieces: list[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
+    """Reduced product of reduced syllable tuples, split in halves so
+    that each syllable is copied about log2(len(pieces)) times rather
+    than once per later piece."""
+    if len(pieces) > 2:
+        mid = len(pieces) // 2
+        return _cat(_product(pieces[:mid]), _product(pieces[mid:]))
+    if len(pieces) == 2:
+        return _cat(pieces[0], pieces[1])
+    return pieces[0] if pieces else ()
+
+
+def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
+    """Substitute images[i] for generator i throughout w; only the seams
+    between the substituted images are reduced."""
+    if w.max_generator() >= len(images):
+        raise ValueError(f"word uses generator {w.max_generator()} but only "
+                         f"{len(images)} images are given")
+    pieces: list[tuple[Syllable, ...]] = []
+    for gen, exp in w.syllables:
+        img = images[gen] if exp > 0 else images[gen].inverse()
+        pieces.extend([img.syllables] * abs(exp))
+    return _word(_product(pieces))
 
 
 def _letter_images(letter: int, strands: int) -> list[Word]:
@@ -37,6 +69,10 @@ def artin_action(braid: BraidWord) -> list[Word]:
         step = _letter_images(letter, braid.strands)
         images = [apply_endomorphism(step, w) for w in images]
     return images
+
+
+def apply_braid(braid: BraidWord, w: Word) -> Word:
+    return apply_endomorphism(artin_action(braid), w)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

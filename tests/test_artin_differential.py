@@ -9,6 +9,14 @@ random braids with 2-9 strands, 0-80 letters and both signs.
 where one word is the other rewritten by the braid relations.
 ``permutation`` and ``strand_components`` must agree with the
 reference's rebuild-every-position loop on seeded words, d = 2..9.
+Uniformly random words of every length 0..40 must agree as well, d =
+2..9.
+
+``artin_action`` counts the letters of its flat images against
+``MAX_SYLLABLES`` and counts syllables only past the bound.  With the
+bound set to each value in 10..400, it must raise after the same number
+of letters, read from the right, as a running syllable count of the
+reference's images would.
 
 The images of a uniformly random word grow exponentially with its
 length: 75 letters on 5 strands gave 1.8 million syllables.  So a drawn
@@ -22,8 +30,11 @@ import random
 
 import pytest
 
-from alexpoly.braid import (BraidWord, artin_action, braid_equal,
+import alexpoly.braid
+from alexpoly.braid import (BraidWord, _flat_word, _syllable_count,
+                            _syllable_table, artin_action, braid_equal,
                             permutation, strand_components)
+from alexpoly.errors import InputError
 
 import braid_reference
 
@@ -106,3 +117,48 @@ def test_permutation_matches_reference(d):
                                for _ in range(rng.randint(0, 60))))
         assert permutation(b) == braid_reference.permutation(b), b
         assert strand_components(b) == braid_reference.strand_components(b), b
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_uniform_words_match_reference(d):
+    rng = random.Random(2000 + d)
+    for length in range(41):
+        b = BraidWord(d, tuple(random_letter(rng, d) for _ in range(length)))
+        got = [w.syllables for w in artin_action(b)]
+        assert got == [w.syllables for w in braid_reference.artin_action(b)], b
+
+
+def test_flat_words_merge_runs():
+    # Artin images seem never to repeat a letter, so the run-merging
+    # branches are checked on words built by hand
+    table = _syllable_table(3)
+    assert _flat_word((1, 1, -2, 3, 3, 3, -1), table).syllables == \
+        ((0, 2), (1, -1), (2, 3), (0, -1))
+    assert _flat_word((-3, -3), table).syllables == ((2, -2),)
+    assert _flat_word((2, -1, 3), table).syllables == ((1, 1), (0, -1), (2, 1))
+    assert _flat_word((), table).syllables == ()
+    assert _syllable_count([(1, 1, -2, 3, 3, 3, -1), (-3, -3), (), (2,)]) == 6
+
+
+@pytest.mark.parametrize("d, seed, length", [(3, 0, 60), (4, 1, 40),
+                                             (5, 2, 40), (9, 3, 60)])
+def test_budget_trips_at_the_reference_letter(monkeypatch, d, seed, length):
+    rng = random.Random(3000 + seed)
+    letters = tuple(random_letter(rng, d) for _ in range(length))
+    # running[k]: the largest syllable total over the suffixes of length
+    # at most k, as the reference counts them, up to the first past 400
+    running = [d]
+    for k in range(1, len(letters) + 1):
+        images = braid_reference.artin_action(BraidWord(d, letters[-k:]))
+        running.append(max(running[-1], sum(len(w.syllables) for w in images)))
+        if running[-1] > 400:
+            break
+    assert running[-1] > 400
+    for bound in range(10, 401):
+        monkeypatch.setattr(alexpoly.braid, "MAX_SYLLABLES", bound)
+        k = next(k for k, total in enumerate(running) if total > bound)
+        artin_action(BraidWord(d, letters[len(letters) - k + 1:]))
+        with pytest.raises(InputError) as exc:
+            artin_action(BraidWord(d, letters[-k:]))
+        assert str(exc.value) == ("field 'word': the braid's generator "
+                                  f"images exceed {bound} syllables")

@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+import alexpoly.braid
+import alexpoly.cli
 import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
@@ -217,6 +219,34 @@ def test_closure_one_flag_trefoil(capsys):
                            "--one")
     assert code == 0
     assert out.strip() == "t^2 - t + 1"
+
+
+@pytest.mark.parametrize("flags", [[], ["--multi"], ["--hat"],
+                                   ["--hat", "6", "--marked", "1"]])
+@pytest.mark.parametrize("bare", [False, True])
+def test_closure_computes_components_at_most_twice(capsys, monkeypatch,
+                                                   tmp_path, flags, bare):
+    # MarkedLink keeps its components; the decoder finds them once more
+    # to check the colour keys (a bare braid: to colour them)
+    calls = []
+    count = alexpoly.braid.strand_components
+
+    def counting(braid):
+        calls.append(braid)
+        return count(braid)
+
+    for module in (alexpoly.braid, alexpoly.linkpoly, alexpoly.cli):
+        monkeypatch.setattr(module, "strand_components", counting)
+    path = DATA / "torus" / "t55.json"
+    if bare:
+        path = tmp_path / "t55_braid.json"
+        path.write_text(json.dumps({"strands": 5, "word": [1, 2, 3, 4] * 5}),
+                        encoding="utf-8")
+    elif "--marked" in flags:
+        flags = ["--hat", "5"]  # the file's own marking and degree
+    code, _, err = run_cli(capsys, "closure", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert 1 <= len(calls) <= 2
 
 
 def test_verify_delta_text_and_generic_infinity(capsys):

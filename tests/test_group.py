@@ -9,10 +9,11 @@ from alexpoly.group import (
     AbelMap,
     Presentation,
     Word,
-    apply_endomorphism,
     parse_word,
     presentation_from_json,
 )
+
+from braid_reference import apply_endomorphism
 
 
 # ---------------------------------------------------------------------------

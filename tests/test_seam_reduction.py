@@ -3,14 +3,15 @@ full reductions and the Artin action they replace.
 
 ``group._cat`` multiplies two reduced words by cancelling and merging
 only where they meet; ``reduce_syllables`` of the concatenation is the
-reference.  ``Word`` products, inverses and ``apply_endomorphism``
-(which multiplies its pieces in halves) are built on it.  ``validate_factorization`` compares the factor product's
-images with the closed form x_j -> P x_j P^-1 (P = x_1 ... x_d) instead
-of acting by the full-twist word; ``braid_equal`` with ``full_twist`` is
-the reference.  ``fox_matrix`` stores its entries without the
-``LaurentPoly`` constructor, whose route ``fox_reference.fox_matrix``
-keeps.  The syllable budget must still stop ``artin_action`` at the
-same letter.
+reference.  ``Word`` products, inverses and the reference
+``apply_endomorphism`` of ``braid_reference`` (which multiplies its
+pieces in halves) are built on it.  ``validate_factorization`` compares
+the factor product's flat images with the closed form x_j -> P x_j P^-1
+(P = x_1 ... x_d) instead of acting by the full-twist word;
+``braid_equal`` with ``full_twist`` is the reference.  ``fox_matrix``
+stores its entries without the ``LaurentPoly`` constructor, whose route
+``fox_reference.fox_matrix`` keeps.  The syllable budget must still stop
+``artin_action`` at the same letter.
 """
 
 import json
@@ -20,15 +21,15 @@ import random
 import pytest
 
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
-                            _full_twist_images, artin_action, braid_equal,
-                            full_twist, validate_factorization,
-                            zvk_presentation)
+                            _flat_word, _full_twist_images, _syllable_table,
+                            artin_action, braid_equal, full_twist,
+                            validate_factorization, zvk_presentation)
 from alexpoly.errors import InputError
 from alexpoly.fox import fox_matrix
-from alexpoly.group import (AbelMap, Presentation, Word, _cat,
-                            apply_endomorphism, reduce_syllables)
+from alexpoly.group import AbelMap, Presentation, Word, _cat, reduce_syllables
 
 import fox_reference
+from braid_reference import apply_endomorphism
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -107,7 +108,9 @@ def test_apply_endomorphism_matches_full_reduction(seed):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_closed_form_twist_matches_action(d):
-    assert _full_twist_images(d) == artin_action(full_twist(d))
+    table = _syllable_table(d)
+    assert [_flat_word(w, table) for w in _full_twist_images(d)] == \
+        artin_action(full_twist(d))
 
 
 def factorization(name: str) -> Factorization:

@@ -1,4 +1,5 @@
-"""One relator per factor against the d-relators-per-factor reference.
+"""One relator per factor against the d-relators-per-factor reference,
+and the flat relator route against the per-factor automorphisms.
 
 ``zvk_presentation`` keeps, for each factor w s_i^k w^-1, only the
 relator w^-1 applied to s_i^k(x_i) x_i^-1.  The reference in
@@ -7,6 +8,13 @@ generator x_j.  Both must give the same one-variable and multivariable
 Alexander polynomials and the same abelianization, on the shipped
 factorizations (affine and projective), on generic line arrangements
 conjugated by seeded braids, and after Hurwitz moves.
+
+``zvk_presentation`` builds that relator on flat signed-letter words;
+``per_factor_presentation`` applies the automorphisms of s_i^k and w^-1
+to syllable Words.  The relators must have identical syllables on the
+generic arrangements with 3-12 lines, each factor in either standard
+form by a seeded coin flip, conjugated by short seeded braids and
+projective, and on the shipped factorizations.
 """
 
 import json
@@ -18,7 +26,8 @@ import pytest
 from alexpoly.braid import BraidWord, Factorization, zvk_presentation
 from alexpoly.fox import alexander_one_variable, alexander_polynomial
 
-from zvk_reference import abelianization_invariants, full_zvk_presentation
+from zvk_reference import (abelianization_invariants, full_zvk_presentation,
+                           per_factor_presentation)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -97,3 +106,49 @@ def test_hurwitz_moved_factorizations(name):
     for i in (0, len(f.factors) // 2, len(f.factors) - 2):
         assert_same_invariants(hurwitz_move(f, i), multi=True)
 
+
+
+# ---------------------------------------------------------------------------
+# flat relators against the per-factor automorphisms
+
+
+def standard_forms(n: int, rng: random.Random) -> Factorization:
+    """Generic n-line arrangement with each A_ij, j > i + 1, written by a
+    coin flip as (s_{j-1} ... s_{i+1}) s_i^2 (...)^-1 or in its other
+    standard form (s_{j-2} ... s_i)^-1 s_{j-1}^2 (s_{j-2} ... s_i)."""
+    factors = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            if j > i + 1 and rng.random() < 0.5:
+                up = list(range(i, j - 1))
+                letters = [-v for v in up] + [j - 1, j - 1] + up[::-1]
+            else:
+                conj = list(range(j - 1, i, -1))
+                letters = conj + [i, i] + [-v for v in reversed(conj)]
+            factors.append(BraidWord(n, tuple(letters)))
+    return Factorization(n, tuple(factors))
+
+
+def assert_same_relators(f: Factorization, projective: bool) -> None:
+    pres, _ = zvk_presentation(f, projective)
+    ref = per_factor_presentation(f, projective)
+    assert [r.syllables for r in pres.relators] == \
+        [r.syllables for r in ref.relators]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_relators_match_per_factor_route(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        f = standard_forms(n, rng)
+        g = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                               for _ in range(rng.randint(1, 4))))
+        for h in (f, conjugate(f, g)):
+            for projective in (False, True):
+                assert_same_relators(h, projective)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_relators_match_per_factor_route(name):
+    for projective in (False, True):
+        assert_same_relators(shipped(name, projective), projective)

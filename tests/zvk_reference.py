@@ -1,17 +1,27 @@
-"""Reference Zariski-van Kampen presentation: d relators per factor.
+"""Reference Zariski-van Kampen presentations.
 
-Each factor b contributes b(x_i) x_i^-1 for every generator x_i, the
-direct statement that the monodromy fixes the fibre's free group.
-``braid.zvk_presentation`` emits one relator per factor; the tests
-check that both present groups with the same Alexander invariants and
-the same abelianization, which ``abelianization_invariants`` reads off
-sympy's integer Smith normal form.
+``full_zvk_presentation``: each factor b contributes b(x_i) x_i^-1 for
+every generator x_i, the direct statement that the monodromy fixes the
+fibre's free group.  ``braid.zvk_presentation`` emits one relator per
+factor; the tests check that both present groups with the same
+Alexander invariants and the same abelianization, which
+``abelianization_invariants`` reads off sympy's integer Smith normal
+form.
+
+``per_factor_presentation`` builds the one relator per factor
+w s_i^k w^-1 by the route of automorphisms applied to syllable Words:
+the images of s_i^k applied to x_i, times x_i^-1, and the images of
+w^-1 applied to that, both with ``braid_reference.apply_braid``.
+``zvk_presentation`` builds the same relator on flat signed-letter
+words; the tests check that the syllables agree exactly.
 """
 
 import pytest
 
-from alexpoly.braid import Factorization, artin_action
+from alexpoly.braid import BraidWord, Factorization, artin_action
 from alexpoly.group import Presentation, Word
+
+from braid_reference import apply_braid
 
 
 def full_zvk_presentation(f: Factorization, projective: bool | None = None
@@ -24,6 +34,28 @@ def full_zvk_presentation(f: Factorization, projective: bool | None = None
         images = artin_action(factor)
         relators.extend(images[i] * Word.generator(i).inverse()
                         for i in range(d))
+    if projective:
+        relators.append(Word(tuple((i, 1) for i in range(d))))
+    return Presentation(tuple(f"x{i + 1}" for i in range(d)), tuple(relators))
+
+
+def per_factor_presentation(f: Factorization, projective: bool | None = None
+                            ) -> Presentation:
+    if projective is None:
+        projective = f.projective
+    d = f.strands
+    relators = []
+    for factor in f.factors:
+        letters = factor.letters
+        n = len(letters)
+        k = 0  # the longest w ... w^-1 wrapping
+        while k < n // 2 and letters[n - 1 - k] == -letters[k]:
+            k += 1
+        w = BraidWord(d, letters[:k])
+        x = Word.generator(abs(letters[k]) - 1)
+        core = BraidWord(d, letters[k:n - k])
+        relators.append(apply_braid(w.inverse(),
+                                    apply_braid(core, x) * x.inverse()))
     if projective:
         relators.append(Word(tuple((i, 1) for i in range(d))))
     return Presentation(tuple(f"x{i + 1}" for i in range(d)), tuple(relators))
