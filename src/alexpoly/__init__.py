@@ -12,8 +12,9 @@ from .braid import (BraidWord, Factorization, braid_equal,
                     factorization_from_json, factorization_to_json,
                     factor_orbits, full_twist, validate_factorization,
                     zvk_presentation)
-from .curve import (CurveData, boundary_delta, curve_from_json,
-                    curve_to_json, euler_characteristic, first_betti, local_deltas)
+from .curve import (CurveData, boundary_delta, boundary_factors,
+                    curve_from_json, curve_to_json, euler_characteristic,
+                    first_betti, local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
 from .group import (AbelMap, Presentation, Word, load_json_file,
@@ -25,7 +26,7 @@ from .ring import (LaurentPoly, cyclotomic_factorization, equal_up_to_units,
                    exact_divide, gcd, multiplicity, normalize, parse_poly,
                    poly_to_str)
 from .verify import (VerificationReport, generic_infinity_delta,
-                     run_verification)
+                     generic_infinity_factors, run_verification)
 
 __version__ = "0.1.0"
 
@@ -44,6 +45,7 @@ __all__ = [
     "alexander_one_variable",
     "alexander_polynomial",
     "boundary_delta",
+    "boundary_factors",
     "braid_equal",
     "curve_from_json",
     "curve_to_json",
@@ -58,6 +60,7 @@ __all__ = [
     "full_twist",
     "gcd",
     "generic_infinity_delta",
+    "generic_infinity_factors",
     "hat_delta",
     "link_from_json",
     "link_to_json",

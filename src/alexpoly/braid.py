@@ -250,16 +250,17 @@ class Factorization:
 
 
 def validate_factorization(f: Factorization
-                           ) -> list[tuple[BraidWord, BraidWord]]:
+                           ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Require every factor to read literally w s_i^k w^-1 (k != 0) and
     the factors to multiply to the full twist.
 
-    Returns the split (w, s_i^k) of each factor, in order, found by
-    stripping the longest w ... w^-1 wrapping.  The action is faithful,
-    so the product is the full twist exactly when its flat images are
-    the closed form x_j -> P x_j P^-1, P = x_1 ... x_d, of the full
-    twist's; the factors' letters go through the Artin action as one
-    word, read right to left, without building the product braid.
+    Returns the split (w, s_i^k) of each factor, in order, as letter
+    tuples, found by stripping the longest w ... w^-1 wrapping.  The
+    action is faithful, so the product is the full twist exactly when
+    its flat images are the closed form x_j -> P x_j P^-1,
+    P = x_1 ... x_d, of the full twist's; the factors' letters go
+    through the Artin action as one word, read right to left, without
+    building the product braid.
     """
     splits = []
     for idx, factor in enumerate(f.factors):
@@ -272,8 +273,7 @@ def validate_factorization(f: Factorization
         if not core or any(v != core[0] for v in core):
             raise InputError(f"factor {idx} is not of the form w s_i^k w^-1",
                              field="factors")
-        splits.append((BraidWord(f.strands, letters[:k]),
-                       BraidWord(f.strands, core)))
+        splits.append((letters[:k], core))
     try:
         images = _flat_action(f.strands, chain.from_iterable(
             reversed(b.letters) for b in reversed(f.factors)))
@@ -324,10 +324,10 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
     table = _syllable_table(d)
     relators = []
     for w, core in splits:
-        g = abs(core.letters[0])
-        u = _join(_flat_action(d, core.letters)[g - 1], (-g,))
+        g = abs(core[0])
+        u = _join(_flat_action(d, core)[g - 1], (-g,))
         # w^-1 = -l_m ... -l_1 reads -l_1 ... -l_m from the right
-        w_inv = _flat_action(d, map(neg, w.letters))
+        w_inv = _flat_action(d, map(neg, w))
         rel: list[int] = []
         for v in u:
             piece = w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1])

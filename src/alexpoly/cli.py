@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .braid import (braid_from_json, factorization_from_json,
                     strand_components, zvk_presentation)
-from .curve import (affine_counts, boundary_delta, curve_from_json,
+from .curve import (affine_counts, boundary_factors, curve_from_json,
                     euler_characteristic, first_betti, local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
@@ -35,7 +35,7 @@ from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        multivariable_delta, one_variable_delta)
 from .ring import (LaurentPoly, check_degree, cyclotomic_factorization,
                    normalize, parse_poly, poly_to_str)
-from .verify import cyclotomic_text, run_verification
+from .verify import cyclotomic_text, factored_text, run_verification
 
 if TYPE_CHECKING:  # argparse is imported only for help and usage errors
     import argparse
@@ -116,13 +116,10 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     degree = args.hat or None
     obj = load_json_file(args.link)
     if isinstance(obj, dict) and "braid" in obj:
-        link = link_from_json(obj)
+        link = link_from_json(obj, degree)
         if args.marked is not None:
             raise InputError("--marked applies to bare braid files; this "
                              "file sets the marking itself")
-        if degree is not None and link.degree != degree:
-            link = MarkedLink(link.braid, link.colours, marked=link.marked,
-                              degree=degree)
         return link
     braid = braid_from_json(obj)
     bases = sorted(min(comp) for comp in strand_components(braid))
@@ -163,7 +160,7 @@ def cmd_closure(args: SimpleNamespace) -> int:
 def cmd_curve(args: SimpleNamespace) -> int:
     with _reading(args.curve):
         curve = curve_from_json(load_json_file(args.curve))
-        local = local_deltas(curve)
+        bound = boundary_factors(curve, local_deltas(curve))
     counts = affine_counts(curve)
     fields = [  # (JSON key, text label, value)
         ("degree", "degree", curve.degree),
@@ -171,8 +168,7 @@ def cmd_curve(args: SimpleNamespace) -> int:
         ("euler_characteristic", "chi of the divisor",
          euler_characteristic(curve)),
         ("first_betti", "first Betti number", first_betti(curve)),
-        ("boundary_delta", "boundary delta",
-         poly_to_str(boundary_delta(curve, local))),
+        ("boundary_delta", "boundary delta", factored_text(bound)),
         ("affine_points", "affine singular points", counts.s_aff),
         ("affine_chi", "affine chi bound", counts.chi_ns),
     ]
@@ -216,6 +212,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         with _reading(args.infinity):
             delta_inf = one_variable_delta(
                 link_from_json(load_json_file(args.infinity)))
+            check_degree(delta_inf)
     else:
         with _reading("--infinity"):
             delta_inf = parse_poly(args.infinity, nvars=1)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .linkpoly import MarkedLink, hat_delta, link_from_json, link_to_json
-from .ring import LaurentPoly, normalize
+from .ring import LaurentPoly, cyclotomic_factorization, normalize
+
+#: A univariate polynomial up to units in cyclotomic coordinates: the
+#: exponent of each Phi_n dividing it, keyed by n, and the unit-normal
+#: remainder free of cyclotomic factors, as ``cyclotomic_factorization``
+#: returns them; None stands for zero.
+Factored = tuple[dict[int, int], LaurentPoly] | None
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,33 @@ def local_deltas(curve: CurveData) -> list[LaurentPoly]:
 
 def boundary_delta(curve: CurveData, local: list[LaurentPoly]) -> LaurentPoly:
     """(1 - t)^{b_1(C union L)} times the hat invariants ``local`` of
-    all singular points, each distinct one raised to its count."""
+    all singular points, each distinct one raised to its count: the
+    expansion of ``boundary_factors``, up to units."""
     out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve)
     for hat, count in Counter(local).items():
         out = out * hat ** count
     return normalize(out)
+
+
+def boundary_factors(curve: CurveData, local: list[LaurentPoly]) -> Factored:
+    """The boundary product of ``boundary_delta`` in cyclotomic
+    coordinates, with nothing expanded: Phi_1 has exponent
+    b_1(C union L) plus, like every other Phi_n, its exponent in each
+    distinct hat of ``local`` times the hat's count, and the remainder is
+    the product of the hats' remainders.  Each distinct hat is factored
+    once; None when a hat, hence the product, is zero.  A hat past
+    ``MAX_DEGREE`` raises InputError."""
+    exps = Counter({1: first_betti(curve)})
+    remainder = LaurentPoly.one(1)
+    for hat, count in Counter(local).items():
+        if hat.is_zero:
+            return None
+        hat_exps, hat_remainder = cyclotomic_factorization(hat)
+        for n, e in hat_exps.items():
+            exps[n] += count * e
+        if not hat_remainder.is_unit:
+            remainder = remainder * hat_remainder ** count
+    return {n: e for n, e in sorted(exps.items()) if e}, normalize(remainder)
 
 
 @dataclass(frozen=True)

@@ -162,13 +162,14 @@ def marked_torus_link(strands: int, degree: int) -> MarkedLink:
 # JSON format
 
 
-def link_from_json(obj: object) -> MarkedLink:
+def link_from_json(obj: object, degree: int | None = None) -> MarkedLink:
     """Decode {"braid": {...}, "colours": {"1": 1, ...},
     "marked": 1 | null, "degree": d | null} link data.
 
     Strands are numbered from 1 in the JSON (matching braid letters);
     each component is keyed by its smallest strand, written in plain
-    decimal ("2", never "02" or " 2").
+    decimal ("2", never "02" or " 2").  A ``degree`` given here takes
+    the place of the file's, once the file's own fields are checked.
     """
     if not isinstance(obj, dict):
         raise InputError("link must be a JSON object")
@@ -206,11 +207,13 @@ def link_from_json(obj: object) -> MarkedLink:
             raise InputError("marked must be the base strand of a component "
                              "or null", field="marked")
         marked -= 1
-    degree = obj.get("degree")
-    if degree is not None and type(degree) is not int:
+    file_degree = obj.get("degree")
+    if file_degree is not None and type(file_degree) is not int:
         raise InputError("degree must be an integer or null", field="degree")
-    if marked is not None and (degree is None or degree < 1):
+    if marked is not None and (file_degree is None or file_degree < 1):
         raise InputError("a marked link needs a degree >= 1", field="degree")
+    if degree is None:
+        degree = file_degree
     try:
         return MarkedLink(braid, colours, marked=marked, degree=degree)
     except ValueError as exc:

@@ -138,12 +138,18 @@ def _find_unit(rows: list[Row]) -> tuple[int, int] | None:
 
 
 def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
-    """Clear column j with the unit pivot at (i, j), then delete row i, col j."""
+    """Clear column j with the unit pivot at (i, j), then delete row i, col j.
+
+    A row whose entry in column j is already zero keeps its other
+    entries as they are."""
     pivot_row = rows[i]
     inv = pivot_row[j] ** -1
     out: list[Row] = []
     for r, row in enumerate(rows):
         if r == i:
+            continue
+        if row[j].is_zero:
+            out.append(row[:j] + row[j + 1:])
             continue
         factor = row[j] * inv
         out.append(tuple(row[c] - factor * pivot_row[c]

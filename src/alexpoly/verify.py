@@ -4,9 +4,17 @@ local data of its singularities and its behaviour at infinity.
 Five checks are run: divisibility into the invariant at infinity,
 divisibility into the boundary product, bounds on the multiplicity of
 (1 - t), a squared-divisibility budget after stripping (1 - t), and
-cyclotomicity of the invariant.  Every divisibility that holds is
-witnessed by an explicit quotient which is re-verified by multiplying
-back.
+cyclotomicity of the invariant.
+
+The invariant, the invariant at infinity and the boundary product are
+compared in cyclotomic coordinates (``curve.Factored``): the exponent of
+each Phi_n and a remainder free of cyclotomic factors.  By unique
+factorization in Q[t], a divides b exactly when no Phi_n has a larger
+exponent in a than in b and a's remainder divides b's, so nothing is
+expanded: only the remainders go through exact division, and every
+quotient of remainders is re-verified by multiplying back.  Divisors,
+quotients and boundary products print as ``Phi_n^e`` products with any
+remainder appended in parentheses.
 
 ``run_verification`` derives the local invariants, the boundary product
 and the invariant's cyclotomic factorization once for all checks; a
@@ -15,11 +23,10 @@ check that does not apply reports ``inapplicable`` and does not fail.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from math import prod
 
-from .curve import CurveData, affine_counts, boundary_delta, first_betti, local_deltas
+from .curve import (CurveData, Factored, affine_counts, boundary_factors,
+                    first_betti, local_deltas)
 from .errors import ComputationError
 from .ring import (
     INFINITY,
@@ -27,7 +34,6 @@ from .ring import (
     cyclotomic_factorization,
     equal_up_to_units,
     exact_divide,
-    multiplicity,
     normalize,
     poly_to_str,
 )
@@ -37,8 +43,6 @@ FAIL = "fail"
 SKIP = "inapplicable"
 
 _ONE_MINUS_T = LaurentPoly.univariate({0: 1, 1: -1})
-
-DeltaFactors = tuple[dict[int, int], LaurentPoly] | None  # None for a zero invariant
 
 
 @dataclass
@@ -95,6 +99,62 @@ def _witnessed_division(divisor: LaurentPoly, dividend: LaurentPoly):
     return True, quotient
 
 
+def _factored(p: LaurentPoly) -> Factored:
+    return None if p.is_zero else cyclotomic_factorization(p)
+
+
+def _factored_division(divisor: Factored, dividend: Factored
+                       ) -> tuple[bool, Factored]:
+    """(divides, quotient) in cyclotomic coordinates."""
+    if divisor is None:  # zero divides only zero, with quotient 1
+        if dividend is None:
+            return True, ({}, LaurentPoly.one(1))
+        return False, None
+    if dividend is None:
+        return True, None
+    (a, r), (b, s) = divisor, dividend
+    if any(b.get(n, 0) < e for n, e in a.items()):
+        return False, None
+    ok, quotient = (True, s) if r.is_unit else _witnessed_division(r, s)
+    if not ok:
+        return False, None
+    return True, ({n: e - a.get(n, 0) for n, e in b.items() if e != a.get(n, 0)},
+                  quotient)
+
+
+def _times_phi1(f: Factored, k: int) -> Factored:
+    """f times Phi_1^k; k may be negative down to minus f's exponent."""
+    if f is None:
+        return None
+    exps = dict(f[0])
+    e = exps.pop(1, 0) + k
+    if e:
+        exps[1] = e
+    return exps, f[1]
+
+
+def factored_text(f: Factored) -> str:
+    """``cyclotomic_text`` of the Phi_n exponents, times any remainder in
+    parentheses; "0" for zero."""
+    if f is None:
+        return "0"
+    factors, remainder = f
+    if remainder.is_unit:
+        return cyclotomic_text(factors)
+    text = f"({poly_to_str(remainder)})"
+    return f"{cyclotomic_text(factors)} * {text}" if factors else text
+
+
+def generic_infinity_factors(degree: int) -> Factored:
+    """``generic_infinity_delta`` in cyclotomic coordinates:
+    Phi_1^(d-1) times Phi_n^(d-2) for every divisor n > 1 of d."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    exps = {n: degree - 1 if n == 1 else degree - 2
+            for n in range(1, degree + 1) if degree % n == 0}
+    return {n: e for n, e in exps.items() if e}, LaurentPoly.one(1)
+
+
 def generic_infinity_delta(degree: int) -> LaurentPoly:
     """Invariant of the link at infinity of a degree-d curve transverse
     to the line: (t - 1)(t^d - 1)^{d-2}."""
@@ -119,30 +179,33 @@ def derive_transverse(curve: CurveData, local: list[LaurentPoly]) -> bool:
 # the five checks
 
 
-def check_infinity(delta: LaurentPoly, delta_inf: LaurentPoly) -> CheckResult:
-    """The invariant divides the invariant at infinity."""
-    ok, witness = _witnessed_division(delta, delta_inf)
+def check_infinity(delta: LaurentPoly, delta_inf: Factored,
+                   factorization: Factored) -> CheckResult:
+    """The invariant, factored as ``factorization``, divides the
+    invariant at infinity ``delta_inf``."""
+    ok, witness = _factored_division(factorization, delta_inf)
     left = poly_to_str(normalize(delta))
-    right = poly_to_str(normalize(delta_inf))
+    right = factored_text(delta_inf)
     if ok:
         return CheckResult(
             "infinity", PASS,
             f"({left}) divides ({right})",
-            left=left, right=right, witness=poly_to_str(witness))
+            left=left, right=right, witness=factored_text(witness))
     return CheckResult(
         "infinity", FAIL,
         f"({left}) does not divide ({right})",
         left=left, right=right)
 
 
-def check_local(delta: LaurentPoly, curve: CurveData, local: list[LaurentPoly],
-                bound: LaurentPoly, factorization: DeltaFactors) -> CheckResult:
+def check_local(delta: LaurentPoly, curve: CurveData, bound: Factored,
+                factorization: Factored) -> CheckResult:
     """The invariant divides the boundary product ``bound``; for an
     irreducible curve it already divides the product of the local
-    invariants ``local`` and is coprime to 1 - t."""
+    invariants, ``bound`` without its (1 - t)^{b_1(C union L)}, and is
+    coprime to 1 - t."""
     left = poly_to_str(normalize(delta))
-    right = poly_to_str(bound)
-    ok, witness = _witnessed_division(delta, bound)
+    right = factored_text(bound)
+    ok, witness = _factored_division(factorization, bound)
     if not ok:
         return CheckResult(
             "local", FAIL,
@@ -150,15 +213,16 @@ def check_local(delta: LaurentPoly, curve: CurveData, local: list[LaurentPoly],
             left=left, right=right)
     detail = f"({left}) divides the boundary product"
     if curve.n_curve_components == 1:
-        product = normalize(prod(local, start=LaurentPoly.one(1)))
-        ok2, _ = _witnessed_division(delta, product)
+        product = _times_phi1(bound, -first_betti(curve))
+        ok2, _ = _factored_division(factorization, product)
         coprime = factorization is not None and 1 not in factorization[0]
         if not ok2:
+            product_text = factored_text(product)
             return CheckResult(
                 "local", FAIL,
                 f"irreducible case: ({left}) does not divide the bare local "
-                f"product ({poly_to_str(product)})",
-                left=left, right=poly_to_str(product))
+                f"product ({product_text})",
+                left=left, right=product_text)
         if not coprime:
             return CheckResult(
                 "local", FAIL,
@@ -166,11 +230,11 @@ def check_local(delta: LaurentPoly, curve: CurveData, local: list[LaurentPoly],
                 left=left, right=right)
         detail += "; irreducible extras hold"
     return CheckResult("local", PASS, detail,
-                       left=left, right=right, witness=poly_to_str(witness))
+                       left=left, right=right, witness=factored_text(witness))
 
 
 def check_l1_bounds(delta: LaurentPoly, curve: CurveData, transverse: bool,
-                    factorization: DeltaFactors) -> CheckResult:
+                    factorization: Factored) -> CheckResult:
     """Bounds on the multiplicity m of (1 - t) in the invariant:
     l - 1 <= m always, m <= d - 1 with a nonzero invariant when the
     line is transverse, and m = 0 for an irreducible curve."""
@@ -205,41 +269,32 @@ def check_l1_bounds(delta: LaurentPoly, curve: CurveData, transverse: bool,
     return CheckResult("l1-bounds", PASS, "; ".join(pieces), left=left)
 
 
-def check_cf_ledger(delta: LaurentPoly, curve: CurveData, local: list[LaurentPoly],
-                    factorization: DeltaFactors) -> CheckResult:
+def check_cf_ledger(delta: LaurentPoly, curve: CurveData, bound: Factored,
+                    factorization: Factored) -> CheckResult:
     """Squared divisibility with a (1 - t) budget.
 
-    Write the invariant as (1 - t)^a D and the boundary product as
-    (1 - t)^b R with D, R coprime to 1 - t.  The check requires
+    Write the invariant as (1 - t)^a D and the boundary product ``bound``
+    as (1 - t)^b R with D, R coprime to 1 - t.  The check requires
     2a <= b + e for e = l - s - chi and D^2 | R, and reports the budget
-    per cyclotomic factor of R.  a and the Phi_n counts of D come from
-    ``factorization``, b and R from the distinct invariants in ``local``.
+    per cyclotomic factor of R.  a and D come from ``factorization``.
     """
     if delta.is_zero:
         return CheckResult(
             "cf-ledger", FAIL,
             "zero invariant admits no squared-divisibility certificate")
-    distinct = Counter(local)
-    if any(hat.is_zero for hat in distinct):
+    if bound is None:
         return CheckResult("cf-ledger", SKIP, "the boundary product is zero")
     counts = affine_counts(curve)
     e = counts.ell - counts.s_aff - counts.chi_ns
-    delta_factors = factorization[0]
-    a = delta_factors.get(1, 0)
-    stripped = normalize(exact_divide(normalize(delta), _ONE_MINUS_T ** a))
-    b = first_betti(curve)
-    remainder = LaurentPoly.one(1)
-    for hat, count in distinct.items():
-        k = multiplicity(hat, _ONE_MINUS_T)
-        b += count * k
-        remainder = remainder * exact_divide(hat, _ONE_MINUS_T ** k) ** count
-    remainder = normalize(remainder)
+    a = factorization[0].get(1, 0)
+    b = bound[0].get(1, 0)
+    stripped = _times_phi1(factorization, -a)
+    remainder = _times_phi1(bound, -b)
 
     ledger = []
-    factors, noncyc = cyclotomic_factorization(remainder)
-    for n in sorted(factors):
-        mult_r = factors[n]
-        mult_d = delta_factors.get(n, 0)
+    for n in sorted(remainder[0]):
+        mult_r = remainder[0][n]
+        mult_d = stripped[0].get(n, 0)
         ledger.append({"phi": n, "in_invariant": mult_d, "in_boundary": mult_r,
                        "ok": 2 * mult_d <= mult_r})
     ledger.append({"phi": 1, "in_invariant": a,
@@ -249,15 +304,17 @@ def check_cf_ledger(delta: LaurentPoly, curve: CurveData, local: list[LaurentPol
         return CheckResult(
             "cf-ledger", FAIL,
             f"(1 - t) budget violated: 2*{a} > {b} + {e}", ledger=ledger)
-    square = normalize(stripped * stripped)
-    ok, witness = _witnessed_division(square, remainder)
+    square = ({n: 2 * k for n, k in stripped[0].items()},
+              stripped[1] * stripped[1])
+    ok, witness = _factored_division(square, remainder)
     if not ok:
         return CheckResult(
             "cf-ledger", FAIL,
-            f"({poly_to_str(stripped)})^2 does not divide "
-            f"({poly_to_str(remainder)})",
-            left=poly_to_str(square), right=poly_to_str(remainder),
+            f"({factored_text(stripped)})^2 does not divide "
+            f"({factored_text(remainder)})",
+            left=factored_text(square), right=factored_text(remainder),
             ledger=ledger)
+    noncyc = remainder[1]
     if not noncyc.is_unit:
         detail_extra = f"; boundary keeps non-cyclotomic part {poly_to_str(noncyc)}"
     else:
@@ -266,11 +323,11 @@ def check_cf_ledger(delta: LaurentPoly, curve: CurveData, local: list[LaurentPol
         "cf-ledger", PASS,
         f"2a <= b + e ({2 * a} <= {b} + {e}) and the squared stripped "
         f"invariant divides the stripped boundary{detail_extra}",
-        left=poly_to_str(square), right=poly_to_str(remainder),
-        witness=poly_to_str(witness), ledger=ledger)
+        left=factored_text(square), right=factored_text(remainder),
+        witness=factored_text(witness), ledger=ledger)
 
 
-def check_cyclotomic(delta: LaurentPoly, factorization: DeltaFactors) -> CheckResult:
+def check_cyclotomic(delta: LaurentPoly, factorization: Factored) -> CheckResult:
     """The invariant is a unit times a product of cyclotomic polynomials."""
     left = poly_to_str(normalize(delta))
     if delta.is_zero:
@@ -300,14 +357,21 @@ def cyclotomic_text(factors: dict[int, int]) -> str:
 
 def run_verification(curve: CurveData, delta: LaurentPoly,
                      delta_inf: LaurentPoly | None = None) -> VerificationReport:
+    """The five checks of ``delta`` against ``curve``, at infinity against
+    ``delta_inf`` (by default the generic one, taken in closed form).
+    InputError when a polynomial to factor, a hat included, is past
+    ``MAX_DEGREE``."""
     if delta_inf is None:
-        delta_inf = generic_infinity_delta(curve.degree)
+        inf = generic_infinity_factors(curve.degree)
+    else:
+        inf = _factored(delta_inf)
     local = local_deltas(curve)
-    factorization = None if delta.is_zero else cyclotomic_factorization(delta)
+    factorization = _factored(delta)
+    bound = boundary_factors(curve, local)
     return VerificationReport([
-        check_infinity(delta, delta_inf),
-        check_local(delta, curve, local, boundary_delta(curve, local), factorization),
+        check_infinity(delta, inf, factorization),
+        check_local(delta, curve, bound, factorization),
         check_l1_bounds(delta, curve, derive_transverse(curve, local), factorization),
-        check_cf_ledger(delta, curve, local, factorization),
+        check_cf_ledger(delta, curve, bound, factorization),
         check_cyclotomic(delta, factorization),
     ])

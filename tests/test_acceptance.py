@@ -12,7 +12,7 @@ import pytest
 
 from alexpoly.braid import (factorization_from_json, validate_factorization,
                             zvk_presentation)
-from alexpoly.curve import (boundary_delta, curve_from_json, first_betti,
+from alexpoly.curve import (boundary_factors, curve_from_json, first_betti,
                             local_deltas)
 from alexpoly.fox import alexander_one_variable
 from alexpoly.group import (AbelMap, Presentation, Word, load_json_file,
@@ -156,8 +156,7 @@ def test_criterion_8_six_cusp_sextic():
 
     curve = curve_from_json(
         load_json_file(str(DATA / "zariski_sextic" / "curve.json")))
-    local = local_deltas(curve)
-    assert check_local(delta, curve, local, boundary_delta(curve, local),
+    assert check_local(delta, curve, boundary_factors(curve, local_deltas(curve)),
                        cyclotomic_factorization(delta)).ok
     assert first_betti(curve) == 13
     done(8, "six-cusp sextic: delta is the order-6 cyclotomic, b1 = 13")

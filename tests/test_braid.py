@@ -213,6 +213,12 @@ def test_factorization_products_are_full_twists():
         validate_factorization(f)
 
 
+def test_validate_returns_letter_splits():
+    # (w, s_i^k) of each factor w s_i^k w^-1, as letter tuples
+    assert validate_factorization(cuspidal_cubic()) == [
+        ((), (1, 1, 1)), ((-1,), (2,)), ((), (1,)), ((), (2,))]
+
+
 def test_validate_rejects_wrong_product():
     with pytest.raises(InputError):
         validate_factorization(Factorization(2, (B(2, 1),)))

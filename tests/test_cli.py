@@ -133,6 +133,8 @@ def test_curve_sextic_json(capsys):
     assert payload["degree"] == 6
     assert payload["curve_components"] == 1
     assert payload["first_betti"] == 13
+    # the boundary product (1 - t)^13 (1 - t)^6 (t^2 - t + 1)^6, factored
+    assert payload["boundary_delta"] == "Phi_1^19 * Phi_6^6"
 
 
 @pytest.mark.parametrize("name", ["two_lines", "cuspidal_cubic",
@@ -222,12 +224,15 @@ def test_closure_one_flag_trefoil(capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--multi"], ["--hat"],
-                                   ["--hat", "6", "--marked", "1"]])
+                                   ["--hat", "6", "--marked", "1"],
+                                   ["--hat", "7"]])
 @pytest.mark.parametrize("bare", [False, True])
 def test_closure_computes_components_at_most_twice(capsys, monkeypatch,
                                                    tmp_path, flags, bare):
     # MarkedLink keeps its components; the decoder finds them once more
-    # to check the colour keys (a bare braid: to colour them)
+    # to check the colour keys (a bare braid: to colour them).  A --hat
+    # degree that overrides a link file's goes into the one MarkedLink
+    # the decoder builds
     calls = []
     count = alexpoly.braid.strand_components
 
@@ -242,8 +247,12 @@ def test_closure_computes_components_at_most_twice(capsys, monkeypatch,
         path = tmp_path / "t55_braid.json"
         path.write_text(json.dumps({"strands": 5, "word": [1, 2, 3, 4] * 5}),
                         encoding="utf-8")
+        if flags == ["--hat", "7"]:
+            flags = flags + ["--marked", "1"]
     elif "--marked" in flags:
         flags = ["--hat", "5"]  # the file's own marking and degree
+    elif flags == ["--hat", "7"]:  # the file says degree 3
+        path = DATA / "torus" / "t33.json"
     code, _, err = run_cli(capsys, "closure", str(path), *flags)
     assert (code, err) == (0, "")
     assert 1 <= len(calls) <= 2
@@ -440,17 +449,52 @@ def test_verify_arrangement_derives_local_data_once(capsys, tmp_path,
                                                     monkeypatch):
     # 66 nodes and 12 points on L share two distinct links; checks that
     # each derived them for themselves made 168 hat_delta calls and two
-    # boundary products
+    # boundary products.  The boundary product is never expanded: the
+    # invariant is factored once, and so is t - 1, the hat of both links
     path = tmp_path / "arrangement12.json"
     path.write_text(json.dumps(arrangement_curve(12)), encoding="utf-8")
     delta = poly_to_str(LaurentPoly.univariate({0: -1, 1: 1}) ** 11)
     hats = count_calls(monkeypatch, alexpoly.linkpoly, "hat_delta")
     boundaries = count_calls(monkeypatch, alexpoly.curve, "boundary_delta")
+    factored = count_calls(monkeypatch, alexpoly.ring.cyclotomic,
+                           "cyclotomic_factorization")
     code, out, _ = run_cli(capsys, "verify", str(path), "--delta", delta)
     assert code == 0
     assert out.splitlines()[-1] == "overall: pass"
     assert len(hats) == 2
-    assert len(boundaries) == 1
+    assert len(boundaries) == 0
+    assert len(factored) == 2
+
+
+def test_verify_96_lines(capsys, tmp_path):
+    # the generic 96-line arrangement with (t - 1)^95 written out: 4,560
+    # nodes and 96 points on L; Delta_inf has degree 9,025 and is never
+    # written out
+    path = tmp_path / "arrangement96.json"
+    path.write_text(json.dumps(arrangement_curve(96)), encoding="utf-8")
+    delta = poly_to_str(LaurentPoly.univariate({0: -1, 1: 1}) ** 95)
+    code, out, _ = run_cli(capsys, "verify", str(path), "--delta", delta)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "overall: pass"
+    assert lines[0].endswith(
+        "divides (Phi_1^95 * Phi_2^94 * Phi_3^94 * Phi_4^94 * Phi_6^94 * "
+        "Phi_8^94 * Phi_12^94 * Phi_16^94 * Phi_24^94 * Phi_32^94 * "
+        "Phi_48^94 * Phi_96^94)")
+    assert lines[1].startswith("pass         local: ")
+
+
+@pytest.mark.parametrize("argv", [["curve"], ["verify", "--delta", "1"]])
+def test_hat_degree_limit_names_the_curve(capsys, monkeypatch, argv):
+    # the cusp's hat t^2 - t + 1 is factored for the boundary product:
+    # past the limit it is refused with the curve file named, like an
+    # invariant past it
+    monkeypatch.setattr(alexpoly.ring.cyclotomic, "MAX_DEGREE", 1)
+    curve = str(DATA / "cuspidal_cubic" / "curve.json")
+    code, out, err = run_cli(capsys, argv[0], curve, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {curve}: degree 2 exceeds the cyclotomic "
+                   "extraction limit 1\n")
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

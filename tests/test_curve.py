@@ -10,6 +10,7 @@ from alexpoly.curve import (
     Singularity,
     affine_counts,
     boundary_delta,
+    boundary_factors,
     curve_from_json,
     curve_to_json,
     euler_characteristic,
@@ -18,7 +19,7 @@ from alexpoly.curve import (
 )
 from alexpoly.errors import InputError
 from alexpoly.linkpoly import MarkedLink
-from alexpoly.ring import normalize, parse_poly
+from alexpoly.ring import LaurentPoly, cyclotomic_polynomial, normalize, parse_poly
 
 
 def P(text):
@@ -153,6 +154,36 @@ def test_boundary_delta_two_lines():
 def test_boundary_delta_nodal_cubic():
     # (1-t)^3 from the divisor, (t-1) from the node, (1-t) per crossing
     assert boundary_of(nodal_cubic_curve()) == normalize(P("t - 1") ** 7)
+
+
+def test_boundary_factors():
+    # the sextic: (1-t)^13, one (1 - t) per crossing, Phi_6 per cusp
+    one = LaurentPoly.one(1)
+    assert boundary_factors(cuspidal_sextic_curve(),
+                            local_deltas(cuspidal_sextic_curve())) == \
+        ({1: 19, 6: 6}, one)
+    assert boundary_factors(nodal_cubic_curve(),
+                            local_deltas(nodal_cubic_curve())) == ({1: 7}, one)
+    # a figure-eight knot at a point off the line keeps its remainder
+    eight = Singularity(MarkedLink(BraidWord(3, (1, -2, 1, -2)), {0: 1}),
+                        on_L=False)
+    curve = CurveData(nodal_cubic_curve().components,
+                      nodal_cubic_curve().singularities + (eight, eight))
+    local = local_deltas(curve)
+    factors, remainder = boundary_factors(curve, local)
+    assert (factors, remainder) == ({1: 7}, normalize(P("t^2 - 3*t + 1") ** 2))
+    # boundary_delta is its expansion
+    expanded = normalize(cyclotomic_polynomial(1) ** 7 * remainder)
+    assert boundary_delta(curve, local) == expanded
+
+
+def test_boundary_factors_zero_hat():
+    # the marked T(3,3) of degree 2 has hat 0, and so has the product
+    link = MarkedLink(BraidWord(3, (1, 2) * 3), {0: 0, 1: 1, 2: 2},
+                      marked=0, degree=2)
+    curve = CurveData(two_lines_curve().components, (Singularity(link, True),))
+    assert boundary_factors(curve, local_deltas(curve)) is None
+    assert boundary_of(curve).is_zero
 
 
 def test_affine_counts():

@@ -109,6 +109,23 @@ def test_minor_gcd_matches_smith_form(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_contract_passes_rows_with_zero_pivot_entry():
+    # a row whose entry in the pivot column is zero keeps its other
+    # entries, the same objects, with no multiply or subtract
+    t = LaurentPoly.univariate
+    rows = [(t({0: 1}), t({1: 1}), t({0: -1, 1: 1})),
+            (ZERO, t({0: 1, 1: 1}), t({2: 3})),
+            (t({2: 1}), ZERO, t({0: -1, 3: 1})),
+            (ZERO, ZERO, t({1: 2, 0: 1}))]
+    out = minors._contract(rows, 0, 0)
+    assert len(out) == 3
+    for kept, row in ((out[0], rows[1]), (out[2], rows[3])):
+        assert all(a is b for a, b in zip(kept, row[1:], strict=True))
+    assert out[1] == (t({3: -1}), t({2: 1, 0: -1}))  # row - t^2 pivot row
+    for k in (1, 2, 3):
+        assert minors.minor_gcd(rows, k, 1) == reference._snf_minor_gcd(rows, k)
+
+
 @pytest.fixture
 def compared(monkeypatch):
     """Route every one-variable minor gcd through both loops, asserting

@@ -4,7 +4,7 @@ import pytest
 
 from alexpoly.braid import BraidWord
 from alexpoly.curve import (CurveComponent, CurveData, Singularity,
-                            boundary_delta, local_deltas)
+                            boundary_factors, local_deltas)
 from alexpoly.linkpoly import MarkedLink
 from alexpoly.ring import (LaurentPoly, cyclotomic_factorization, normalize,
                            parse_poly)
@@ -17,7 +17,9 @@ from alexpoly.verify import (
     check_local,
     cyclotomic_text,
     derive_transverse,
+    factored_text,
     generic_infinity_delta,
+    generic_infinity_factors,
     run_verification,
 )
 
@@ -31,10 +33,16 @@ def factored(delta):
     return None if delta.is_zero else cyclotomic_factorization(delta)
 
 
+def infinity_check(delta, delta_inf):
+    return check_infinity(delta, factored(delta_inf), factored(delta))
+
+
+def bound(curve):
+    return boundary_factors(curve, local_deltas(curve))
+
+
 def local_check(delta, curve):
-    local = local_deltas(curve)
-    return check_local(delta, curve, local, boundary_delta(curve, local),
-                       factored(delta))
+    return check_local(delta, curve, bound(curve), factored(delta))
 
 
 def l1_check(delta, curve, transverse):
@@ -42,7 +50,7 @@ def l1_check(delta, curve, transverse):
 
 
 def ledger_check(delta, curve):
-    return check_cf_ledger(delta, curve, local_deltas(curve), factored(delta))
+    return check_cf_ledger(delta, curve, bound(curve), factored(delta))
 
 
 def cyclo_check(delta):
@@ -102,6 +110,13 @@ def test_generic_infinity_values():
     assert generic_infinity_delta(3) == normalize(P("t - 1") * P("t^3 - 1"))
     with pytest.raises(ValueError):
         generic_infinity_delta(0)
+    # Phi_1^(d-1) times Phi_n^(d-2) for n | d, n > 1, with no remainder
+    assert generic_infinity_factors(1) == ({}, LaurentPoly.one(1))
+    assert generic_infinity_factors(2) == ({1: 1}, LaurentPoly.one(1))
+    assert generic_infinity_factors(6) == (
+        {1: 5, 2: 4, 3: 4, 6: 4}, LaurentPoly.one(1))
+    with pytest.raises(ValueError):
+        generic_infinity_factors(0)
 
 
 def test_derive_transverse():
@@ -127,33 +142,58 @@ def test_cyclotomic_text():
     assert cyclotomic_text({1: 2, 6: 1}) == "Phi_1^2 * Phi_6"
 
 
+def test_factored_text():
+    assert factored_text(None) == "0"
+    assert factored_text(({}, LaurentPoly.one(1))) == "1"
+    assert factored_text(({1: 2, 6: 1}, LaurentPoly.one(1))) == "Phi_1^2 * Phi_6"
+    assert factored_text(({}, P("t^2 - 3*t + 1"))) == "(t^2 - 3*t + 1)"
+    assert factored_text(({3: 1}, P("t^2 - 3*t + 1"))) == \
+        "Phi_3 * (t^2 - 3*t + 1)"
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
 def test_check_infinity_pass_and_witness():
-    res = check_infinity(P("t - 1"), generic_infinity_delta(3))
+    res = infinity_check(P("t - 1"), generic_infinity_delta(3))
     assert res.status == "pass"
-    assert res.witness == "t^3 - 1"
+    assert res.right == "Phi_1^2 * Phi_3"
+    assert res.witness == "Phi_1 * Phi_3"
+    assert res.detail == "(t - 1) divides (Phi_1^2 * Phi_3)"
+
+
+def test_check_infinity_remainders():
+    # only the non-cyclotomic remainders are divided
+    knot = P("t^2 - 3*t + 1")
+    delta_inf = normalize(knot * knot * P("t^3 - 1"))
+    res = infinity_check(normalize(knot * P("t - 1")), delta_inf)
+    assert res.status == "pass"
+    assert res.right == "Phi_1 * Phi_3 * (t^4 - 6*t^3 + 11*t^2 - 6*t + 1)"
+    assert res.witness == "Phi_3 * (t^2 - 3*t + 1)"
+    assert infinity_check(normalize(knot * knot * knot),
+                          delta_inf).status == "fail"
 
 
 def test_check_infinity_fail():
-    res = check_infinity(P("t^2 + t + 1"), generic_infinity_delta(2))
+    res = infinity_check(P("t^2 + t + 1"), generic_infinity_delta(2))
     assert res.status == "fail"
     assert res.witness is None
 
 
 def test_check_infinity_zero_cases():
     zero = LaurentPoly.zero(1)
-    assert check_infinity(zero, zero).status == "pass"
-    assert check_infinity(zero, P("t - 1")).status == "fail"
-    assert check_infinity(P("t - 1"), zero).status == "pass"
+    assert infinity_check(zero, zero).witness == "1"
+    assert infinity_check(zero, P("t - 1")).status == "fail"
+    res = infinity_check(P("t - 1"), zero)
+    assert (res.status, res.right, res.witness) == ("pass", "0", "0")
 
 
 def test_check_local_two_lines():
     res = local_check(P("t - 1"), two_lines_curve())
     assert res.status == "pass"
-    assert res.witness == "t^3 - 3*t^2 + 3*t - 1"
+    assert res.right == "Phi_1^4"
+    assert res.witness == "Phi_1^3"
 
 
 def test_check_local_fail():
