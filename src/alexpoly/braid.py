@@ -6,24 +6,23 @@ to x_i, fixing the rest; negative letters act by the inverse rule.
 Letters of a word act left to right.  The action is faithful, so braid
 equality is decided by comparing generator images.
 
-Inside this module free-group words are flat: tuples of signed letters
-+-(g + 1) standing for x_g^+-1, freely reduced, so that an inverse is
-the reversed, negated tuple and a product of reduced words cancels only
-at its seam.  They become syllable ``Word``s once, on the way out.  The
-``MAX_SYLLABLES`` budget on the images is checked on their letter count,
-which is never below their syllable count; syllables are counted only
-once the letters pass the bound.
+Free-group words here are the letter tuples that ``group.Word`` stores,
+signed letters +-(g + 1) standing for x_g^+-1, freely reduced; the
+images and relators built from them are handed to ``Word`` as they are.
+The ``MAX_SYLLABLES`` budget on the images is checked on their letter
+count, which is never below their syllable count; syllables are counted
+only once the letters pass the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from operator import eq, neg
 from typing import Iterable
 
 from .errors import InputError
-from .group import AbelMap, Presentation, Syllable, Word, _word
+from .group import AbelMap, Letters, Presentation, Word, _inverse, _join, _word
 
 
 @dataclass(frozen=True)
@@ -61,35 +60,20 @@ class BraidWord:
 #: generic 32-line arrangement reaches 7,476.
 MAX_SYLLABLES = 100_000
 
-Flat = tuple[int, ...]
 
-
-def _join(x: Flat, y: Flat) -> Flat:
-    """Reduced product of two reduced flat words: letters cancel
-    pairwise from the seam outwards, the rest is already reduced."""
-    i, j, n = len(x), 0, len(y)
-    while i and j < n and x[i - 1] == -y[j]:
-        i -= 1
-        j += 1
-    return x[:i] + y[j:]
-
-
-def _inverse(x: Flat) -> Flat:
-    return tuple(map(neg, reversed(x)))
-
-
-def _syllable_count(images: list[Flat]) -> int:
-    """Syllables of the flat words in all: letters minus equal neighbours."""
+def _syllable_count(images: list[Letters]) -> int:
+    """Syllables of the words in all: letters minus equal neighbours."""
     return sum(len(w) - sum(map(eq, w, islice(w, 1, None))) for w in images)
 
 
-def _flat_action(strands: int, reversed_letters: Iterable[int]) -> list[Flat]:
-    """Flat generator images of the braid whose letters, read right to
-    left, are ``reversed_letters``; see ``artin_action``."""
+def _letter_action(strands: int, reversed_letters: Iterable[int]
+                   ) -> list[Letters]:
+    """Generator images, as letter tuples, of the braid whose letters,
+    read right to left, are ``reversed_letters``; see ``artin_action``."""
     images = [(g,) for g in range(1, strands + 1)]
     # an image's inverse while it is known, else None: an image that a
     # letter moves keeps its inverse, a new one has none until needed
-    inverses: list[Flat | None] = [(-g,) for g in range(1, strands + 1)]
+    inverses: list[Letters | None] = [(-g,) for g in range(1, strands + 1)]
     total = strands  # letters in all, never fewer than syllables
     for letter in reversed_letters:
         if letter > 0:  # images[i], images[letter] are a, b
@@ -122,34 +106,12 @@ def _flat_action(strands: int, reversed_letters: Iterable[int]) -> list[Flat]:
     return images
 
 
-def _syllable_table(strands: int) -> tuple[Syllable | None, ...]:
-    """The syllable of each letter, at index letter: (g, 1) at g + 1 and
-    (g, -1) at -(g + 1), counted from the end."""
-    return ((None,) + tuple((g, 1) for g in range(strands))
-            + tuple((g, -1) for g in reversed(range(strands))))
-
-
-def _flat_word(w: Flat, table: tuple[Syllable | None, ...]) -> Word:
-    """The Word of a reduced flat word; ``table`` is ``_syllable_table``
-    of at least its strands.  Runs of one letter, which relators hold,
-    merge into one syllable."""
-    if not any(map(eq, w, islice(w, 1, None))):
-        return _word(tuple(map(table.__getitem__, w)))
-    pairs = []
-    for v, run in groupby(w):
-        n = len(tuple(run))
-        pairs.append(table[v] if n == 1 else (v - 1, n) if v > 0
-                     else (-v - 1, -n))
-    return _word(tuple(pairs))
-
-
 def artin_action(braid: BraidWord) -> list[Word]:
     """Images of the free generators under the braid, letters acting
     left to right.
 
-    The images are built as flat words, tuples of signed letters
-    +-(g + 1) for x_g^+-1, freely reduced, and converted to syllable
-    Words once at the end.  The images of the composite phi_l1 then ...
+    The images are built as freely reduced letter tuples and handed to
+    ``Word`` as they are.  The images of the composite phi_l1 then ...
     then phi_lk are built by reading the letters right to left: with the
     images of the letters after l in hand, prepending l = s_i rewrites
     only images i and i+1, (a, b) -> (a b a^-1, a), and l = s_i^-1
@@ -164,16 +126,15 @@ def artin_action(braid: BraidWord) -> list[Word]:
     (runs of one letter) counted exactly, so the same letter trips the
     bound as with a syllable count.
     """
-    table = _syllable_table(braid.strands)
-    return [_flat_word(w, table)
-            for w in _flat_action(braid.strands, reversed(braid.letters))]
+    return list(map(_word, _letter_action(braid.strands,
+                                          reversed(braid.letters))))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Equality in the braid group via the faithful Artin action."""
     return a.strands == b.strands and (
-        _flat_action(a.strands, reversed(a.letters))
-        == _flat_action(b.strands, reversed(b.letters)))
+        _letter_action(a.strands, reversed(a.letters))
+        == _letter_action(b.strands, reversed(b.letters)))
 
 
 def full_twist(strands: int) -> BraidWord:
@@ -183,8 +144,8 @@ def full_twist(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(range(1, strands)) * strands)
 
 
-def _full_twist_images(strands: int) -> list[Flat]:
-    """Flat Artin action of the full twist in closed form: it
+def _full_twist_images(strands: int) -> list[Letters]:
+    """Artin action of the full twist on letter tuples, in closed form: it
     conjugates, x_j -> P x_j P^-1 with P = x_1 ... x_d."""
     p = tuple(range(1, strands + 1))
     return [_join(_join(p, (g,)), _inverse(p)) for g in p]
@@ -206,17 +167,17 @@ def permutation_orbits(strands: int, perms: list[list[int]]
                        ) -> list[tuple[int, ...]]:
     """Orbits of the strands under the permutations together, as sorted
     tuples ordered by least element."""
-    seen: set[int] = set()
+    seen = [False] * strands
     orbits = []
     for start in range(strands):
-        if start in seen:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         orbit = [start]
         for v in orbit:  # grows while it is walked
             for p in perms:
-                if p[v] not in seen:
-                    seen.add(p[v])
+                if not seen[p[v]]:
+                    seen[p[v]] = True
                     orbit.append(p[v])
         orbits.append(tuple(sorted(orbit)))
     return orbits
@@ -257,7 +218,7 @@ def validate_factorization(f: Factorization
     Returns the split (w, s_i^k) of each factor, in order, as letter
     tuples, found by stripping the longest w ... w^-1 wrapping.  The
     action is faithful, so the product is the full twist exactly when
-    its flat images are the closed form x_j -> P x_j P^-1,
+    its images are the closed form x_j -> P x_j P^-1,
     P = x_1 ... x_d, of the full twist's; the factors' letters go
     through the Artin action as one word, read right to left, without
     building the product braid.
@@ -275,7 +236,7 @@ def validate_factorization(f: Factorization
                              field="factors")
         splits.append((letters[:k], core))
     try:
-        images = _flat_action(f.strands, chain.from_iterable(
+        images = _letter_action(f.strands, chain.from_iterable(
             reversed(b.letters) for b in reversed(f.factors)))
     except InputError as exc:  # the product's images pass MAX_SYLLABLES
         raise InputError(exc.args[0], field="factors") from None
@@ -310,24 +271,23 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
     gives one relator, w^-1 applied to s_i^k(x_i) x_i^-1: s_i^k fixes
     x_i x_{i+1} and the other generators, so the relators b(x_j) x_j^-1
     of the factor b for every j follow from this one.  The relator is
-    built on flat words: the flat image u of x_i under s_i^k, times
+    built on letter tuples: the image u of x_i under s_i^k, times
     x_i^-1, then each letter of u replaced by its image under w^-1,
-    cancelling only where two images meet; it becomes a Word once.  The
-    projective variant kills the product x_1 ... x_d as well.  The
-    returned map sends each generator to the coordinate of its component
-    (orbits ordered by least strand).
+    cancelling only where two images meet.  The projective variant kills
+    the product x_1 ... x_d as well.  The returned map sends each
+    generator to the coordinate of its component (orbits ordered by
+    least strand).
     """
     splits = validate_factorization(f)
     if projective is None:
         projective = f.projective
     d = f.strands
-    table = _syllable_table(d)
     relators = []
     for w, core in splits:
         g = abs(core[0])
-        u = _join(_flat_action(d, core)[g - 1], (-g,))
+        u = _join(_letter_action(d, core)[g - 1], (-g,))
         # w^-1 = -l_m ... -l_1 reads -l_1 ... -l_m from the right
-        w_inv = _flat_action(d, map(neg, w))
+        w_inv = _letter_action(d, map(neg, w))
         rel: list[int] = []
         for v in u:
             piece = w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1])
@@ -336,10 +296,9 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
                 rel.pop()
                 j += 1
             rel.extend(piece[j:])
-        relators.append(_flat_word(tuple(rel), table))
+        relators.append(_word(tuple(rel)))
     if projective:
-        prod = Word(tuple((i, 1) for i in range(d)))
-        relators.append(prod)
+        relators.append(_word(tuple(range(1, d + 1))))
     pres = Presentation(_generator_names(d), tuple(relators))
 
     orbits = factor_orbits(f)
@@ -361,13 +320,12 @@ def closure_presentation(braid: BraidWord) -> Presentation:
     dropped.
     """
     d = braid.strands
-    images = _flat_action(d, reversed(braid.letters))
-    table = _syllable_table(d)
+    images = _letter_action(d, reversed(braid.letters))
     relators = []
     for g in range(1, d):
         rel = _join(images[g - 1], (-g,))
         if rel:
-            relators.append(_flat_word(rel, table))
+            relators.append(_word(rel))
     return Presentation(_generator_names(d), tuple(relators))
 
 

@@ -38,36 +38,33 @@ from .ring.poly import _raw
 def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:
     """Rows indexed by relators, columns by generators.
 
-    Each row is built in one pass over its relator, tracking the image
-    phi(u) of the prefix u read so far.  By the product rule a syllable
-    x_g^e after u adds u (1 + x_g + ... + x_g^(e-1)) to column g when
-    e > 0 and -u (x_g^-1 + ... + x_g^e) when e < 0, each word w entering
-    as the monomial with exponent vector phi(w).  The exponent vector
-    steps through the syllable by adding phi(x_g), or its negation when
-    e < 0, once per letter, with no multiplication.  The entries hold int
-    coefficients keyed by int tuples of length phi.rank, so they are
-    stored as they are, without the constructor's checks.
+    Each row is built in one pass over the letters of its relator,
+    tracking the exponent vector phi(u) of the prefix u read so far.  By
+    the product rule a letter x_g after u adds the monomial of u to
+    column g, and a letter x_g^-1 subtracts that of u x_g^-1; the
+    exponent vector steps by phi(x_g), or its negation, once per letter,
+    with no multiplication.  The entries hold int coefficients keyed by
+    int tuples of length phi.rank, so they are stored as they are,
+    without the constructor's checks.
     """
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
                          f"presentation has {pres.n}")
-    negated = [tuple(-b for b in img) for img in phi.images]
+    images = phi.images
+    negated = [tuple(-b for b in img) for img in images]
     rows = []
     for r in pres.relators:
         cols: list[dict[tuple[int, ...], int]] = [{} for _ in range(pres.n)]
         at = (0,) * phi.rank
-        for g, e in r.syllables:
-            terms = cols[g]
-            if e > 0:
-                step = phi.images[g]
-                for _ in range(e):
-                    terms[at] = terms.get(at, 0) + 1
-                    at = tuple(map(add, at, step))
+        for v in r.letters:
+            if v > 0:
+                terms = cols[v - 1]
+                terms[at] = terms.get(at, 0) + 1
+                at = tuple(map(add, at, images[v - 1]))
             else:
-                step = negated[g]
-                for _ in range(-e):
-                    at = tuple(map(add, at, step))
-                    terms[at] = terms.get(at, 0) - 1
+                at = tuple(map(add, at, negated[-v - 1]))
+                terms = cols[-v - 1]
+                terms[at] = terms.get(at, 0) - 1
         rows.append([_raw(phi.rank, {e: c for e, c in terms.items() if c})
                      for terms in cols])
     return rows

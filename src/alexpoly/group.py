@@ -1,11 +1,12 @@
 """Free group words, finite presentations and abelianization maps.
 
-Words are run-length encoded: tuples of (generator index, nonzero
-exponent) with adjacent entries on distinct generators.  The public
-``Word(...)`` constructor reduces any input fully.  A product of two
-reduced words and the inverse of a reduced word are reduced without a
-second full pass: only the seam where two reduced words meet can cancel
-or merge.
+A word is stored as its letters: a freely reduced tuple of signed
+letters +-(g + 1), each standing for x_g^+-1.  Reduced, no letter stands
+next to its negation, so the inverse of a word is its reversed, negated
+tuple and the product of two reduced words cancels only at the seam
+where they meet.  The public ``Word(pairs)`` constructor takes
+(generator index, exponent) pairs and reduces them fully;
+``Word.syllables`` reads the runs of equal letters back as such pairs.
 """
 
 from __future__ import annotations
@@ -13,63 +14,58 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import InputError
 
+Letters = tuple[int, ...]
 Syllable = tuple[int, int]
 
-
-def reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    """Freely reduce a syllable sequence (merge runs, drop zero exponents)."""
-    stack: list[list[int]] = []
-    for gen, exp in pairs:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+#: Largest letter count of the relators of a presentation file, read off
+#: their exponents before any word is built, and of that count times the
+#: largest |coordinate| of its phi, which bounds the exponent span of
+#: every Fox matrix entry.  Shipped files hold 6 letters.
+MAX_LETTERS = 1_000_000
 
 
-def _cat(x: tuple[Syllable, ...], y: tuple[Syllable, ...]
-         ) -> tuple[Syllable, ...]:
-    """Reduced product of two reduced syllable tuples.
-
-    Syllables cancel pairwise from the seam outwards until two of them
-    are on different generators or merge into a nonzero exponent; the
-    rest of x and y is already reduced.
-    """
+def _join(x: Letters, y: Letters) -> Letters:
+    """Reduced product of two reduced letter tuples: letters cancel
+    pairwise from the seam outwards, the rest is already reduced."""
     i, j, n = len(x), 0, len(y)
-    while i and j < n:
-        g, e = x[i - 1]
-        h, f = y[j]
-        if g != h:
-            break
-        if e + f:
-            return x[:i - 1] + ((g, e + f),) + y[j + 1:]
+    while i and j < n and x[i - 1] == -y[j]:
         i -= 1
         j += 1
     return x[:i] + y[j:]
 
 
-def _word(syllables: tuple[Syllable, ...]) -> "Word":
-    """Internal fast constructor; ``syllables`` must already be reduced."""
+def _inverse(x: Letters) -> Letters:
+    return tuple(map(neg, reversed(x)))
+
+
+def _word(letters: Letters) -> "Word":
+    """Internal fast constructor; ``letters`` must already be reduced."""
     w = object.__new__(Word)
-    object.__setattr__(w, "syllables", syllables)
+    object.__setattr__(w, "letters", letters)
     return w
 
 
 class Word:
     """Freely reduced word in a free group on indexed generators."""
 
-    __slots__ = ("syllables",)
+    __slots__ = ("letters",)
 
     def __init__(self, pairs: Iterable[Syllable] = ()):
-        object.__setattr__(self, "syllables", reduce_syllables(pairs))
+        stack: list[int] = []
+        for g, e in pairs:
+            v = g + 1 if e > 0 else -g - 1
+            for _ in range(abs(e)):
+                if stack and stack[-1] == -v:
+                    stack.pop()
+                else:
+                    stack.append(v)
+        object.__setattr__(self, "letters", tuple(stack))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Word is immutable")
@@ -85,18 +81,24 @@ class Word:
         return cls(((index, exp),))
 
     @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        """The runs of equal letters as (generator index, exponent) pairs."""
+        runs = [(v, len(tuple(run))) for v, run in groupby(self.letters)]
+        return tuple((v - 1, n) if v > 0 else (-v - 1, -n) for v, n in runs)
+
+    @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self.letters
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the identity."""
-        return max((g for g, _ in self.syllables), default=-1)
+        return max(map(abs, self.letters), default=0) - 1
 
     def __mul__(self, other: "Word") -> "Word":
-        return _word(_cat(self.syllables, other.syllables))
+        return _word(_join(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return _word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(_inverse(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -105,10 +107,10 @@ class Word:
         return Word(base.syllables * abs(n))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.syllables == other.syllables
+        return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(self.syllables)
+        return hash(self.letters)
 
     def __repr__(self) -> str:
         if self.is_identity:
@@ -188,12 +190,19 @@ class AbelMap:
 
     def __call__(self, w: Word) -> tuple[int, ...]:
         vec = [0] * self.rank
-        for g, e in w.syllables:
-            if g >= len(self.images):
-                raise ValueError(f"word uses generator {g} outside the map's domain")
-            img = self.images[g]
-            for i in range(self.rank):
-                vec[i] += e * img[i]
+        try:
+            for v in w.letters:
+                if v > 0:
+                    img = self.images[v - 1]
+                    for i in range(self.rank):
+                        vec[i] += img[i]
+                else:
+                    img = self.images[-v - 1]
+                    for i in range(self.rank):
+                        vec[i] -= img[i]
+        except IndexError:
+            raise ValueError(f"word uses generator {w.max_generator()} "
+                             "outside the map's domain") from None
         return tuple(vec)
 
     def composed_to_one(self) -> "AbelMap":
@@ -207,9 +216,8 @@ class AbelMap:
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
-def parse_word(text: str, generators: Sequence[str]) -> Word:
-    """Parse 'x1 x2^-1 x1' style word text against a generator list."""
-    index = {name: i for i, name in enumerate(generators)}
+def _pairs(text: str, index: dict[str, int]) -> list[Syllable]:
+    """The (generator index, exponent) pairs of 'x1 x2^-1 x1' style text."""
     pairs: list[Syllable] = []
     for token in text.split():
         m = _TOKEN_RE.match(token)
@@ -219,8 +227,18 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
         name, exp_text = m.groups()
         if name not in index:
             raise InputError(f"unknown generator {name!r}", field="relators")
-        pairs.append((index[name], int(exp_text) if exp_text else 1))
-    return Word(pairs)
+        try:  # int() refuses more digits than its conversion limit
+            pairs.append((index[name], int(exp_text) if exp_text else 1))
+        except ValueError:
+            raise InputError(f"exponent of {name!r} has {len(exp_text)} "
+                             "digits, too many to convert",
+                             field="relators") from None
+    return pairs
+
+
+def parse_word(text: str, generators: Sequence[str]) -> Word:
+    """Parse 'x1 x2^-1 x1' style word text against a generator list."""
+    return Word(_pairs(text, {name: i for i, name in enumerate(generators)}))
 
 
 def presentation_from_json(obj: object) -> tuple[Presentation, AbelMap | None]:
@@ -234,9 +252,14 @@ def presentation_from_json(obj: object) -> tuple[Presentation, AbelMap | None]:
     relator_texts = obj.get("relators", [])
     if not isinstance(relator_texts, list) or not all(isinstance(r, str) for r in relator_texts):
         raise InputError("expected a list of word strings", field="relators")
-    relators = tuple(parse_word(r, gens) for r in relator_texts)
+    index = {name: i for i, name in enumerate(gens)}
+    parsed = [_pairs(r, index) for r in relator_texts]
+    letters = sum(abs(e) for pairs in parsed for _, e in pairs)
+    if letters > MAX_LETTERS:
+        raise InputError(f"the relators hold {letters} letters in all, more "
+                         f"than {MAX_LETTERS}", field="relators")
     try:
-        pres = Presentation(tuple(gens), relators)
+        pres = Presentation(tuple(gens), tuple(map(Word, parsed)))
     except ValueError as exc:
         raise InputError(str(exc), field="generators") from None
 
@@ -266,6 +289,11 @@ def presentation_from_json(obj: object) -> tuple[Presentation, AbelMap | None]:
         if unknown:
             raise InputError(f"phi names unknown generators {sorted(unknown)}",
                              field="phi")
+        top = max((abs(v) for vec in images for v in vec), default=0)
+        if letters * top > MAX_LETTERS:
+            raise InputError(f"{letters} relator letters times the largest "
+                             f"|phi coordinate| {top} is {letters * top}, "
+                             f"more than {MAX_LETTERS}", field="phi")
         try:
             phi = AbelMap(rank, tuple(images))
         except ValueError as exc:

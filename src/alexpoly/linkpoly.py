@@ -28,7 +28,8 @@ from .braid import (
 from .errors import ComputationError, InputError
 from .fox import alexander_polynomial
 from .group import AbelMap, Presentation
-from .ring import LaurentPoly, equal_up_to_units, normalize, poly_to_str
+from .ring import (MAX_VARIABLES, LaurentPoly, equal_up_to_units, normalize,
+                   poly_to_str)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class MarkedLink:
         return sorted(anchor, key=lambda c: (c != 0, anchor[c]))
 
     def n_colours(self) -> int:
-        return len(self.colour_order())
+        # the colours are keyed by exactly the component base strands
+        return len(set(self.colours.values()))
 
 
 def _colour_phi(link: MarkedLink) -> AbelMap:
@@ -100,13 +102,20 @@ def _colour_phi(link: MarkedLink) -> AbelMap:
 
 def multivariable_delta(link: MarkedLink,
                         pres: Presentation | None = None) -> LaurentPoly:
-    """Invariant with one variable per colour; needs at least two colours.
+    """Invariant with one variable per colour; needs at least two colours,
+    and at most ``MAX_VARIABLES``, checked before the colour map (strands
+    times colours) is built.
 
     ``pres`` is the closure presentation of ``link.braid`` when the caller
     has already built it.
     """
-    if link.n_colours() < 2:
+    n = link.n_colours()
+    if n < 2:
         raise InputError("the multivariable invariant needs at least 2 colours")
+    if n > MAX_VARIABLES:
+        raise InputError(f"the link has {n} colours; the multivariable "
+                         f"invariant takes at most {MAX_VARIABLES}",
+                         field="colours")
     if pres is None:
         pres = closure_presentation(link.braid)
     return alexander_polynomial(pres, _colour_phi(link))
@@ -122,18 +131,20 @@ def hat_delta(link: MarkedLink) -> LaurentPoly:
 
     Computed directly from the weighted Fox matrix and, independently,
     by substituting the weights into the multivariable invariant times
-    (1 - t).  The two must agree up to units.
+    (1 - t).  The two must agree up to units.  The multivariable one
+    comes first, so that too many colours are refused before any Fox
+    matrix is built.
     """
     if link.marked is None:
         return one_variable_delta(link)
+    pres = closure_presentation(link.braid)
+    multi = multivariable_delta(link, pres)
+
     d = link.degree
     base_of = link.component_of_strand()
     images = tuple((-d,) if base_of[s] == link.marked else (1,)
                    for s in range(link.braid.strands))
-    pres = closure_presentation(link.braid)
     direct = alexander_polynomial(pres, AbelMap(1, images))
-
-    multi = multivariable_delta(link, pres)
     weights = tuple(-d if c == 0 else 1 for c in link.colour_order())
     shifted = normalize(multi.substitute(weights) * LaurentPoly.univariate({0: 1, 1: -1}))
     if not equal_up_to_units(direct, shifted):

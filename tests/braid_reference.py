@@ -4,34 +4,55 @@ Each letter l is the endomorphism phi_l of the free group given by its d
 generator images; the letters act left to right, so after the letters
 l1 ... lk the images are phi_lk(... phi_l1(x_j) ...), every image
 rewritten at every letter.  ``braid.artin_action`` reads the letters
-right to left, on flat signed-letter words, and rewrites only the two
+right to left, on letter tuples, and rewrites only the two
 images a letter moves; the tests check that both give the same freely
 reduced words.
 
-``apply_endomorphism`` substitutes syllable Words into a Word, reducing
-only the seams between the substituted images (multiplied in halves),
-and ``apply_braid`` applies a braid's images that way.
+``reduce_syllables`` freely reduces run-length syllables (generator
+index, exponent) on a stack of runs; ``group.Word`` stores letters and
+reads its syllables off their runs.
+
+``apply_endomorphism`` substitutes the letter tuples of Words into a
+Word, reducing only the seams between the substituted images (multiplied
+in halves), and ``apply_braid`` applies a braid's images that way.
 
 ``permutation`` rebuilds the list of all d positions at every letter and
 ``strand_components`` walks its cycles; ``braid.permutation`` swaps the
 two strands a letter moves and inverts once at the end.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from alexpoly.braid import BraidWord
-from alexpoly.group import Syllable, Word, _cat, _word
+from alexpoly.group import Letters, Word, _join, _word
+
+Syllable = tuple[int, int]
 
 
-def _product(pieces: list[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
-    """Reduced product of reduced syllable tuples, split in halves so
-    that each syllable is copied about log2(len(pieces)) times rather
-    than once per later piece."""
+def reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """Freely reduce a syllable sequence (merge runs, drop zero exponents)."""
+    stack: list[list[int]] = []
+    for gen, exp in pairs:
+        if exp == 0:
+            continue
+        if stack and stack[-1][0] == gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return tuple((g, e) for g, e in stack)
+
+
+def _product(pieces: list[Letters]) -> Letters:
+    """Reduced product of reduced letter tuples, split in halves so that
+    each letter is copied about log2(len(pieces)) times rather than once
+    per later piece."""
     if len(pieces) > 2:
         mid = len(pieces) // 2
-        return _cat(_product(pieces[:mid]), _product(pieces[mid:]))
+        return _join(_product(pieces[:mid]), _product(pieces[mid:]))
     if len(pieces) == 2:
-        return _cat(pieces[0], pieces[1])
+        return _join(pieces[0], pieces[1])
     return pieces[0] if pieces else ()
 
 
@@ -41,11 +62,9 @@ def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
     if w.max_generator() >= len(images):
         raise ValueError(f"word uses generator {w.max_generator()} but only "
                          f"{len(images)} images are given")
-    pieces: list[tuple[Syllable, ...]] = []
-    for gen, exp in w.syllables:
-        img = images[gen] if exp > 0 else images[gen].inverse()
-        pieces.extend([img.syllables] * abs(exp))
-    return _word(_product(pieces))
+    inverses = [img.inverse().letters for img in images]
+    return _word(_product([images[v - 1].letters if v > 0 else inverses[-v - 1]
+                           for v in w.letters]))
 
 
 def _letter_images(letter: int, strands: int) -> list[Word]:

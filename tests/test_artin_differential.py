@@ -12,7 +12,7 @@ reference's rebuild-every-position loop on seeded words, d = 2..9.
 Uniformly random words of every length 0..40 must agree as well, d =
 2..9.
 
-``artin_action`` counts the letters of its flat images against
+``artin_action`` counts the letters of its images against
 ``MAX_SYLLABLES`` and counts syllables only past the bound.  With the
 bound set to each value in 10..400, it must raise after the same number
 of letters, read from the right, as a running syllable count of the
@@ -31,10 +31,10 @@ import random
 import pytest
 
 import alexpoly.braid
-from alexpoly.braid import (BraidWord, _flat_word, _syllable_count,
-                            _syllable_table, artin_action, braid_equal,
-                            permutation, strand_components)
+from alexpoly.braid import (BraidWord, _syllable_count, artin_action,
+                            braid_equal, permutation, strand_components)
 from alexpoly.errors import InputError
+from alexpoly.group import _word
 
 import braid_reference
 
@@ -129,14 +129,13 @@ def test_uniform_words_match_reference(d):
 
 
 def test_flat_words_merge_runs():
-    # Artin images seem never to repeat a letter, so the run-merging
-    # branches are checked on words built by hand
-    table = _syllable_table(3)
-    assert _flat_word((1, 1, -2, 3, 3, 3, -1), table).syllables == \
+    # Artin images seem never to repeat a letter, so the syllables of
+    # runs are checked on words built by hand
+    assert _word((1, 1, -2, 3, 3, 3, -1)).syllables == \
         ((0, 2), (1, -1), (2, 3), (0, -1))
-    assert _flat_word((-3, -3), table).syllables == ((2, -2),)
-    assert _flat_word((2, -1, 3), table).syllables == ((1, 1), (0, -1), (2, 1))
-    assert _flat_word((), table).syllables == ()
+    assert _word((-3, -3)).syllables == ((2, -2),)
+    assert _word((2, -1, 3)).syllables == ((1, 1), (0, -1), (2, 1))
+    assert _word(()).syllables == ()
     assert _syllable_count([(1, 1, -2, 3, 3, 3, -1), (-3, -3), (), (2,)]) == 6
 
 

@@ -22,7 +22,8 @@ import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
 from alexpoly.braid import MAX_SYLLABLES
 from alexpoly.cli import COMMANDS, build_parser, main, parse_well_formed
-from alexpoly.ring import LaurentPoly, poly_to_str
+from alexpoly.group import MAX_LETTERS
+from alexpoly.ring import MAX_VARIABLES, LaurentPoly, poly_to_str
 from verify_reference import arrangement_curve
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -570,6 +571,46 @@ def test_factorization_syllable_budget(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == (f"error: {path}: field 'factors': the braid's generator "
                        f"images exceed {MAX_SYLLABLES} syllables\n")
+
+
+def test_fox_relator_letter_budget(capsys, tmp_path):
+    # 2,000,002 letters as written are refused before any word is built;
+    # 200,002 stay accepted
+    path = tmp_path / "presentation.json"
+    for n, want in ((100_000, (0, "t^100000 - 1\n", "")),
+                    (1_000_000, (2, "", f"error: {path}: field 'relators': "
+                                 "the relators hold 2000002 letters in all, "
+                                 f"more than {MAX_LETTERS}\n"))):
+        path.write_text(json.dumps({"generators": ["a", "b"], "relators": [
+            f"a^{n} b a^-{n} b^-1"]}), encoding="utf-8")
+        assert run_cli(capsys, "fox", str(path)) == want
+
+
+def test_fox_phi_letter_budget(capsys, tmp_path):
+    # the trefoil's 6 letters times images 100,000 stay accepted; times
+    # 200,000 they pass MAX_LETTERS
+    path = tmp_path / "trefoil.json"
+    obj = json.loads(pathlib.Path(FOX_FILE).read_text(encoding="utf-8"))
+    for top, want in ((100_000, (0, "t^200000 - t^100000 + 1\n", "")),
+                      (200_000, (2, "", f"error: {path}: field 'phi': 6 "
+                                 "relator letters times the largest |phi "
+                                 "coordinate| 200000 is 1200000, more than "
+                                 f"{MAX_LETTERS}\n"))):
+        obj["phi"] = {"a": top, "b": top}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run_cli(capsys, "fox", str(path)) == want
+
+
+@pytest.mark.parametrize("extra", [["--multi"], ["--hat", "3", "--marked", "1"]])
+def test_closure_colour_budget(capsys, tmp_path, extra):
+    # the closure of the trivial braid has one colour per strand
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps({"strands": MAX_VARIABLES + 1, "word": []}),
+                    encoding="utf-8")
+    assert run_cli(capsys, "closure", str(path), *extra) == (
+        2, "", f"error: {path}: field 'colours': the link has "
+        f"{MAX_VARIABLES + 1} colours; the multivariable invariant takes at "
+        f"most {MAX_VARIABLES}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alexpoly.group
 from alexpoly.errors import InputError
 from alexpoly.group import (
     AbelMap,
@@ -239,3 +240,37 @@ def test_presentation_json_errors():
     with pytest.raises(InputError):
         presentation_from_json(
             {"generators": ["x", "y"], "phi": {"x": [1], "y": [1, 0]}})
+
+
+def test_presentation_letter_budget(monkeypatch):
+    # letters are counted from the exponents as written, over all
+    # relators, cancelling ones included; the bound is inclusive
+    monkeypatch.setattr(alexpoly.group, "MAX_LETTERS", 6)
+    pres, phi = presentation_from_json(
+        {"generators": ["a", "b"], "relators": ["a b", "a^2 a^-2"]})
+    assert [r.syllables for r in pres.relators] == [((0, 1), (1, 1))]
+    assert phi is None
+    with pytest.raises(InputError) as exc:
+        presentation_from_json(
+            {"generators": ["a", "b"], "relators": ["a b", "a^2 a^-2", "b"]})
+    assert str(exc.value) == ("field 'relators': the relators hold 7 letters "
+                              "in all, more than 6")
+    # letters times the largest |phi coordinate|, negative ones as well
+    obj = {"generators": ["a", "b"], "relators": ["a b^-1", "b a^-1"],
+           "phi": {"a": [1, -1], "b": [0, 1]}}
+    presentation_from_json(obj)
+    obj["phi"]["a"] = [1, -2]
+    with pytest.raises(InputError) as exc:
+        presentation_from_json(obj)
+    assert str(exc.value) == ("field 'phi': 4 relator letters times the "
+                              "largest |phi coordinate| 2 is 8, more than 6")
+    # no relators: any phi passes
+    presentation_from_json({"generators": ["a"], "phi": {"a": 10 ** 30}})
+
+
+def test_exponent_too_long_to_convert():
+    with pytest.raises(InputError) as exc:
+        presentation_from_json(
+            {"generators": ["a"], "relators": ["a^" + "1" * 5000]})
+    assert str(exc.value) == ("field 'relators': exponent of 'a' has 5000 "
+                              "digits, too many to convert")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import alexpoly.linkpoly
 from alexpoly.braid import BraidWord
 from alexpoly.errors import ComputationError, InputError
 from alexpoly.linkpoly import (
@@ -60,6 +61,25 @@ def test_components_and_colour_order():
     # without colour 0, order follows the least strand per colour
     other = MarkedLink(BraidWord(2, (1, 1)), {0: 7, 1: 3})
     assert other.colour_order() == [7, 3]
+
+
+def test_colour_budget(monkeypatch):
+    # the bound is inclusive and counts distinct colours, not components
+    monkeypatch.setattr(alexpoly.linkpoly, "MAX_VARIABLES", 3)
+    assert multivariable_delta(torus_link(3)).nvars == 3
+    shared = MarkedLink(BraidWord(4, ()), {0: 1, 1: 2, 2: 3, 3: 3})
+    assert shared.n_colours() == 3
+    assert multivariable_delta(shared).nvars == 3
+    marked = marked_torus_link(4, 5)
+    for link, delta in ((torus_link(4), multivariable_delta),
+                        (marked, multivariable_delta), (marked, hat_delta)):
+        assert link.n_colours() == 4
+        with pytest.raises(InputError) as exc:
+            delta(link)
+        assert str(exc.value) == ("field 'colours': the link has 4 colours; "
+                                  "the multivariable invariant takes at most 3")
+    # an unmarked link's hat is the one-variable invariant, with no colours
+    assert hat_delta(torus_link(4)) == one_variable_delta(torus_link(4))
 
 
 def test_trefoil_is_one_component():

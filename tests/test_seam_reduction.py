@@ -1,12 +1,14 @@
 """Seam-only free reduction and the closed-form full twist, against the
 full reductions and the Artin action they replace.
 
-``group._cat`` multiplies two reduced words by cancelling and merging
-only where they meet; ``reduce_syllables`` of the concatenation is the
-reference.  ``Word`` products, inverses and the reference
-``apply_endomorphism`` of ``braid_reference`` (which multiplies its
-pieces in halves) are built on it.  ``validate_factorization`` compares
-the factor product's flat images with the closed form x_j -> P x_j P^-1
+``group._join`` multiplies two reduced letter tuples by cancelling only
+where they meet; ``braid_reference.reduce_syllables`` of the
+concatenated syllables is the reference.  ``Word(pairs)``, ``Word``
+products and inverses, the ``syllables`` view of the letters and the
+reference ``apply_endomorphism`` of ``braid_reference`` (which
+multiplies its pieces in halves) must agree with it, on seeded words
+and with hypothesis.  ``validate_factorization`` compares the factor
+product's images with the closed form x_j -> P x_j P^-1
 (P = x_1 ... x_d) instead of acting by the full-twist word;
 ``braid_equal`` with ``full_twist`` is the reference.  ``fox_matrix``
 stores its entries without the ``LaurentPoly`` constructor, whose route
@@ -19,17 +21,19 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
-                            _flat_word, _full_twist_images, _syllable_table,
-                            artin_action, braid_equal, full_twist,
-                            validate_factorization, zvk_presentation)
+                            _full_twist_images, artin_action, braid_equal,
+                            full_twist, validate_factorization,
+                            zvk_presentation)
 from alexpoly.errors import InputError
 from alexpoly.fox import fox_matrix
-from alexpoly.group import AbelMap, Presentation, Word, _cat, reduce_syllables
+from alexpoly.group import AbelMap, Presentation, Word, _join, _word
 
 import fox_reference
-from braid_reference import apply_endomorphism
+from braid_reference import apply_endomorphism, reduce_syllables
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -46,8 +50,23 @@ def inverse(x):
     return tuple((g, -e) for g, e in reversed(x))
 
 
+def check_against_reference(a, b):
+    """_join, Word(pairs), *, inverse() and syllables on the syllable
+    sequences a and b, each against reduce_syllables."""
+    u, v = Word(a), Word(b)
+    want = reduce_syllables(a + b)
+    assert u.syllables == reduce_syllables(a)
+    assert (u * v).syllables == want, (a, b)
+    assert _join(u.letters, v.letters) == Word(want).letters, (a, b)
+    assert u.inverse().syllables == reduce_syllables(inverse(a))
+    # the letters are reduced and spell out the syllables
+    assert all(p != -q for p, q in zip(u.letters, u.letters[1:]))
+    assert u.letters == tuple(g + 1 if e > 0 else -g - 1
+                              for g, e in u.syllables for _ in range(abs(e)))
+
+
 # ---------------------------------------------------------------------------
-# _cat and the Word operations built on it
+# _join and the Word operations built on it
 
 
 @pytest.mark.parametrize("x, y, want", [
@@ -66,7 +85,7 @@ def inverse(x):
 ])
 def test_cat_examples(x, y, want):
     assert reduce_syllables(x + y) == want
-    assert _cat(x, y) == want
+    check_against_reference(x, y)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -81,9 +100,21 @@ def test_cat_matches_full_reduction(seed):
         y = reduce_syllables(inverse(x[cut:])
                              + random_reduced(rng, gens, rng.randint(0, 6)))
         for a, b in ((x, y), (y, x), (x, inverse(x)), (x, x)):
-            assert _cat(a, b) == reduce_syllables(a + b), (a, b)
-            assert (Word(a) * Word(b)).syllables == reduce_syllables(a + b)
-        assert Word(x).inverse().syllables == reduce_syllables(inverse(x))
+            check_against_reference(a, b)
+
+
+pairs_st = st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+                    max_size=10)
+
+
+@given(pairs_st, pairs_st)
+def test_words_match_syllable_reduction(a, b):
+    # unreduced input: zero exponents, runs to merge, cancellation inside
+    # each sequence as well as at the seam
+    a, b = tuple(a), tuple(b)
+    check_against_reference(a, b)
+    check_against_reference(a, inverse(a) + b)
+    assert Word(a + b) == Word(a) * Word(b)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -108,8 +139,7 @@ def test_apply_endomorphism_matches_full_reduction(seed):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_closed_form_twist_matches_action(d):
-    table = _syllable_table(d)
-    assert [_flat_word(w, table) for w in _full_twist_images(d)] == \
+    assert [_word(w) for w in _full_twist_images(d)] == \
         artin_action(full_twist(d))
 
 

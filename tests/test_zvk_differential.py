@@ -1,5 +1,6 @@
 """One relator per factor against the d-relators-per-factor reference,
-and the flat relator route against the per-factor automorphisms.
+and the letter-by-letter relator route against the per-factor
+automorphisms.
 
 ``zvk_presentation`` keeps, for each factor w s_i^k w^-1, only the
 relator w^-1 applied to s_i^k(x_i) x_i^-1.  The reference in
@@ -9,9 +10,9 @@ Alexander polynomials and the same abelianization, on the shipped
 factorizations (affine and projective), on generic line arrangements
 conjugated by seeded braids, and after Hurwitz moves.
 
-``zvk_presentation`` builds that relator on flat signed-letter words;
+``zvk_presentation`` builds that relator letter by letter;
 ``per_factor_presentation`` applies the automorphisms of s_i^k and w^-1
-to syllable Words.  The relators must have identical syllables on the
+to whole Words.  The relators must have identical syllables on the
 generic arrangements with 3-12 lines, each factor in either standard
 form by a seeded coin flip, conjugated by short seeded braids and
 projective, and on the shipped factorizations.
@@ -109,7 +110,7 @@ def test_hurwitz_moved_factorizations(name):
 
 
 # ---------------------------------------------------------------------------
-# flat relators against the per-factor automorphisms
+# letter-by-letter relators against the per-factor automorphisms
 
 
 def standard_forms(n: int, rng: random.Random) -> Factorization:

@@ -9,11 +9,12 @@ Alexander invariants and the same abelianization, which
 form.
 
 ``per_factor_presentation`` builds the one relator per factor
-w s_i^k w^-1 by the route of automorphisms applied to syllable Words:
+w s_i^k w^-1 by the route of automorphisms applied to whole Words:
 the images of s_i^k applied to x_i, times x_i^-1, and the images of
 w^-1 applied to that, both with ``braid_reference.apply_braid``.
-``zvk_presentation`` builds the same relator on flat signed-letter
-words; the tests check that the syllables agree exactly.
+``zvk_presentation`` builds the same relator letter by letter,
+substituting the images of w^-1 into the letters of s_i^k(x_i) x_i^-1;
+the tests check that the syllables agree exactly.
 """
 
 import pytest
