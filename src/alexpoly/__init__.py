@@ -13,20 +13,19 @@ from .braid import (BraidWord, Factorization, braid_equal,
                     factor_orbits, full_twist, validate_factorization,
                     zvk_presentation)
 from .curve import (CurveData, boundary_delta, boundary_factors,
-                    curve_from_json, curve_to_json, euler_characteristic,
-                    first_betti, local_deltas)
+                    curve_from_json, euler_characteristic, first_betti,
+                    local_deltas)
 from .errors import ComputationError, InputError
 from .fox import alexander_one_variable, alexander_polynomial
 from .group import (AbelMap, Presentation, Word, load_json_file,
                     parse_word, presentation_from_json)
-from .linkpoly import (MarkedLink, hat_delta, link_from_json, link_to_json,
+from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        marked_torus_link, multivariable_delta,
                        one_variable_delta, torus_link)
 from .ring import (LaurentPoly, cyclotomic_factorization, equal_up_to_units,
-                   exact_divide, gcd, multiplicity, normalize, parse_poly,
-                   poly_to_str)
-from .verify import (VerificationReport, generic_infinity_delta,
-                     generic_infinity_factors, run_verification)
+                   exact_divide, gcd, normalize, parse_poly, poly_to_str)
+from .verify import (VerificationReport, generic_infinity_factors,
+                     run_verification)
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "boundary_factors",
     "braid_equal",
     "curve_from_json",
-    "curve_to_json",
     "cyclotomic_factorization",
     "equal_up_to_units",
     "euler_characteristic",
@@ -59,15 +57,12 @@ __all__ = [
     "first_betti",
     "full_twist",
     "gcd",
-    "generic_infinity_delta",
     "generic_infinity_factors",
     "hat_delta",
     "link_from_json",
-    "link_to_json",
     "load_json_file",
     "local_deltas",
     "marked_torus_link",
-    "multiplicity",
     "multivariable_delta",
     "normalize",
     "one_variable_delta",

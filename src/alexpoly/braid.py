@@ -22,7 +22,7 @@ from operator import eq, neg
 from typing import Iterable
 
 from .errors import InputError
-from .group import AbelMap, Letters, Presentation, Word, _inverse, _join, _word
+from .group import AbelMap, Letters, Presentation, _inverse, _join, _word
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class BraidWord:
 
 
 #: Largest total syllable count of the generator images that
-#: ``artin_action`` builds.  Images can grow exponentially with the word.
+#: ``_letter_action`` builds.  Images can grow exponentially with the word.
 #: The largest total any shipped or benchmark braid reaches is 251, for
 #: the factor product of the generic 7-line arrangement; that of the
 #: generic 32-line arrangement reaches 7,476.
@@ -69,7 +69,13 @@ def _syllable_count(images: list[Letters]) -> int:
 def _letter_action(strands: int, reversed_letters: Iterable[int]
                    ) -> list[Letters]:
     """Generator images, as letter tuples, of the braid whose letters,
-    read right to left, are ``reversed_letters``; see ``artin_action``."""
+    read right to left, are ``reversed_letters``.
+
+    Prepending l = s_i rewrites only images i and i+1, (a, b) ->
+    (a b a^-1, a), and l = s_i^-1 rewrites them (a, b) -> (b, b^-1 a b):
+    two seam joins per letter.  Raises InputError once the images hold
+    more than MAX_SYLLABLES syllables in all.
+    """
     images = [(g,) for g in range(1, strands + 1)]
     # an image's inverse while it is known, else None: an image that a
     # letter moves keeps its inverse, a new one has none until needed
@@ -104,30 +110,6 @@ def _letter_action(strands: int, reversed_letters: Iterable[int]
             raise InputError("the braid's generator images exceed "
                              f"{MAX_SYLLABLES} syllables", field="word")
     return images
-
-
-def artin_action(braid: BraidWord) -> list[Word]:
-    """Images of the free generators under the braid, letters acting
-    left to right.
-
-    The images are built as freely reduced letter tuples and handed to
-    ``Word`` as they are.  The images of the composite phi_l1 then ...
-    then phi_lk are built by reading the letters right to left: with the
-    images of the letters after l in hand, prepending l = s_i rewrites
-    only images i and i+1, (a, b) -> (a b a^-1, a), and l = s_i^-1
-    rewrites them (a, b) -> (b, b^-1 a b).  Each product only cancels at
-    its seam, so a letter costs two seam joins.  An inverse is the
-    reversed, negated tuple, made when a letter needs it; the image a
-    letter moves unchanged (a, or b) keeps the inverse it had.
-
-    Raises InputError once the images hold more than MAX_SYLLABLES
-    syllables in all.  The running total counts letters, never fewer
-    than syllables; only when it passes the bound are the syllables
-    (runs of one letter) counted exactly, so the same letter trips the
-    bound as with a syllable count.
-    """
-    return list(map(_word, _letter_action(braid.strands,
-                                          reversed(braid.letters))))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -354,10 +336,6 @@ def braid_from_json(obj: object) -> BraidWord:
         return BraidWord(strands, tuple(word))
     except ValueError as exc:
         raise InputError(str(exc), field="word") from None
-
-
-def braid_to_json(braid: BraidWord) -> dict:
-    return {"strands": braid.strands, "word": list(braid.letters)}
 
 
 def factorization_from_json(obj: object) -> Factorization:

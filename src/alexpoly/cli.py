@@ -119,7 +119,7 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
         link = link_from_json(obj, degree)
         if args.marked is not None:
             raise InputError("--marked applies to bare braid files; this "
-                             "file sets the marking itself")
+                             "file sets the marking itself", field="--marked")
         return link
     braid = braid_from_json(obj)
     bases = sorted(min(comp) for comp in strand_components(braid))
@@ -127,6 +127,11 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
     if marked is not None and marked not in bases:
         raise InputError("marked must be the base strand of a component "
                          f"{[b + 1 for b in bases]}", field="--marked")
+    if bases == [marked]:
+        raise InputError("at least one component needs a nonzero colour",
+                         field="--marked")
+    if marked is not None and degree is None:
+        raise InputError("a marked link needs a degree >= 1", field="--hat")
     colours, nxt = {}, 1
     for base in bases:
         if base == marked:
@@ -134,10 +139,7 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
         else:
             colours[base] = nxt
             nxt += 1
-    try:
-        return MarkedLink(braid, colours, marked=marked, degree=degree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return MarkedLink(braid, colours, marked=marked, degree=degree)
 
 
 def cmd_closure(args: SimpleNamespace) -> int:

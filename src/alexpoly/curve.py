@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .linkpoly import MarkedLink, hat_delta, link_from_json, link_to_json
+from .linkpoly import MarkedLink, hat_delta, link_from_json
 from .ring import LaurentPoly, cyclotomic_factorization, normalize
 
 #: A univariate polynomial up to units in cyclotomic coordinates: the
@@ -54,32 +54,36 @@ class CurveData:
 
     def __post_init__(self):
         if len(self.components) < 2:
-            raise ValueError("need the line plus at least one curve component")
+            raise InputError("need the line plus at least one curve component",
+                             field="components")
         line = self.components[0]
         if line.degree != 1 or line.genus != 0:
-            raise ValueError("component 0 is the line: degree 1, genus 0")
+            raise InputError("component 0 is the line: degree 1, genus 0",
+                             field="components")
         valid = set(range(len(self.components)))
         for idx, sing in enumerate(self.singularities):
             used = set(sing.link.colours.values())
             if not used <= valid:
-                raise ValueError(
+                raise InputError(
                     f"singularity {idx} colours {sorted(used - valid)} do not "
-                    "name components")
+                    "name components", field="singularities")
             if sing.on_L != (0 in used):
-                raise ValueError(
+                raise InputError(
                     f"singularity {idx}: a branch of colour 0 is required "
-                    "exactly when the point lies on the line")
+                    "exactly when the point lies on the line",
+                    field="singularities")
             if sing.on_L:
                 if sing.link.marked is None:
-                    raise ValueError(
-                        f"singularity {idx}: points on the line need a marked link")
+                    raise InputError(f"singularity {idx}: points on the line "
+                                     "need a marked link", field="singularities")
                 if sing.link.degree != self.degree:
-                    raise ValueError(
+                    raise InputError(
                         f"singularity {idx}: marked link degree "
-                        f"{sing.link.degree} != curve degree {self.degree}")
+                        f"{sing.link.degree} != curve degree {self.degree}",
+                        field="singularities")
             elif sing.link.marked is not None:
-                raise ValueError(
-                    f"singularity {idx}: marked links belong on the line")
+                raise InputError(f"singularity {idx}: marked links belong on "
+                                 "the line", field="singularities")
 
     @property
     def degree(self) -> int:
@@ -228,16 +232,16 @@ def curve_from_json(obj: object) -> CurveData:
         if not isinstance(sing, dict) or "link" not in sing:
             raise InputError(f"singularity {idx} must be an object with a link",
                              field="singularities")
+        if not isinstance(sing["link"], dict):
+            raise InputError("link must be a JSON object",
+                             field="singularities")
         link = link_from_json(sing["link"])
         on_L = sing.get("on_L", link.marked is not None)
         if not isinstance(on_L, bool):
             raise InputError(f"singularity {idx}: on_L must be a boolean",
                              field="singularities")
         singularities.append(Singularity(link, on_L))
-    try:
-        curve = CurveData(tuple(components), tuple(singularities))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    curve = CurveData(tuple(components), tuple(singularities))
     apart = _apart_from_line(curve)
     if apart:
         names = ", ".join(repr(curve.components[i].name) for i in apart)
@@ -260,12 +264,3 @@ def _apart_from_line(curve: CurveData) -> list[int]:
                 joined |= group
                 grew = True
     return [i for i in range(len(curve.components)) if i not in joined]
-
-
-def curve_to_json(curve: CurveData) -> dict:
-    return {
-        "components": [{"name": c.name, "degree": c.degree, "genus": c.genus}
-                       for c in curve.components],
-        "singularities": [{"link": link_to_json(s.link), "on_L": s.on_L}
-                          for s in curve.singularities],
-    }

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .braid import (
     BraidWord,
     braid_from_json,
-    braid_to_json,
     closure_presentation,
     full_twist,
     strand_components,
@@ -111,7 +110,8 @@ def multivariable_delta(link: MarkedLink,
     """
     n = link.n_colours()
     if n < 2:
-        raise InputError("the multivariable invariant needs at least 2 colours")
+        raise InputError("the multivariable invariant needs at least 2 colours",
+                         field="colours")
     if n > MAX_VARIABLES:
         raise InputError(f"the link has {n} colours; the multivariable "
                          f"invariant takes at most {MAX_VARIABLES}",
@@ -229,14 +229,3 @@ def link_from_json(obj: object, degree: int | None = None) -> MarkedLink:
         return MarkedLink(braid, colours, marked=marked, degree=degree)
     except ValueError as exc:
         raise InputError(str(exc), field="colours") from None
-
-
-def link_to_json(link: MarkedLink) -> dict:
-    obj: dict = {
-        "braid": braid_to_json(link.braid),
-        "colours": {str(k + 1): v for k, v in sorted(link.colours.items())},
-    }
-    if link.marked is not None:
-        obj["marked"] = link.marked + 1
-        obj["degree"] = link.degree
-    return obj

@@ -1,11 +1,9 @@
 """Exact Laurent polynomial ring: arithmetic, normal form, gcd, cyclotomics."""
 
 from .poly import (
-    INFINITY,
     LaurentPoly,
     equal_up_to_units,
     exact_divide,
-    multiplicity,
     normalize,
 )
 from .gcd import gcd, gcd_many
@@ -18,7 +16,6 @@ from .cyclotomic import (
 from .textfmt import MAX_VARIABLES, parse_poly, poly_to_str
 
 __all__ = [
-    "INFINITY",
     "LaurentPoly",
     "MAX_DEGREE",
     "MAX_VARIABLES",
@@ -29,7 +26,6 @@ __all__ = [
     "exact_divide",
     "gcd",
     "gcd_many",
-    "multiplicity",
     "normalize",
     "parse_poly",
     "poly_to_str",

@@ -26,7 +26,7 @@ Inputs above ``MAX_DEGREE`` are refused before any dense list exists.
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 
 from ..errors import InputError
 from .poly import LaurentPoly, normalize
@@ -52,7 +52,7 @@ def check_degree(p: LaurentPoly) -> None:
 def _primes(limit: int) -> list[int]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
     return [p for p in range(limit + 1) if sieve[p]]

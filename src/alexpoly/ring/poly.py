@@ -24,10 +24,6 @@ from typing import Union
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
-#: multiplicity of a factor of the zero polynomial
-INFINITY = float("inf")
-
-
 def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
 
@@ -388,24 +384,3 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     if c is None:
         return None
     return c.shift(tuple(a - b for a, b in zip(p_min, q_min)))
-
-
-def multiplicity(p: LaurentPoly, q: LaurentPoly):
-    """Largest k with q^k | p; INFINITY when p = 0.
-
-    q must be neither zero nor a unit, otherwise the count is undefined.
-    """
-    if q.is_zero or q.is_unit:
-        raise ValueError("multiplicity requires a non-zero, non-unit factor")
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    if p.is_zero:
-        return INFINITY
-    count = 0
-    r = p
-    while True:
-        nxt = exact_divide(r, q)
-        if nxt is None:
-            return count
-        r = nxt
-        count += 1

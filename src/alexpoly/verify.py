@@ -29,7 +29,6 @@ from .curve import (CurveData, Factored, affine_counts, boundary_factors,
                     first_betti, local_deltas)
 from .errors import ComputationError
 from .ring import (
-    INFINITY,
     LaurentPoly,
     cyclotomic_factorization,
     equal_up_to_units,
@@ -146,24 +145,14 @@ def factored_text(f: Factored) -> str:
 
 
 def generic_infinity_factors(degree: int) -> Factored:
-    """``generic_infinity_delta`` in cyclotomic coordinates:
+    """(t - 1)(t^d - 1)^{d-2}, the invariant at infinity of a degree-d
+    curve transverse to the line, in cyclotomic coordinates:
     Phi_1^(d-1) times Phi_n^(d-2) for every divisor n > 1 of d."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     exps = {n: degree - 1 if n == 1 else degree - 2
             for n in range(1, degree + 1) if degree % n == 0}
     return {n: e for n, e in exps.items() if e}, LaurentPoly.one(1)
-
-
-def generic_infinity_delta(degree: int) -> LaurentPoly:
-    """Invariant of the link at infinity of a degree-d curve transverse
-    to the line: (t - 1)(t^d - 1)^{d-2}."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if degree == 1:
-        return LaurentPoly.one(1)
-    t_d = LaurentPoly.univariate({degree: 1, 0: -1})
-    return normalize(LaurentPoly.univariate({1: 1, 0: -1}) * t_d ** (degree - 2))
 
 
 def derive_transverse(curve: CurveData, local: list[LaurentPoly]) -> bool:
@@ -237,12 +226,13 @@ def check_l1_bounds(delta: LaurentPoly, curve: CurveData, transverse: bool,
                     factorization: Factored) -> CheckResult:
     """Bounds on the multiplicity m of (1 - t) in the invariant:
     l - 1 <= m always, m <= d - 1 with a nonzero invariant when the
-    line is transverse, and m = 0 for an irreducible curve."""
+    line is transverse, and m = 0 for an irreducible curve.  m is None,
+    printed as infinity, for the zero invariant."""
     ell = curve.n_curve_components
-    m = INFINITY if factorization is None else factorization[0].get(1, 0)
-    m_text = "infinity" if m == INFINITY else str(m)
+    m = None if factorization is None else factorization[0].get(1, 0)
+    m_text = "infinity" if m is None else str(m)
     left = poly_to_str(normalize(delta))
-    if m != INFINITY and m < ell - 1:
+    if m is not None and m < ell - 1:
         return CheckResult(
             "l1-bounds", FAIL,
             f"multiplicity {m_text} of (1 - t) is below l - 1 = {ell - 1}",

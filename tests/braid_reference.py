@@ -3,7 +3,7 @@
 Each letter l is the endomorphism phi_l of the free group given by its d
 generator images; the letters act left to right, so after the letters
 l1 ... lk the images are phi_lk(... phi_l1(x_j) ...), every image
-rewritten at every letter.  ``braid.artin_action`` reads the letters
+rewritten at every letter.  ``braid._letter_action`` reads the letters
 right to left, on letter tuples, and rewrites only the two
 images a letter moves; the tests check that both give the same freely
 reduced words.

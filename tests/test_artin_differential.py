@@ -1,9 +1,9 @@
 """Two-image Artin action against the substitute-every-image reference.
 
-``braid.artin_action`` reads the letters right to left and rewrites only
-images i and i+1 per letter; ``braid_reference.artin_action`` applies
+``braid._letter_action`` reads the letters right to left and rewrites
+only images i and i+1 per letter; ``braid_reference.artin_action`` applies
 each letter's endomorphism to all d images, left to right.  Free
-reduction is canonical, so the syllables must agree exactly, on seeded
+reduction is canonical, so the letters must agree exactly, on seeded
 random braids with 2-9 strands, 0-80 letters and both signs.
 ``braid_equal`` must agree too, on unrelated random pairs and on pairs
 where one word is the other rewritten by the braid relations.
@@ -12,7 +12,7 @@ reference's rebuild-every-position loop on seeded words, d = 2..9.
 Uniformly random words of every length 0..40 must agree as well, d =
 2..9.
 
-``artin_action`` counts the letters of its images against
+``_letter_action`` counts the letters of its images against
 ``MAX_SYLLABLES`` and counts syllables only past the bound.  With the
 bound set to each value in 10..400, it must raise after the same number
 of letters, read from the right, as a running syllable count of the
@@ -31,7 +31,7 @@ import random
 import pytest
 
 import alexpoly.braid
-from alexpoly.braid import (BraidWord, _syllable_count, artin_action,
+from alexpoly.braid import (BraidWord, _letter_action, _syllable_count,
                             braid_equal, permutation, strand_components)
 from alexpoly.errors import InputError
 from alexpoly.group import _word
@@ -81,8 +81,8 @@ def test_action_matches_reference(seed):
     rng = random.Random(seed)
     for _ in range(10):
         b = random_braid(rng)
-        got = [w.syllables for w in artin_action(b)]
-        want = [w.syllables for w in braid_reference.artin_action(b)]
+        got = _letter_action(b.strands, reversed(b.letters))
+        want = [w.letters for w in braid_reference.artin_action(b)]
         assert got == want, b
 
 
@@ -124,8 +124,8 @@ def test_uniform_words_match_reference(d):
     rng = random.Random(2000 + d)
     for length in range(41):
         b = BraidWord(d, tuple(random_letter(rng, d) for _ in range(length)))
-        got = [w.syllables for w in artin_action(b)]
-        assert got == [w.syllables for w in braid_reference.artin_action(b)], b
+        got = _letter_action(b.strands, reversed(b.letters))
+        assert got == [w.letters for w in braid_reference.artin_action(b)], b
 
 
 def test_flat_words_merge_runs():
@@ -156,8 +156,8 @@ def test_budget_trips_at_the_reference_letter(monkeypatch, d, seed, length):
     for bound in range(10, 401):
         monkeypatch.setattr(alexpoly.braid, "MAX_SYLLABLES", bound)
         k = next(k for k, total in enumerate(running) if total > bound)
-        artin_action(BraidWord(d, letters[len(letters) - k + 1:]))
+        _letter_action(d, reversed(letters[len(letters) - k + 1:]))
         with pytest.raises(InputError) as exc:
-            artin_action(BraidWord(d, letters[-k:]))
+            _letter_action(d, reversed(letters[-k:]))
         assert str(exc.value) == ("field 'word': the braid's generator "
                                   f"images exceed {bound} syllables")

@@ -1,4 +1,7 @@
-"""Tests for braid words, the Artin action, and derived presentations."""
+"""Tests for braid words, the Artin action, and derived presentations.
+
+The action is ``braid._letter_action``, which takes the letters read
+right to left and returns the images as letter tuples."""
 
 import random
 
@@ -10,10 +13,9 @@ from alexpoly.braid import (
     MAX_SYLLABLES,
     BraidWord,
     Factorization,
-    artin_action,
+    _letter_action,
     braid_equal,
     braid_from_json,
-    braid_to_json,
     closure_presentation,
     factor_orbits,
     factorization_from_json,
@@ -27,7 +29,7 @@ from alexpoly.braid import (
 )
 from alexpoly.errors import InputError
 from alexpoly.fox import alexander_one_variable
-from alexpoly.group import Word, parse_word
+from alexpoly.group import Word, _word, parse_word
 from alexpoly.ring import equal_up_to_units, parse_poly
 
 from zvk_reference import abelianization_invariants
@@ -39,6 +41,11 @@ def B(strands, *letters):
 
 def W2(text):
     return parse_word(text, ("x1", "x2"))
+
+
+def action(b):
+    """The images of the braid b as Words."""
+    return [_word(w) for w in _letter_action(b.strands, reversed(b.letters))]
 
 
 @st.composite
@@ -78,23 +85,23 @@ def test_braid_algebra():
 
 
 def test_positive_letter_action():
-    images = artin_action(B(2, 1))
+    images = action(B(2, 1))
     assert images[0] == W2("x1 x2 x1^-1")
     assert images[1] == W2("x1")
 
 
 def test_negative_letter_action():
-    images = artin_action(B(2, -1))
+    images = action(B(2, -1))
     assert images[0] == W2("x2")
     assert images[1] == W2("x2^-1 x1 x2")
 
 
 def test_letters_act_left_to_right():
     # s1 then s1^-1 must undo, in both orders
-    assert artin_action(B(2, 1, -1)) == artin_action(B(2))
-    assert artin_action(B(2, -1, 1)) == artin_action(B(2))
+    assert action(B(2, 1, -1)) == action(B(2))
+    assert action(B(2, -1, 1)) == action(B(2))
     # s1 s2 (3 strands): x1 goes through s1 first
-    images = artin_action(B(3, 1, 2))
+    images = action(B(3, 1, 2))
     x = lambda t: parse_word(t, ("x1", "x2", "x3"))
     # s1: x1 -> x1 x2 x1^-1, then s2 rewrites x2
     assert images[0] == x("x1 x2 x3 x2^-1 x1^-1")
@@ -120,7 +127,7 @@ def test_inverse_cancels(b):
 def test_action_fixes_generator_product(b):
     prod = Word(tuple((i, 1) for i in range(b.strands)))
     image = Word()
-    for w in artin_action(b):
+    for w in action(b):
         image = image * w
     assert image == prod
 
@@ -135,11 +142,11 @@ def test_artin_action_syllable_budget():
     # the images of a uniformly random word grow exponentially: this one
     # passes MAX_SYLLABLES at its 62nd letter from the right
     with pytest.raises(InputError) as exc:
-        artin_action(BraidWord(5, seeded_word(1, 5, 75)))
+        action(BraidWord(5, seeded_word(1, 5, 75)))
     assert exc.value.field == "word"
     assert str(exc.value).endswith(f"exceed {MAX_SYLLABLES} syllables")
     # this one peaks at 35,089 syllables
-    assert len(artin_action(BraidWord(5, seeded_word(0, 5, 75)))) == 5
+    assert len(action(BraidWord(5, seeded_word(0, 5, 75)))) == 5
 
 
 def test_full_twist_basics():
@@ -340,9 +347,9 @@ def test_closure_drops_trivial_relators():
 
 
 def test_braid_json_round_trip():
-    b = B(3, 1, -2, 1)
-    assert braid_from_json(braid_to_json(b)) == b
-    assert braid_to_json(b) == {"strands": 3, "word": [1, -2, 1]}
+    b = braid_from_json({"strands": 3, "word": [1, -2, 1]})
+    assert (b.strands, b.letters) == (3, (1, -2, 1))
+    assert b == B(3, 1, -2, 1)
 
 
 def test_factorization_json_round_trip():

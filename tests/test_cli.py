@@ -746,10 +746,14 @@ def test_link_diagnostics_name_the_field(capsys, tmp_path, link, field, message)
         assert err == f"error: {path}: field '{field}': {message}\n", argv
 
 
-def _two_lines_with(**component_a):
+def _two_lines_edited(edit):
     curve = json.loads((DATA / "two_lines" / "curve.json").read_text("utf-8"))
-    curve["components"][1].update(component_a)
+    edit(curve)
     return curve
+
+
+def _two_lines_with(**component_a):
+    return _two_lines_edited(lambda c: c["components"][1].update(component_a))
 
 
 HOPF_MARKED = {"braid": HOPF, "colours": {"1": 0, "2": 1}, "marked": 1,
@@ -785,6 +789,39 @@ def test_boolean_is_not_an_integer(capsys, tmp_path, command, obj, field,
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: field '{field}': {message}\n"
+
+
+@pytest.mark.parametrize("argv, obj, field, message", [
+    (["curve"], _two_lines_edited(lambda c: c["components"][0].update(degree=2)),
+     "components", "component 0 is the line: degree 1, genus 0"),
+    (["curve"], _two_lines_edited(
+        lambda c: c["singularities"][0]["link"]["colours"].update({"2": 7})),
+     "singularities", "singularity 0 colours [7] do not name components"),
+    (["curve"], _two_lines_edited(lambda c: c["singularities"][1].update(on_L=False)),
+     "singularities", "singularity 1: a branch of colour 0 is required "
+     "exactly when the point lies on the line"),
+    (["curve"], _two_lines_edited(
+        lambda c: c["singularities"][1]["link"].update(degree=5)),
+     "singularities", "singularity 1: marked link degree 5 != curve degree 2"),
+    (["curve"], _two_lines_edited(lambda c: c["singularities"][0].update(link=5)),
+     "singularities", "link must be a JSON object"),
+    (["closure", "--multi"], {"braid": {"strands": 2, "word": [1, 1, 1]},
+                              "colours": {"1": 1}},
+     "colours", "the multivariable invariant needs at least 2 colours"),
+    (["closure", "--marked", "1"], HOPF_MARKED, "--marked",
+     "--marked applies to bare braid files; this file sets the marking itself"),
+    (["closure", "--marked", "1"], HOPF, "--hat",
+     "a marked link needs a degree >= 1"),
+    (["closure", "--marked", "1", "--hat", "3"], {"strands": 2, "word": [1]},
+     "--marked", "at least one component needs a nonzero colour"),
+], ids=["line", "colours", "on_L", "marked degree", "link", "one colour",
+        "marked link file", "marked without degree", "only component marked"])
+def test_diagnostics_name_the_field(capsys, tmp_path, argv, obj, field, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: {path}: field '{field}': {message}\n"
 

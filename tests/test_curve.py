@@ -1,5 +1,8 @@
 """Tests for curve data, Euler characteristics, and the boundary polynomial."""
 
+import json
+import pathlib
+
 import pytest
 
 from alexpoly.braid import BraidWord
@@ -12,7 +15,6 @@ from alexpoly.curve import (
     boundary_delta,
     boundary_factors,
     curve_from_json,
-    curve_to_json,
     euler_characteristic,
     first_betti,
     local_deltas,
@@ -22,8 +24,15 @@ from alexpoly.linkpoly import MarkedLink
 from alexpoly.ring import LaurentPoly, cyclotomic_polynomial, normalize, parse_poly
 
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
 def P(text):
     return parse_poly(text)
+
+
+def shipped_curve_json(name):
+    return json.loads((DATA / name / "curve.json").read_text("utf-8"))
 
 
 def boundary_of(curve):
@@ -198,11 +207,10 @@ def test_affine_counts():
 
 
 def test_curve_json_round_trip():
-    curve = two_lines_curve()
-    obj = curve_to_json(curve)
-    assert obj["components"][0] == {"name": "L", "degree": 1, "genus": 0}
-    assert obj["singularities"][0]["on_L"] is False
-    assert curve_from_json(obj) == curve
+    curve = curve_from_json(shipped_curve_json("two_lines"))
+    assert curve.components[0] == CurveComponent("L", 1, 0)
+    assert curve.singularities[0].on_L is False
+    assert curve == two_lines_curve()
 
 
 def test_curve_json_defaults_and_errors():
@@ -214,12 +222,12 @@ def test_curve_json_defaults_and_errors():
         curve_from_json({"components": [
             {"name": "L", "degree": 1, "genus": 0},
             {"name": "C", "degree": "two", "genus": 0}]})
-    obj = curve_to_json(conic_curve())
+    obj = shipped_curve_json("conic_line")
     obj["singularities"][0]["on_L"] = "yes"
     with pytest.raises(InputError):
         curve_from_json(obj)
     # on_L defaults to the presence of a marking
-    obj = curve_to_json(conic_curve())
+    obj = shipped_curve_json("conic_line")
     for sing in obj["singularities"]:
         sing.pop("on_L")
     assert curve_from_json(obj) == conic_curve()

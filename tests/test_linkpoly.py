@@ -9,7 +9,6 @@ from alexpoly.linkpoly import (
     MarkedLink,
     hat_delta,
     link_from_json,
-    link_to_json,
     marked_torus_link,
     multivariable_delta,
     one_variable_delta,
@@ -154,26 +153,29 @@ def test_torres_substitution_consistency():
 
 
 def test_link_json_round_trip():
-    link = marked_torus_link(3, 4)
-    obj = link_to_json(link)
-    assert obj == {
+    link = link_from_json({
         "braid": {"strands": 3, "word": [1, 2, 1, 2, 1, 2]},
         "colours": {"1": 0, "2": 1, "3": 2},
         "marked": 1,
         "degree": 4,
-    }
-    assert link_from_json(obj) == link
+    })
+    assert link.braid == BraidWord(3, (1, 2, 1, 2, 1, 2))
+    assert link.colours == {0: 0, 1: 1, 2: 2}
+    assert (link.marked, link.degree) == (0, 4)
+    assert link == marked_torus_link(3, 4)
 
 
 def test_unmarked_json_round_trip():
-    link = hopf()
-    obj = link_to_json(link)
-    assert "marked" not in obj
-    assert link_from_json(obj) == link
+    link = link_from_json({"braid": {"strands": 2, "word": [1, 1]},
+                           "colours": {"1": 1, "2": 2}})
+    assert (link.marked, link.degree) == (None, None)
+    assert link == hopf()
 
 
 def test_link_json_errors():
-    good = link_to_json(marked_torus_link(2, 2))
+    good = {"braid": {"strands": 2, "word": [1, 1]},
+            "colours": {"1": 0, "2": 1}, "marked": 1, "degree": 2}
+    assert link_from_json(good) == marked_torus_link(2, 2)
     with pytest.raises(InputError):
         link_from_json("nope")
     bad = dict(good)

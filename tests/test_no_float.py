@@ -5,14 +5,18 @@ may divide two ints into a ``float``: every quotient of coefficients is
 exact.  Each test draws polynomials with integer and fractional
 coefficients (integral fractions such as 4/2 among them), runs one layer
 of the ring or above it, and checks how every coefficient of every
-result is stored.
+result is stored.  No module of the package may name ``float`` or hold a
+float constant at all.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import alexpoly
 from alexpoly.braid import BraidWord, closure_presentation, strand_components
 from alexpoly.fox import alexander_polynomial
 from alexpoly.group import AbelMap
@@ -170,3 +174,13 @@ def test_alexander_polynomial_on_small_closures():
                                     for s in range(d)))]
         for phi in phis:
             assert_stored(alexander_polynomial(pres, phi))
+
+
+def test_no_float_in_the_source():
+    found = []
+    for path in sorted(pathlib.Path(alexpoly.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    or isinstance(node, ast.Name) and node.id == "float"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

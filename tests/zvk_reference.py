@@ -2,7 +2,7 @@
 
 ``full_zvk_presentation``: each factor b contributes b(x_i) x_i^-1 for
 every generator x_i, the direct statement that the monodromy fixes the
-fibre's free group.  ``braid.zvk_presentation`` emits one relator per
+fibre's free group, with the images of ``braid_reference.artin_action``.  ``braid.zvk_presentation`` emits one relator per
 factor; the tests check that both present groups with the same
 Alexander invariants and the same abelianization, which
 ``abelianization_invariants`` reads off sympy's integer Smith normal
@@ -19,10 +19,10 @@ the tests check that the syllables agree exactly.
 
 import pytest
 
-from alexpoly.braid import BraidWord, Factorization, artin_action
+from alexpoly.braid import BraidWord, Factorization
 from alexpoly.group import Presentation, Word
 
-from braid_reference import apply_braid
+from braid_reference import apply_braid, artin_action
 
 
 def full_zvk_presentation(f: Factorization, projective: bool | None = None
