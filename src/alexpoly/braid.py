@@ -1,17 +1,21 @@
-"""Braid words, the Artin action on free groups, and the presentations
-of curve and link complements that braid data gives rise to.
+"""Braid words, the Artin action on free groups, Dynnikov coordinates,
+and the presentations of curve and link complements that braid data
+gives rise to.
 
 Positive letter i (1-based) sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
 to x_i, fixing the rest; negative letters act by the inverse rule.
-Letters of a word act left to right.  The action is faithful, so braid
-equality is decided by comparing generator images.
+Letters of a word act left to right.  The Artin action builds the
+closure and ZvK relators.  Braid equality, and so the check that a
+factorization multiplies to the full twist, is decided on Dynnikov
+coordinates instead: a fixed number of integer operations per letter.
 
 Free-group words here are the letter tuples that ``group.Word`` stores,
 signed letters +-(g + 1) standing for x_g^+-1, freely reduced; the
 images and relators built from them are handed to ``Word`` as they are.
 The ``MAX_SYLLABLES`` budget on the images is checked on their letter
 count, which is never below their syllable count; syllables are counted
-only once the letters pass the bound.
+only once the letters pass the bound.  ``MAX_COORDINATE_BITS`` bounds
+the Dynnikov coordinates.
 """
 
 from __future__ import annotations
@@ -54,10 +58,10 @@ class BraidWord:
 
 
 #: Largest total syllable count of the generator images that
-#: ``_letter_action`` builds.  Images can grow exponentially with the word.
-#: The largest total any shipped or benchmark braid reaches is 251, for
-#: the factor product of the generic 7-line arrangement; that of the
-#: generic 32-line arrangement reaches 7,476.
+#: ``_letter_action`` builds for closures and ZvK relators.  Images can
+#: grow exponentially with the word.  The images of the shipped and
+#: benchmark braids and relators hold at most 169 syllables in all, for
+#: the closure of T(9,9).
 MAX_SYLLABLES = 100_000
 
 
@@ -112,11 +116,81 @@ def _letter_action(strands: int, reversed_letters: Iterable[int]
     return images
 
 
+#: Largest bit length of a Dynnikov coordinate that ``_dynnikov`` lets
+#: pass.  Unbounded, the integers grow linearly with the word and the
+#: work quadratically: the coordinates of (s_1 s_2^-1)^100000 on 5 strands
+#: gain about 0.7 bits a letter, and validating it took 7.1 s against
+#: 0.25 s with this bound.  A letter adds at most 3 bits, since no new
+#: coordinate exceeds 5 times the largest old one in absolute value.
+#: Largest lengths over all prefixes, measured: 4 bits on the shipped
+#: factorizations, 7 on the generic 48-line arrangement, 15 on the 294
+#: generic 4- to 6-line arrangements conjugated by seeded braids that the
+#: Artin check with ``MAX_SYLLABLES`` accepted, and 26 and 67 on the
+#: 5-line one conjugated by a random 60- and 200-letter braid.
+MAX_COORDINATE_BITS = 1024
+
+
+def _dynnikov(a: list[int], b: list[int], letters: Iterable[int]
+              ) -> tuple[list[int], list[int]]:
+    """Act on the Dynnikov coordinates (a_1, b_1, ..., a_d, b_d), held as
+    the lists a and b, in place by the letters, left to right; return
+    (a, b).
+
+    Letter s_i rewrites ai, bi, aj, bj = a_i, b_i, a_{i+1}, b_{i+1}; with
+    x+ = max(x, 0) and x- = min(x, 0), s_i takes e = ai - bi- - aj + bj+
+    to (ai + bi+ + (bj+ - e)+, bj - e+, aj + bj- + (bi- + e)-, bi + e+)
+    and s_i^-1 takes f = ai + bi- - aj - bj+ to (ai - bi+ - (bj+ + f)+,
+    bj + f-, aj - bj- - (bi- - f)-, bi - f-).  This is Dehornoy's action
+    of B_d on Z^2d, B_d acting on the laminations of a disk with d + 2
+    punctures whose outer two are idle.  Distinct braids take
+    (0, 1, ..., 0, 1) to distinct coordinates, so two words are equal
+    exactly when they give the same coordinates (I. Dynnikov, Russian
+    Math. Surveys 57 (2002); P. Dehornoy, I. Dynnikov, D. Rolfsen and
+    B. Wiest, Ordering Braids, AMS 2008, the chapter on Dynnikov
+    coordinates).  Raises InputError, field ``word``, once a coordinate
+    is longer than MAX_COORDINATE_BITS bits.
+    """
+    limit = 1 << MAX_COORDINATE_BITS
+    for letter in letters:
+        j = letter if letter > 0 else -letter
+        i = j - 1
+        ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+        bi_pos = bi if bi > 0 else 0
+        bi_neg = bi - bi_pos
+        bj_pos = bj if bj > 0 else 0
+        bj_neg = bj - bj_pos
+        if letter > 0:
+            e = ai - bi_neg - aj + bj_pos
+            e_pos = e if e > 0 else 0
+            x = bj_pos - e
+            y = bi_neg + e
+            ai += bi_pos + (x if x > 0 else 0)
+            aj += bj_neg + (y if y < 0 else 0)
+            bi, bj = bj - e_pos, bi + e_pos
+        else:
+            f = ai + bi_neg - aj - bj_pos
+            f_neg = f if f < 0 else 0
+            x = bj_pos + f
+            y = bi_neg - f
+            ai -= bi_pos + (x if x > 0 else 0)
+            aj -= bj_neg + (y if y < 0 else 0)
+            bi, bj = bj + f_neg, bi - f_neg
+        a[i] = ai
+        b[i] = bi
+        a[j] = aj
+        b[j] = bj
+        if not (-limit < ai < limit and -limit < bi < limit
+                and -limit < aj < limit and -limit < bj < limit):
+            raise InputError("the braid's Dynnikov coordinates exceed "
+                             f"{MAX_COORDINATE_BITS} bits", field="word")
+    return a, b
+
+
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in the braid group via the faithful Artin action."""
-    return a.strands == b.strands and (
-        _letter_action(a.strands, reversed(a.letters))
-        == _letter_action(b.strands, reversed(b.letters)))
+    """Equality in the braid group via Dynnikov coordinates."""
+    d = a.strands
+    return d == b.strands and (_dynnikov([0] * d, [1] * d, a.letters)
+                               == _dynnikov([0] * d, [1] * d, b.letters))
 
 
 def full_twist(strands: int) -> BraidWord:
@@ -126,11 +200,11 @@ def full_twist(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(range(1, strands)) * strands)
 
 
-def _full_twist_images(strands: int) -> list[Letters]:
-    """Artin action of the full twist on letter tuples, in closed form: it
-    conjugates, x_j -> P x_j P^-1 with P = x_1 ... x_d."""
-    p = tuple(range(1, strands + 1))
-    return [_join(_join(p, (g,)), _inverse(p)) for g in p]
+def _full_twist_coordinates(strands: int) -> tuple[list[int], list[int]]:
+    """Dynnikov coordinates of the full twist, in closed form: a_j = d - j,
+    b_1 = 1 - d, b_d = 2d - 1 and b_j = 0 in between."""
+    return (list(range(strands - 1, -1, -1)),
+            [1 - strands] + [0] * (strands - 2) + [2 * strands - 1])
 
 
 def permutation(braid: BraidWord) -> list[int]:
@@ -199,11 +273,9 @@ def validate_factorization(f: Factorization
 
     Returns the split (w, s_i^k) of each factor, in order, as letter
     tuples, found by stripping the longest w ... w^-1 wrapping.  The
-    action is faithful, so the product is the full twist exactly when
-    its images are the closed form x_j -> P x_j P^-1,
-    P = x_1 ... x_d, of the full twist's; the factors' letters go
-    through the Artin action as one word, read right to left, without
-    building the product braid.
+    product is the full twist exactly when the factors' letters, acting
+    left to right, take the Dynnikov coordinates (0, 1, ..., 0, 1) to
+    the full twist's, without building the product braid.
     """
     splits = []
     for idx, factor in enumerate(f.factors):
@@ -218,11 +290,11 @@ def validate_factorization(f: Factorization
                              field="factors")
         splits.append((letters[:k], core))
     try:
-        images = _letter_action(f.strands, chain.from_iterable(
-            reversed(b.letters) for b in reversed(f.factors)))
-    except InputError as exc:  # the product's images pass MAX_SYLLABLES
+        coords = _dynnikov([0] * f.strands, [1] * f.strands,
+                           chain.from_iterable(b.letters for b in f.factors))
+    except InputError as exc:  # a coordinate passes MAX_COORDINATE_BITS
         raise InputError(exc.args[0], field="factors") from None
-    if images != _full_twist_images(f.strands):
+    if coords != _full_twist_coordinates(f.strands):
         raise InputError("product of the factors is not the full twist",
                          field="factors")
     return splits
@@ -258,18 +330,23 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
     cancelling only where two images meet.  The projective variant kills
     the product x_1 ... x_d as well.  The returned map sends each
     generator to the coordinate of its component (orbits ordered by
-    least strand).
+    least strand).  A relator whose Artin images pass MAX_SYLLABLES
+    raises InputError naming field ``factors`` and the factor.
     """
     splits = validate_factorization(f)
     if projective is None:
         projective = f.projective
     d = f.strands
     relators = []
-    for w, core in splits:
+    for idx, (w, core) in enumerate(splits):
         g = abs(core[0])
-        u = _join(_letter_action(d, core)[g - 1], (-g,))
-        # w^-1 = -l_m ... -l_1 reads -l_1 ... -l_m from the right
-        w_inv = _letter_action(d, map(neg, w))
+        try:
+            u = _join(_letter_action(d, core)[g - 1], (-g,))
+            # w^-1 = -l_m ... -l_1 reads -l_1 ... -l_m from the right
+            w_inv = _letter_action(d, map(neg, w))
+        except InputError as exc:  # the images pass MAX_SYLLABLES
+            raise InputError(f"factor {idx}: {exc.args[0]}",
+                             field="factors") from None
         rel: list[int] = []
         for v in u:
             piece = w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1])

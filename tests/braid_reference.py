@@ -19,12 +19,17 @@ in halves), and ``apply_braid`` applies a braid's images that way.
 ``permutation`` rebuilds the list of all d positions at every letter and
 ``strand_components`` walks its cycles; ``braid.permutation`` swaps the
 two strands a letter moves and inverts once at the end.
+
+``full_twist_images`` is the Artin action of the full twist in closed
+form, x_j -> P x_j P^-1 with P = x_1 ... x_d, and ``is_full_twist``
+compares a braid's images with it: the certificate that
+``braid.validate_factorization`` now gives on Dynnikov coordinates.
 """
 
 from typing import Iterable, Sequence
 
-from alexpoly.braid import BraidWord
-from alexpoly.group import Letters, Word, _join, _word
+from alexpoly.braid import BraidWord, _letter_action
+from alexpoly.group import Letters, Word, _inverse, _join, _word
 
 Syllable = tuple[int, int]
 
@@ -119,3 +124,16 @@ def strand_components(braid: BraidWord) -> list[tuple[int, ...]]:
                 cycle.append(pos[cycle[-1]])
             cycles.append(tuple(sorted(cycle)))
     return cycles
+
+
+def full_twist_images(strands: int) -> list[Letters]:
+    """Artin action of the full twist on letter tuples, in closed form: it
+    conjugates, x_j -> P x_j P^-1 with P = x_1 ... x_d."""
+    p = tuple(range(1, strands + 1))
+    return [_join(_join(p, (g,)), _inverse(p)) for g in p]
+
+
+def is_full_twist(braid: BraidWord) -> bool:
+    """Whether the braid's Artin images are the full twist's."""
+    return (_letter_action(braid.strands, reversed(braid.letters))
+            == full_twist_images(braid.strands))

@@ -9,6 +9,7 @@ import argparse
 import json
 import pathlib
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import alexpoly.cli
 import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
-from alexpoly.braid import MAX_SYLLABLES
+from alexpoly.braid import MAX_COORDINATE_BITS, MAX_SYLLABLES
 from alexpoly.cli import COMMANDS, build_parser, main, parse_well_formed
 from alexpoly.group import MAX_LETTERS
 from alexpoly.ring import MAX_VARIABLES, LaurentPoly, poly_to_str
@@ -557,9 +558,9 @@ def test_closure_syllable_budget(capsys, tmp_path):
 
 
 def test_factorization_syllable_budget(capsys, tmp_path):
-    # one factor w s_1 w^-1 with a random 40-letter w: the images of the
-    # factor product pass MAX_SYLLABLES before it can be compared with
-    # the full twist
+    # one factor w s_1 w^-1 with a random 40-letter w: its Artin images
+    # once passed MAX_SYLLABLES, but the product is certified on Dynnikov
+    # coordinates, and one conjugate of s_1 is not the full twist
     rng = random.Random(0)
     w = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(40)]
     path = tmp_path / "factorization.json"
@@ -569,8 +570,73 @@ def test_factorization_syllable_budget(capsys, tmp_path):
                  ["verify", str(DATA / "two_lines" / "curve.json"), str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (f"error: {path}: field 'factors': the braid's generator "
-                       f"images exceed {MAX_SYLLABLES} syllables\n")
+        assert err == (f"error: {path}: field 'factors': product of the "
+                       "factors is not the full twist\n")
+
+
+def conjugated_arrangement(length: int) -> dict:
+    """The generic 5-line arrangement with every factor conjugated by the
+    same seeded random braid of `length` letters: the product is still
+    the full twist, which is central."""
+    rng = random.Random(0)
+    c = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(length)]
+    c_inv = [-v for v in reversed(c)]
+    factors = []
+    for j in range(2, 6):
+        for i in range(1, j):
+            w = list(range(j - 1, i, -1))
+            factors.append(c + w + [i, i] + [-v for v in reversed(w)] + c_inv)
+    return {"strands": 5, "factors": factors}
+
+
+@pytest.mark.parametrize("length", [40, 60])
+def test_conjugated_arrangement_is_validated(capsys, tmp_path, length):
+    # the Artin images of the 40-letter product passed MAX_SYLLABLES
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps(conjugated_arrangement(length)),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "zvk", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("alexander: t^4 - 4*t^3 + 6*t^2 - 4*t + 1\n")
+
+
+def test_conjugated_arrangement_relator_budget(capsys, tmp_path):
+    # validation passes; the relator of factor 1, whose conjugator has 81
+    # letters, passes MAX_SYLLABLES, and the message names the factor
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps(conjugated_arrangement(80)), encoding="utf-8")
+    assert run_cli(capsys, "zvk", str(path)) == (
+        2, "", f"error: {path}: field 'factors': factor 1: the braid's "
+        f"generator images exceed {MAX_SYLLABLES} syllables\n")
+
+
+def test_pseudo_anosov_product_coordinate_bound(capsys, tmp_path):
+    # (s_1 s_2^-1)^100000: the coordinates gain about 0.7 bits a letter,
+    # so the action stops after about 1,500 of the 200,000 letters
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps({"strands": 5, "factors": [[1], [-2]] * 100_000}),
+                    encoding="utf-8")
+    assert run_cli(capsys, "zvk", str(path)) == (
+        2, "", f"error: {path}: field 'factors': the braid's Dynnikov "
+        f"coordinates exceed {MAX_COORDINATE_BITS} bits\n")
+
+
+def test_wide_factorization_in_linear_memory(tmp_path):
+    # the full twist's coordinates on 100,000 strands take O(d) memory;
+    # its Artin images in closed form would take O(d^2), tens of GB
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps({"strands": 100_000, "factors": [[1]]}),
+                    encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "alexpoly.cli", "zvk", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {path}: field 'factors': product of the "
+                           "factors is not the full twist\n")
 
 
 def test_fox_relator_letter_budget(capsys, tmp_path):

@@ -7,12 +7,14 @@ concatenated syllables is the reference.  ``Word(pairs)``, ``Word``
 products and inverses, the ``syllables`` view of the letters and the
 reference ``apply_endomorphism`` of ``braid_reference`` (which
 multiplies its pieces in halves) must agree with it, on seeded words
-and with hypothesis.  ``validate_factorization`` compares the factor
-product's images with the closed form x_j -> P x_j P^-1
-(P = x_1 ... x_d) instead of acting by the full-twist word;
-``braid_equal`` with ``full_twist`` is the reference.  ``fox_matrix``
-stores its entries without the ``LaurentPoly`` constructor, whose route
-``fox_reference.fox_matrix`` keeps.  The syllable budget must still stop
+and with hypothesis.  The closed form x_j -> P x_j P^-1
+(P = x_1 ... x_d) of the full twist's images, kept in
+``braid_reference``, must match the action of the full-twist word.
+``validate_factorization`` must agree with ``braid_equal`` with
+``full_twist``; both are decided on Dynnikov coordinates, which
+``test_artin_differential`` checks against the Artin action.
+``fox_matrix`` stores its entries without the ``LaurentPoly``
+constructor, whose route ``fox_reference.fox_matrix`` keeps.  The syllable budget must still stop
 ``braid._letter_action`` at the same letter.
 """
 
@@ -25,15 +27,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
-                            _full_twist_images, _letter_action, braid_equal,
-                            full_twist, validate_factorization,
-                            zvk_presentation)
+                            _letter_action, braid_equal, full_twist,
+                            validate_factorization, zvk_presentation)
 from alexpoly.errors import InputError
 from alexpoly.fox import fox_matrix
 from alexpoly.group import AbelMap, Presentation, Word, _join, _word
 
 import fox_reference
-from braid_reference import apply_endomorphism, reduce_syllables
+from braid_reference import (apply_endomorphism, full_twist_images,
+                             reduce_syllables)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -139,7 +141,7 @@ def test_apply_endomorphism_matches_full_reduction(seed):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_closed_form_twist_matches_action(d):
-    assert _full_twist_images(d) == \
+    assert full_twist_images(d) == \
         _letter_action(d, reversed(full_twist(d).letters))
 
 
