@@ -10,8 +10,9 @@ factorization multiplies to the full twist, is decided on Dynnikov
 coordinates instead: a fixed number of integer operations per letter.
 
 Free-group words here are the letter tuples that ``group.Word`` stores,
-signed letters +-(g + 1) standing for x_g^+-1, freely reduced; the
-images and relators built from them are handed to ``Word`` as they are.
+signed letters +-(g + 1) standing for x_g^+-1, freely reduced; every
+product of two of them is ``group._join``, and the images and relators
+are handed to ``Word`` as they are.
 The ``MAX_SYLLABLES`` budget on the images is checked on their letter
 count, which is never below their syllable count; syllables are counted
 only once the letters pass the bound.  ``MAX_COORDINATE_BITS`` bounds
@@ -37,11 +38,15 @@ class BraidWord:
     def __post_init__(self):
         if not isinstance(self.strands, int) or self.strands < 2:
             raise ValueError("a braid needs at least 2 strands")
-        letters = tuple(int(v) for v in self.letters)
-        for v in letters:
-            if v == 0 or abs(v) > self.strands - 1:
-                raise ValueError(
-                    f"letter {v} out of range for {self.strands} strands")
+        letters = tuple(self.letters)
+        if not set(map(type, letters)) <= {int}:
+            raise ValueError("letters must be integers")
+        top = self.strands - 1
+        if letters and (min(letters) < -top or max(letters) > top
+                        or 0 in letters):
+            v = next(v for v in letters if v == 0 or abs(v) > top)
+            raise ValueError(
+                f"letter {v} out of range for {self.strands} strands")
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
@@ -77,38 +82,21 @@ def _letter_action(strands: int, reversed_letters: Iterable[int]
 
     Prepending l = s_i rewrites only images i and i+1, (a, b) ->
     (a b a^-1, a), and l = s_i^-1 rewrites them (a, b) -> (b, b^-1 a b):
-    two seam joins per letter.  Raises InputError once the images hold
-    more than MAX_SYLLABLES syllables in all.
+    one inverse and two seam joins per letter.  Raises InputError once
+    the images hold more than MAX_SYLLABLES syllables in all.
     """
     images = [(g,) for g in range(1, strands + 1)]
-    # an image's inverse while it is known, else None: an image that a
-    # letter moves keeps its inverse, a new one has none until needed
-    inverses: list[Letters | None] = [(-g,) for g in range(1, strands + 1)]
     total = strands  # letters in all, never fewer than syllables
     for letter in reversed_letters:
-        if letter > 0:  # images[i], images[letter] are a, b
-            i = letter - 1
-            a = images[i]
-            b = images[letter]
-            a_inv = inverses[i]
-            if a_inv is None:
-                a_inv = _inverse(a)
-            images[i] = new = _join(_join(a, b), a_inv)
-            inverses[i] = None
-            images[letter] = a
-            inverses[letter] = a_inv
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            new = _join(_join(a, b), _inverse(a))
+            images[i], images[i + 1] = new, a
             total += len(new) - len(b)
         else:
-            i = -letter - 1
-            a = images[i]
-            b = images[-letter]
-            b_inv = inverses[-letter]
-            if b_inv is None:
-                b_inv = _inverse(b)
-            images[i] = b
-            inverses[i] = b_inv
-            images[-letter] = new = _join(_join(b_inv, a), b)
-            inverses[-letter] = None
+            new = _join(_join(_inverse(b), a), b)
+            images[i], images[i + 1] = b, new
             total += len(new) - len(a)
         if total > MAX_SYLLABLES and _syllable_count(images) > MAX_SYLLABLES:
             raise InputError("the braid's generator images exceed "
@@ -325,13 +313,13 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
     gives one relator, w^-1 applied to s_i^k(x_i) x_i^-1: s_i^k fixes
     x_i x_{i+1} and the other generators, so the relators b(x_j) x_j^-1
     of the factor b for every j follow from this one.  The relator is
-    built on letter tuples: the image u of x_i under s_i^k, times
-    x_i^-1, then each letter of u replaced by its image under w^-1,
-    cancelling only where two images meet.  The projective variant kills
-    the product x_1 ... x_d as well.  The returned map sends each
-    generator to the coordinate of its component (orbits ordered by
-    least strand).  A relator whose Artin images pass MAX_SYLLABLES
-    raises InputError naming field ``factors`` and the factor.
+    ``_join`` folded over the w^-1-images of the letters of u =
+    s_i^k(x_i) x_i^-1, so letters cancel only where two images meet.
+    The projective variant kills the product x_1 ... x_d as well.  The
+    returned map sends each generator to the coordinate of its component
+    (orbits ordered by least strand).  A relator whose Artin images pass
+    MAX_SYLLABLES raises InputError naming field ``factors`` and the
+    factor.
     """
     splits = validate_factorization(f)
     if projective is None:
@@ -347,15 +335,10 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
         except InputError as exc:  # the images pass MAX_SYLLABLES
             raise InputError(f"factor {idx}: {exc.args[0]}",
                              field="factors") from None
-        rel: list[int] = []
+        rel: Letters = ()
         for v in u:
-            piece = w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1])
-            j = 0
-            while rel and j < len(piece) and rel[-1] == -piece[j]:
-                rel.pop()
-                j += 1
-            rel.extend(piece[j:])
-        relators.append(_word(tuple(rel)))
+            rel = _join(rel, w_inv[v - 1] if v > 0 else _inverse(w_inv[-v - 1]))
+        relators.append(_word(rel))
     if projective:
         relators.append(_word(tuple(range(1, d + 1))))
     pres = Presentation(_generator_names(d), tuple(relators))
@@ -380,12 +363,8 @@ def closure_presentation(braid: BraidWord) -> Presentation:
     """
     d = braid.strands
     images = _letter_action(d, reversed(braid.letters))
-    relators = []
-    for g in range(1, d):
-        rel = _join(images[g - 1], (-g,))
-        if rel:
-            relators.append(_word(rel))
-    return Presentation(_generator_names(d), tuple(relators))
+    return Presentation(_generator_names(d), tuple(
+        _word(_join(images[g - 1], (-g,))) for g in range(1, d)))
 
 
 # ---------------------------------------------------------------------------

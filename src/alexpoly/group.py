@@ -70,16 +70,6 @@ class Word:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Word is immutable")
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return _IDENTITY
-
-    @classmethod
-    def generator(cls, index: int, exp: int = 1) -> "Word":
-        if index < 0:
-            raise ValueError("generator index must be nonnegative")
-        return cls(((index, exp),))
-
     @property
     def syllables(self) -> tuple[Syllable, ...]:
         """The runs of equal letters as (generator index, exponent) pairs."""
@@ -174,7 +164,9 @@ class AbelMap:
             raise ValueError("rank must be at least 1")
         coerced = []
         for img in self.images:
-            vec = tuple(int(v) for v in (img if isinstance(img, (tuple, list)) else (img,)))
+            vec = tuple(img) if isinstance(img, (tuple, list)) else (img,)
+            if not set(map(type, vec)) <= {int}:
+                raise ValueError(f"image {vec} must hold integers")
             if len(vec) != self.rank:
                 raise ValueError(f"image {vec} has length {len(vec)}, expected {self.rank}")
             coerced.append(vec)

@@ -1,18 +1,18 @@
 """Greatest common divisor of the k x k minors of a Laurent-polynomial matrix.
 
 The result generates the smallest principal ideal containing the ideal of
-k-minors, which is all the downstream invariants need.  Zero rows are
-discarded, and so, once, is every row that is a unit multiple of an
-earlier row: a minor holding both is zero and one holding the later row
-alone is a unit times a minor holding the earlier one, so neither adds to
-the ideal.  The Fox row of a conjugated relator u^-1 r u is such a
-multiple, phi(u)^-1 times the row of r.  Only rows with equal term counts
-in every entry are compared, each scaled by the unit that makes its first
-nonzero entry unit-normal.  Then a unit entry lets the matrix contract:
-clearing its column with row operations and deleting its row and column
-turns the gcd of k-minors into the gcd of (k-1)-minors of the smaller
-matrix, whose zero or repeated rows are dropped again.  What remains takes
-one route per ring:
+k-minors, which is all the downstream invariants need.  One rule drops
+rows, before the first contraction and after each one: a zero row goes,
+and so does every row that is a unit multiple of an earlier row, since a
+minor holding both is zero and one holding the later row alone is a unit
+times a minor holding the earlier one, so neither adds to the ideal.  The
+Fox row of a conjugated relator u^-1 r u is such a multiple, phi(u)^-1
+times the row of r.  Only rows with equal term counts in every entry are
+compared, each scaled by the unit that makes its first nonzero entry
+unit-normal.  A unit entry lets the matrix contract: clearing its column
+with row operations and deleting its row and column turns the gcd of
+k-minors into the gcd of (k-1)-minors of the smaller matrix.  What
+remains takes one route per ring:
 
 * one variable: after each row is shifted by a monomial the entries lie in
   the Euclidean domain Q[t], and they stay dense coefficient lists from
@@ -73,9 +73,8 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
         spot = _find_unit(work)
         if spot is None:
             break
-        work = _contract(work, *spot)
+        work = _drop_unit_multiples(_contract(work, *spot))
         k -= 1
-        work = _tidy(work)
     if k == 0:
         return LaurentPoly.one(nvars)
     if len(work) < k or (work and len(work[0]) < k):
@@ -83,12 +82,6 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
     if nvars == 1:
         return _echelon_minor_gcd(work, k)
     return _enumerate_minor_gcd(work, k, nvars, floor)
-
-
-def _tidy(rows: list[Row]) -> list[Row]:
-    """Drop zero rows and duplicates; neither changes the nonzero minors."""
-    kept = [r for r in rows if any(not e.is_zero for e in r)]
-    return list(dict.fromkeys(kept))
 
 
 def _drop_unit_multiples(rows: list[Row]) -> list[Row]:

@@ -99,13 +99,6 @@ class LaurentPoly:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, index: int = 0, nvars: int = 1) -> "LaurentPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
-
-    @classmethod
     def monomial(cls, coeff: Scalar, exps: Iterable[int]) -> "LaurentPoly":
         exps = tuple(int(e) for e in exps)
         return cls(len(exps), {exps: coeff})

@@ -74,8 +74,8 @@ def apply_endomorphism(images: Sequence[Word], w: Word) -> Word:
 
 def _letter_images(letter: int, strands: int) -> list[Word]:
     i = abs(letter) - 1
-    images = [Word.generator(j) for j in range(strands)]
-    xi, xj = Word.generator(i), Word.generator(i + 1)
+    images = [Word([(j, 1)]) for j in range(strands)]
+    xi, xj = Word([(i, 1)]), Word([(i + 1, 1)])
     if letter > 0:
         images[i] = xi * xj * xi.inverse()
         images[i + 1] = xi
@@ -88,7 +88,7 @@ def _letter_images(letter: int, strands: int) -> list[Word]:
 def artin_action(braid: BraidWord) -> list[Word]:
     """Images of the free generators under the braid, letters acting
     left to right."""
-    images = [Word.generator(j) for j in range(braid.strands)]
+    images = [Word([(j, 1)]) for j in range(braid.strands)]
     for letter in braid.letters:
         step = _letter_images(letter, braid.strands)
         images = [apply_endomorphism(step, w) for w in images]

@@ -86,7 +86,7 @@ def fox_derivative(w: Word, gen: int) -> GroupRingElement:
     chosen generator x, and kills the other generators.
     """
     acc: dict[Word, Fraction] = {}
-    prefix = Word.identity()
+    prefix = Word()
     for g, e in w.syllables:
         if g == gen:
             if e > 0:
@@ -95,9 +95,9 @@ def fox_derivative(w: Word, gen: int) -> GroupRingElement:
                 powers = range(-1, e - 1, -1)
             sign = Fraction(1 if e > 0 else -1)
             for p in powers:
-                key = prefix * Word.generator(g, p) if p else prefix
+                key = prefix * Word([(g, p)]) if p else prefix
                 acc[key] = acc.get(key, Fraction(0)) + sign
-        prefix = prefix * Word.generator(g, e)
+        prefix = prefix * Word([(g, e)])
     return GroupRingElement(acc)
 
 

@@ -68,8 +68,23 @@ def test_braid_validation():
         BraidWord(2, (0,))
     with pytest.raises(ValueError):
         BraidWord(2, (2,))
+    # the message names the first letter out of range
+    for letters, bad in (((1, 0, 3), 0), ((1, -3, 3), -3), ((2, 1, 4, 0), 4)):
+        with pytest.raises(ValueError, match=f"^letter {bad} out of range "
+                                             "for 3 strands$"):
+            BraidWord(3, letters)
+    assert BraidWord(3, [1, -2, 2]).letters == (1, -2, 2)
     with pytest.raises(ValueError):
         B(2, 1) * B(3, 1)
+
+
+@pytest.mark.parametrize("letter", [1.7, 1.0, True, -0.5])
+def test_braid_refuses_non_integer_letters(letter):
+    # refused, not truncated: int(1.7) and int(True) would both read 1
+    with pytest.raises(ValueError, match="letters must be integers"):
+        BraidWord(3, (letter,))
+    with pytest.raises(ValueError, match="letters must be integers"):
+        BraidWord(3, (1, -2, letter, 2))
 
 
 def test_braid_algebra():

@@ -126,6 +126,30 @@ def test_contract_passes_rows_with_zero_pivot_entry():
         assert minors.minor_gcd(rows, k, 1) == reference._snf_minor_gcd(rows, k)
 
 
+def test_row_made_a_unit_multiple_by_contraction_is_dropped(monkeypatch):
+    # no two rows are unit multiples of each other, but clearing column 0
+    # with the pivot 1 leaves the third row 2t times the second: the
+    # echelon route sees two rows, and the gcd is that of every minor
+    t = LaurentPoly.univariate
+    rows = [(t({0: 1}), ZERO, ZERO),
+            (t({1: 1}), t({1: 1, 0: -1}), t({2: 1, 0: 1})),
+            (t({0: 1, 1: 1}), t({2: 2, 1: -2}), t({3: 2, 1: 2})),
+            (ZERO, t({2: 1, 0: 2}), t({1: 1, 0: 3}))]
+    assert minors._drop_unit_multiples(rows) == rows
+    assert minors._drop_unit_multiples(minors._contract(rows, 0, 0)) == \
+        [(t({1: 1, 0: -1}), t({2: 1, 0: 1})), (t({2: 1, 0: 2}), t({1: 1, 0: 3}))]
+    echelon = minors._echelon_minor_gcd
+    heights = []
+
+    def recording(rows, k):
+        heights.append(len(rows))
+        return echelon(rows, k)
+    monkeypatch.setattr(minors, "_echelon_minor_gcd", recording)
+    for k in (1, 2, 3):
+        assert minors.minor_gcd(rows, k, 1) == reference._snf_minor_gcd(rows, k)
+    assert heights == [2, 2]
+
+
 @pytest.fixture
 def compared(monkeypatch):
     """Route every one-variable minor gcd through both loops, asserting

@@ -20,7 +20,7 @@ import pytest
 import alexpoly.minors as minors
 from alexpoly.braid import zvk_presentation
 from alexpoly.fox import alexander_polynomial
-from alexpoly.ring import LaurentPoly, normalize
+from alexpoly.ring import LaurentPoly, normalize, parse_poly
 
 import enumeration_reference as reference
 from test_zvk_differential import arrangement
@@ -290,3 +290,30 @@ def test_arrangement_fold_stops_within_n_gcds(monkeypatch, n, seed):
     pres, phi = zvk_presentation(arrangement(n, seed))
     assert alexander_polynomial(pres, phi) == LaurentPoly.one(phi.rank)
     assert 0 < len(calls) <= n
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_row_made_a_unit_multiple_by_contraction_is_dropped(monkeypatch, nvars):
+    # no two rows are unit multiples of each other, but clearing column 0
+    # with the pivot 1 leaves the third row -3 t0 t1^-1 times the second:
+    # the fold sees two rows, and the gcd is that of every minor
+    def row(*texts):
+        return tuple(parse_poly(text, nvars=nvars) for text in texts)
+    rows = [row("1", "0", "0"),
+            row("t0", "t0 - t1", "t1^2 + t0"),
+            row("1 + t1", "-3*t0^2*t1^-1 + 3*t0", "-3*t0*t1 - 3*t0^2*t1^-1"),
+            row("0", "t0^2 + 1", f"t{nvars - 1} + 2")]
+    assert minors._drop_unit_multiples(rows) == rows
+    assert minors._drop_unit_multiples(minors._contract(rows, 0, 0)) == \
+        [row("t0 - t1", "t1^2 + t0"), row("t0^2 + 1", f"t{nvars - 1} + 2")]
+    fold = minors._enumerate_minor_gcd
+    heights = []
+
+    def recording(rows, k, nvars, floor=None):
+        heights.append(len(rows))
+        return fold(rows, k, nvars, floor)
+    monkeypatch.setattr(minors, "_enumerate_minor_gcd", recording)
+    for k in (1, 2, 3):
+        assert minors.minor_gcd(rows, k, nvars) == \
+            reference._enumerate_minor_gcd(rows, k, nvars)
+    assert heights == [2, 2]

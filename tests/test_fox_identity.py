@@ -214,7 +214,7 @@ def test_projective_product_relator_takes_every_column(name, routes):
 def test_relator_not_killed_takes_every_column(routes):
     # trefoil group <x, y | xyx = yxy> with x -> t, y -> t^2: the relator
     # maps to t^-1
-    x, y = Word.generator(0), Word.generator(1)
+    x, y = Word([(0, 1)]), Word([(1, 1)])
     pres = Presentation(("x", "y"), (x * y * x * (y * x * y).inverse(),))
     phi = AbelMap(1, ((1,), (2,)))
     assert not kills_every_relator(pres, phi)

@@ -85,7 +85,7 @@ def test_gcd_of_units_and_zero():
 
 def _sparse_link(j: int, k: int) -> LaurentPoly:
     """(t_j - 1)(t0 ... t8 - 1)^k in nine variables."""
-    t_j = LaurentPoly.variable(j, 9)
+    t_j = LaurentPoly.monomial(1, (0,) * j + (1,) + (0,) * (8 - j))
     product = LaurentPoly.monomial(1, (1,) * 9)
     return (t_j - 1) * (product - 1) ** k
 

@@ -55,14 +55,14 @@ def test_reduce_cascading_cancellation():
 
 
 def test_identity_and_generator():
-    assert Word.identity().is_identity
-    x = Word.generator(0)
+    assert Word().is_identity
+    x = Word([(0, 1)])
     assert x.syllables == ((0, 1),)
-    assert Word.generator(2, -3).syllables == ((2, -3),)
+    assert Word([(2, -3)]).syllables == ((2, -3),)
 
 
 def test_multiplication_and_inverse():
-    x, y = Word.generator(0), Word.generator(1)
+    x, y = Word([(0, 1)]), Word([(1, 1)])
     w = x * y * y
     assert w.syllables == ((0, 1), (1, 2))
     assert w.inverse().syllables == ((1, -2), (0, -1))
@@ -70,7 +70,7 @@ def test_multiplication_and_inverse():
 
 
 def test_power():
-    x, y = Word.generator(0), Word.generator(1)
+    x, y = Word([(0, 1)]), Word([(1, 1)])
     w = x * y
     assert (w ** 3).syllables == ((0, 1), (1, 1)) * 3
     assert (w ** -1) == w.inverse()
@@ -107,7 +107,7 @@ def test_multiplication_associative(u, v, w):
 
 
 def test_apply_endomorphism_substitutes():
-    x, y = Word.generator(0), Word.generator(1)
+    x, y = Word([(0, 1)]), Word([(1, 1)])
     # x -> x y, y -> y
     images = [x * y, y]
     assert apply_endomorphism(images, x * y) == x * y * y
@@ -117,12 +117,12 @@ def test_apply_endomorphism_substitutes():
 
 def test_apply_endomorphism_rejects_out_of_range():
     with pytest.raises(ValueError):
-        apply_endomorphism([Word.generator(0)], Word.generator(1))
+        apply_endomorphism([Word([(0, 1)])], Word([(1, 1)]))
 
 
 @given(words_st(), words_st())
 def test_endomorphism_is_homomorphism(u, v):
-    x, y, z = (Word.generator(i) for i in range(3))
+    x, y, z = (Word([(i, 1)]) for i in range(3))
     images = [x * y, z.inverse(), y * x.inverse()]
     assert apply_endomorphism(images, u * v) == \
         apply_endomorphism(images, u) * apply_endomorphism(images, v)
@@ -133,8 +133,8 @@ def test_endomorphism_is_homomorphism(u, v):
 
 
 def test_presentation_drops_trivial_relators():
-    x = Word.generator(0)
-    p = Presentation(("x",), (Word.identity(), x * x.inverse(), x ** 2))
+    x = Word([(0, 1)])
+    p = Presentation(("x",), (Word(), x * x.inverse(), x ** 2))
     assert p.relators == (x ** 2,)
     assert p.n == 1 and p.m == 1
 
@@ -145,7 +145,7 @@ def test_presentation_validates_generators():
     with pytest.raises(ValueError):
         Presentation(("x", "x"), ())
     with pytest.raises(ValueError):
-        Presentation(("x",), (Word.generator(1),))
+        Presentation(("x",), (Word([(1, 1)]),))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,9 @@ def test_presentation_validates_generators():
 
 def test_abelmap_evaluates_words():
     phi = AbelMap(2, ((1, 0), (0, 1)))
-    x, y = Word.generator(0), Word.generator(1)
+    x, y = Word([(0, 1)]), Word([(1, 1)])
     assert phi(x * y ** -3) == (1, -3)
-    assert phi(Word.identity()) == (0, 0)
+    assert phi(Word()) == (0, 0)
 
 
 def test_abelmap_constant_one_and_composition():
@@ -173,6 +173,18 @@ def test_abelmap_validation():
         AbelMap(0, ())
     with pytest.raises(ValueError):
         AbelMap(2, ((1,),))
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, True])
+def test_abelmap_refuses_non_integer_images(value):
+    # refused, not truncated: int(1.9) and int(True) would both read 1
+    with pytest.raises(ValueError, match="must hold integers"):
+        AbelMap(1, ((value,), (2,)))
+    with pytest.raises(ValueError, match="must hold integers"):
+        AbelMap(2, ((1, 0), [0, value]))
+    with pytest.raises(ValueError, match="must hold integers"):
+        AbelMap(1, (2, value))
+    assert AbelMap(1, (2, [3])).images == ((2,), (3,))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from cyclotomic_reference import euler_phi
 from verify_reference import INFINITY, multiplicity
 
 P = parse_poly
-t = LaurentPoly.variable()
+t = LaurentPoly.monomial(1, (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ Alexander polynomials and the same abelianization, on the shipped
 factorizations (affine and projective), on generic line arrangements
 conjugated by seeded braids, and after Hurwitz moves.
 
-``zvk_presentation`` builds that relator letter by letter;
+``zvk_presentation`` folds that relator with ``group._join`` over the
+w^-1-images of the letters of s_i^k(x_i) x_i^-1;
 ``per_factor_presentation`` applies the automorphisms of s_i^k and w^-1
 to whole Words.  The relators must have identical syllables on the
 generic arrangements with 3-12 lines, each factor in either standard
 form by a seeded coin flip, conjugated by short seeded braids and
-projective, and on the shipped factorizations.
+projective, and on the shipped factorizations.  They must have identical
+letters on the generic arrangements with 3-6 lines conjugated as a whole
+by seeded braids of 0-60 letters, plain and projective, and on the
+5-line one conjugated by the 40- and 60-letter braids of the CI step.
 """
 
 import json
@@ -24,7 +28,9 @@ import random
 
 import pytest
 
-from alexpoly.braid import BraidWord, Factorization, zvk_presentation
+from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
+                            zvk_presentation)
+from alexpoly.errors import InputError
 from alexpoly.fox import alexander_one_variable, alexander_polynomial
 
 from zvk_reference import (abelianization_invariants, full_zvk_presentation,
@@ -153,3 +159,40 @@ def test_relators_match_per_factor_route(n):
 def test_shipped_relators_match_per_factor_route(name):
     for projective in (False, True):
         assert_same_relators(shipped(name, projective), projective)
+
+
+def assert_same_letters(f: Factorization) -> None:
+    """Plain and projective relators letter for letter; the projective
+    reference only appends the product relator to the plain one."""
+    ref = [r.letters for r in per_factor_presentation(f, True).relators]
+    for projective, want in ((False, ref[:-1]), (True, ref)):
+        pres, _ = zvk_presentation(f, projective)
+        assert [r.letters for r in pres.relators] == want
+
+
+@pytest.mark.parametrize("length", [0, 20, 40, 60])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_conjugated_relators_match_letter_for_letter(n, length):
+    # relators reach 36,472 letters (n = 5, 60 letters); the 4-line
+    # arrangement conjugated by 60 letters passes MAX_SYLLABLES, and must
+    # say so instead
+    rng = random.Random(7 * n + length)
+    g = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                           for _ in range(length)))
+    f = conjugate(arrangement(n, 0), g)
+    if (n, length) == (4, 60):
+        with pytest.raises(InputError, match=f"exceed {MAX_SYLLABLES} "):
+            zvk_presentation(f)
+    else:
+        assert_same_letters(f)
+
+
+@pytest.mark.parametrize("length", [40, 60])
+def test_ci_conjugated_arrangement_relators(length):
+    # the factors c w s_i^2 w^-1 c^-1 of the console-script step, c from
+    # random.Random(0)
+    rng = random.Random(0)
+    c = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(length)]
+    f = conjugate(arrangement(5, 0), BraidWord(5, tuple(c)).inverse())
+    assert f.factors[0].letters[:length] == tuple(c)
+    assert_same_letters(f)

@@ -12,9 +12,9 @@ form.
 w s_i^k w^-1 by the route of automorphisms applied to whole Words:
 the images of s_i^k applied to x_i, times x_i^-1, and the images of
 w^-1 applied to that, both with ``braid_reference.apply_braid``.
-``zvk_presentation`` builds the same relator letter by letter,
-substituting the images of w^-1 into the letters of s_i^k(x_i) x_i^-1;
-the tests check that the syllables agree exactly.
+``zvk_presentation`` builds the same relator by folding ``group._join``
+over the w^-1-images of the letters of s_i^k(x_i) x_i^-1; the tests
+check that the letters agree exactly.
 """
 
 import pytest
@@ -33,7 +33,7 @@ def full_zvk_presentation(f: Factorization, projective: bool | None = None
     relators = []
     for factor in f.factors:
         images = artin_action(factor)
-        relators.extend(images[i] * Word.generator(i).inverse()
+        relators.extend(images[i] * Word([(i, 1)]).inverse()
                         for i in range(d))
     if projective:
         relators.append(Word(tuple((i, 1) for i in range(d))))
@@ -53,7 +53,7 @@ def per_factor_presentation(f: Factorization, projective: bool | None = None
         while k < n // 2 and letters[n - 1 - k] == -letters[k]:
             k += 1
         w = BraidWord(d, letters[:k])
-        x = Word.generator(abs(letters[k]) - 1)
+        x = Word([(abs(letters[k]) - 1, 1)])
         core = BraidWord(d, letters[k:n - k])
         relators.append(apply_braid(w.inverse(),
                                     apply_braid(core, x) * x.inverse()))
