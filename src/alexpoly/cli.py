@@ -122,7 +122,8 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
                              "file sets the marking itself", field="--marked")
         return link
     braid = braid_from_json(obj)
-    bases = sorted(min(comp) for comp in strand_components(braid))
+    comps = strand_components(braid)
+    bases = sorted(min(comp) for comp in comps)
     marked = args.marked - 1 if args.marked is not None else None
     if marked is not None and marked not in bases:
         raise InputError("marked must be the base strand of a component "
@@ -139,7 +140,8 @@ def _load_closure_link(args: SimpleNamespace) -> MarkedLink:
         else:
             colours[base] = nxt
             nxt += 1
-    return MarkedLink(braid, colours, marked=marked, degree=degree)
+    return MarkedLink(braid, colours, marked=marked, degree=degree,
+                      components=comps)
 
 
 def cmd_closure(args: SimpleNamespace) -> int:

@@ -10,7 +10,6 @@ field holds the total degree of C.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -145,12 +144,20 @@ def local_deltas(curve: CurveData) -> list[LaurentPoly]:
     return out
 
 
+def _counts(items: list) -> dict:
+    """How often each item occurs, keyed in order of first occurrence."""
+    out = {}
+    for item in items:
+        out[item] = out.get(item, 0) + 1
+    return out
+
+
 def boundary_delta(curve: CurveData, local: list[LaurentPoly]) -> LaurentPoly:
     """(1 - t)^{b_1(C union L)} times the hat invariants ``local`` of
     all singular points, each distinct one raised to its count: the
     expansion of ``boundary_factors``, up to units."""
     out = LaurentPoly.univariate({0: 1, 1: -1}) ** first_betti(curve)
-    for hat, count in Counter(local).items():
+    for hat, count in _counts(local).items():
         out = out * hat ** count
     return normalize(out)
 
@@ -163,14 +170,14 @@ def boundary_factors(curve: CurveData, local: list[LaurentPoly]) -> Factored:
     the product of the hats' remainders.  Each distinct hat is factored
     once; None when a hat, hence the product, is zero.  A hat past
     ``MAX_DEGREE`` raises InputError."""
-    exps = Counter({1: first_betti(curve)})
+    exps = {1: first_betti(curve)}
     remainder = LaurentPoly.one(1)
-    for hat, count in Counter(local).items():
+    for hat, count in _counts(local).items():
         if hat.is_zero:
             return None
         hat_exps, hat_remainder = cyclotomic_factorization(hat)
         for n, e in hat_exps.items():
-            exps[n] += count * e
+            exps[n] = exps.get(n, 0) + count * e
         if not hat_remainder.is_unit:
             remainder = remainder * hat_remainder ** count
     return {n: e for n, e in sorted(exps.items()) if e}, normalize(remainder)

@@ -37,13 +37,16 @@ class MarkedLink:
     colours: dict[int, int]
     marked: int | None = None
     degree: int | None = None
-    #: strand sets of the closure's components, computed once
-    components: list[tuple[int, ...]] = field(init=False, compare=False,
-                                              repr=False)
+    #: strand sets of the closure's components, from the braid unless the
+    #: caller has already computed them
+    components: list[tuple[int, ...]] | None = field(
+        default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        comps = strand_components(self.braid)
-        object.__setattr__(self, "components", comps)
+        comps = self.components
+        if comps is None:
+            comps = strand_components(self.braid)
+            object.__setattr__(self, "components", comps)
         keys = {min(c) for c in comps}
         if set(self.colours) != keys:
             raise ValueError(
@@ -208,7 +211,8 @@ def link_from_json(obj: object, degree: int | None = None) -> MarkedLink:
             raise InputError(f"colour of strand {key} must be an integer",
                              field="colours")
         colours[strand - 1] = value
-    expected = sorted(min(c) + 1 for c in strand_components(braid))
+    comps = strand_components(braid)
+    expected = sorted(min(c) + 1 for c in comps)
     if sorted(k + 1 for k in colours) != expected:
         raise InputError("colours must be keyed by the component base "
                          f"strands {expected}", field="colours")
@@ -226,6 +230,7 @@ def link_from_json(obj: object, degree: int | None = None) -> MarkedLink:
     if degree is None:
         degree = file_degree
     try:
-        return MarkedLink(braid, colours, marked=marked, degree=degree)
+        return MarkedLink(braid, colours, marked=marked, degree=degree,
+                          components=comps)
     except ValueError as exc:
         raise InputError(str(exc), field="colours") from None

@@ -7,22 +7,31 @@ and so does every row that is a unit multiple of an earlier row, since a
 minor holding both is zero and one holding the later row alone is a unit
 times a minor holding the earlier one, so neither adds to the ideal.  The
 Fox row of a conjugated relator u^-1 r u is such a multiple, phi(u)^-1
-times the row of r.  Only rows with equal term counts in every entry are
-compared, each scaled by the unit that makes its first nonzero entry
-unit-normal.  A unit entry lets the matrix contract: clearing its column
+times the row of r.  Only rows of the same shape, the sizes of their
+entries, are compared, each by a key that is equal exactly on unit
+multiples.  A unit entry lets the matrix contract: clearing its column
 with row operations and deleting its row and column turns the gcd of
-k-minors into the gcd of (k-1)-minors of the smaller matrix.  What
-remains takes one route per ring:
+k-minors into the gcd of (k-1)-minors of the smaller matrix.  Each ring
+takes one route from the Fox rows on:
 
-* one variable: after each row is shifted by a monomial the entries lie in
-  the Euclidean domain Q[t], and they stay dense coefficient lists from
-  the conversion, read straight off each entry's terms with the row's
-  least exponent as offset, to the pivot products.  Row operations
-  bring the matrix to row echelon form once, then each k-column
-  submatrix in turn, and the gcd is folded from the products of their
-  pivots.  A row step x - q y is one pass per entry, and the pivot
-  column takes the remainder of the division that gave q;
-* several variables: the minors of each k-row subset, cyclic row windows
+* one variable: each row is shifted by a monomial so that its entries lie
+  in the Euclidean domain Q[t] and turned into dense coefficient lists
+  once, read straight off each entry's terms with the row's least
+  exponent as offset.  Unit multiples are then scalar multiples, keyed by
+  their lists divided by the leading coefficient of the first nonzero
+  entry.  A unit is an entry with one nonzero coefficient, c t^a, and
+  the contraction needs no division: every other row x becomes
+  c t^a x - x_j p, p the pivot row, which is a unit times
+  x - (x_j / c t^a) p, and then loses its common power of t, so integer
+  rows stay integer.  Row operations bring what is left to row echelon
+  form once, then each k-column submatrix in turn, and the gcd is folded
+  from the products of their pivots.  A row step x - q y is one pass per
+  entry, and the pivot column takes the remainder of the division that
+  gave q;
+* several variables: rows stay tuples of ``LaurentPoly``, keyed by their
+  terms shifted and scaled by the lex-least term of the first nonzero
+  entry, and a unit pivot clears its column by multiplying with its
+  inverse.  Then the minors of each k-row subset, cyclic row windows
   first, come from one Laplace expansion and fold until the gcd hits a
   floor.  Each row is first shifted by a monomial so that its exponents
   are >= 0, which changes every minor by a unit only, and each exponent
@@ -48,8 +57,7 @@ as projective presentations, whose product relator is not killed.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Hashable, Iterator
 from itertools import combinations, repeat
 from operator import add, mul, sub
 
@@ -57,6 +65,7 @@ from .ring import LaurentPoly, gcd, gcd_many, normalize
 from .ring.poly import Scalar, _demote, _raw, scalar_quotient
 
 Row = tuple[LaurentPoly, ...]
+Dense = list[list[Scalar]]
 
 
 def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
@@ -68,12 +77,20 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
     """
     if k <= 0:
         return LaurentPoly.one(nvars)
-    work = _drop_unit_multiples([tuple(r) for r in rows])
+    if nvars == 1:
+        work = [_dense_row(row) for row in rows]
+        find, contract = _find_dense_unit, _contract_dense
+        shape, key = _lengths, _dense_key
+    else:
+        work = [tuple(row) for row in rows]
+        find, contract = _find_unit, _contract
+        shape, key = _term_counts, _terms_key
+    work = _drop_unit_multiples(work, shape, key)
     while k > 0:
-        spot = _find_unit(work)
+        spot = find(work)
         if spot is None:
             break
-        work = _drop_unit_multiples(_contract(work, *spot))
+        work = _drop_unit_multiples(contract(work, *spot), shape, key)
         k -= 1
     if k == 0:
         return LaurentPoly.one(nvars)
@@ -84,42 +101,52 @@ def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
     return _enumerate_minor_gcd(work, k, nvars, floor)
 
 
-def _drop_unit_multiples(rows: list[Row]) -> list[Row]:
+def _drop_unit_multiples(rows: list, shape: Callable[..., tuple[int, ...]],
+                         key: Callable[..., Hashable]) -> list:
     """Drop zero rows and every row that is a unit multiple of an earlier
     one; a minor holding both rows is zero, and one holding the later row
     alone is a unit times a minor holding the earlier one.
 
-    Only rows with the same term count in every entry can be unit
-    multiples of each other, and only those are scaled: by the unit that
-    makes their first nonzero entry unit-normal, which makes unit
-    multiples equal.
+    Only rows of a repeated shape can be unit multiples of each other, and
+    only those are keyed; key is equal exactly on unit multiples.
     """
-    shapes = [tuple(len(e.terms) for e in row) for row in rows]
-    count = Counter(shapes)
-    seen: set[Row] = set()
+    shapes = [shape(row) for row in rows]
+    count: dict[tuple[int, ...], int] = {}
+    for s in shapes:
+        count[s] = count.get(s, 0) + 1
+    seen = set()
     kept = []
-    for row, shape in zip(rows, shapes):
-        if not any(shape):
+    for row, s in zip(rows, shapes):
+        if not any(s):
             continue
-        if count[shape] > 1:
-            scaled = _unit_normal_row(row)
-            if scaled in seen:
+        if count[s] > 1:
+            tag = key(row)
+            if tag in seen:
                 continue
-            seen.add(scaled)
+            seen.add(tag)
         kept.append(row)
     return kept
 
 
-def _unit_normal_row(row: Row) -> Row:
-    """row times the unit that makes its first nonzero entry unit-normal."""
-    first = next(e for e in row if not e.is_zero)
-    exps, coeff = first.leading()
-    # the monomial order is compatible with multiplication, so the unit
-    # c t^a maps the leading term of first to that of normalize(first)
-    target_exps, target = normalize(first).leading()
-    a = tuple(map(sub, target_exps, exps))
-    c = scalar_quotient(target, coeff)
-    return tuple(e.shift(a) * c for e in row)
+# ---------------------------------------------------------------------------
+# several variables: rows of LaurentPoly, contracted by the pivot's inverse
+
+
+def _term_counts(row: Row) -> tuple[int, ...]:
+    return tuple(len(e.terms) for e in row)
+
+
+def _terms_key(row: Row) -> tuple[frozenset, ...]:
+    """The terms of row shifted by the lex-least exponent of its first
+    nonzero entry and divided by that term's coefficient.  Lex order is
+    translation-invariant, so a unit c t^a maps that term of row to the
+    same term of c t^a row, and unit multiples get equal keys."""
+    first = next(e.terms for e in row if e.terms)
+    low = min(first)
+    c = first[low]
+    return tuple(frozenset((tuple(map(sub, e, low)), scalar_quotient(v, c))
+                           for e, v in entry.terms.items())
+                 for entry in row)
 
 
 def _find_unit(rows: list[Row]) -> tuple[int, int] | None:
@@ -256,31 +283,22 @@ def _expand(state: dict[int, Packed], row: list[tuple[int, Packed]],
 
 
 # ---------------------------------------------------------------------------
-# one variable: row echelon forms over Q[t]
+# one variable: dense rows over Q[t], contracted without division, then
+# row echelon forms
 #
-# entries become dense coefficient lists (int, or Fraction once a division
-# is not integral), the coefficient of t^i at index i and the last one
-# nonzero.  Row operations keep every ideal of minors, the k-minors are the
-# maximal minors of the k-column submatrices, and the maximal minors of an
-# echelon matrix are generated by the product of its pivots, or all zero
-# when a column has no pivot
+# a row is a list of dense coefficient lists, the coefficient of t^i at
+# index i and the last one nonzero, [] for zero, and some entry of a
+# nonzero row has a nonzero constant term.  Row operations keep every
+# ideal of minors, the k-minors are the maximal minors of the k-column
+# submatrices, and the maximal minors of an echelon matrix are generated
+# by the product of its pivots, or all zero when a column has no pivot.
+# Coefficients are int unless the input holds a Fraction or a division
+# in the echelon is not integral
 
 
-def _echelon_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
-    mat = [_dense_row(row) for row in rows]
-    # echelon the whole matrix first: each submatrix then has at most
-    # rank-many rows
-    rank = len(_echelon(mat))
-    if rank < k:
-        return LaurentPoly.zero(1)
-    del mat[rank:]
-    return gcd_many((_pivot_product([[row[c] for c in cols] for row in mat])
-                     for cols in combinations(range(len(mat[0])), k)), 1)
-
-
-def _dense_row(row: Row) -> list[list[Scalar]]:
+def _dense_row(row: Row) -> Dense:
     """The entries of row times t^-s, s its least exponent, as dense lists."""
-    low = min(e for entry in row for e, in entry.terms)
+    low = min((e for entry in row for e, in entry.terms), default=0)
     out = []
     for entry in row:
         coeffs = []
@@ -290,6 +308,75 @@ def _dense_row(row: Row) -> list[list[Scalar]]:
                 coeffs[e - low] = c
         out.append(coeffs)
     return out
+
+
+def _lengths(row: Dense) -> tuple[int, ...]:
+    return tuple(map(len, row))
+
+
+def _dense_key(row: Dense) -> tuple[tuple[Scalar, ...], ...]:
+    """The lists of row divided by the leading coefficient of its first
+    nonzero entry.  Rows that are unit multiples of each other have lost
+    their common powers of t, so they are scalar multiples, and get equal
+    keys."""
+    lead = next(e for e in row if e)[-1]
+    return tuple(tuple(scalar_quotient(c, lead) for c in e) for e in row)
+
+
+def _find_dense_unit(rows: list[Dense]) -> tuple[int, int] | None:
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if e.count(0) == len(e) - 1:
+                return i, j
+    return None
+
+
+def _contract_dense(rows: list[Dense], i: int, j: int) -> list[Dense]:
+    """Clear column j with the unit pivot c t^a at (i, j), then delete
+    row i and column j.
+
+    Every other row x becomes c t^a x - x_j p, p the pivot row: a unit
+    times x - (x_j / c t^a) p, with no division.  Each row then loses its
+    common power of t."""
+    pivot_row = rows[i]
+    a, c = len(pivot_row[j]) - 1, pivot_row[j][-1]
+    rest = pivot_row[:j] + pivot_row[j + 1:]
+    out = []
+    for r, row in enumerate(rows):
+        if r == i:
+            continue
+        xj = row[j]
+        row = row[:j] + row[j + 1:]
+        if xj:
+            new = []
+            for x, y in zip(row, rest):
+                if x:
+                    x = [0] * a + [v * c for v in x]
+                new.append(_submul(x, xj, y) if y else x)
+            row = new
+        out.append(_strip(row))
+    return out
+
+
+def _strip(row: Dense) -> Dense:
+    """row divided by the highest power of t that divides every entry."""
+    if any(e[0] for e in row if e):
+        return row
+    low = min((next(i for i, v in enumerate(e) if v) for e in row if e),
+              default=0)
+    return [e[low:] for e in row]
+
+
+def _echelon_minor_gcd(mat: list[Dense], k: int) -> LaurentPoly:
+    """gcd of the k-minors of the dense matrix mat, reduced in place."""
+    # echelon the whole matrix first: each submatrix then has at most
+    # rank-many rows
+    rank = len(_echelon(mat))
+    if rank < k:
+        return LaurentPoly.zero(1)
+    del mat[rank:]
+    return gcd_many((_pivot_product([[row[c] for c in cols] for row in mat])
+                     for cols in combinations(range(len(mat[0])), k)), 1)
 
 
 def _pivot_product(a: list[list[list[Scalar]]]) -> LaurentPoly:

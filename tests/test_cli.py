@@ -229,12 +229,11 @@ def test_closure_one_flag_trefoil(capsys):
                                    ["--hat", "6", "--marked", "1"],
                                    ["--hat", "7"]])
 @pytest.mark.parametrize("bare", [False, True])
-def test_closure_computes_components_at_most_twice(capsys, monkeypatch,
-                                                   tmp_path, flags, bare):
-    # MarkedLink keeps its components; the decoder finds them once more
-    # to check the colour keys (a bare braid: to colour them).  A --hat
-    # degree that overrides a link file's goes into the one MarkedLink
-    # the decoder builds
+def test_closure_computes_components_once(capsys, monkeypatch, tmp_path,
+                                         flags, bare):
+    # the decoder finds the components to check the colour keys (a bare
+    # braid: to colour them) and hands them to the one MarkedLink it
+    # builds, also when a --hat degree overrides a link file's
     calls = []
     count = alexpoly.braid.strand_components
 
@@ -257,7 +256,7 @@ def test_closure_computes_components_at_most_twice(capsys, monkeypatch,
         path = DATA / "torus" / "t33.json"
     code, _, err = run_cli(capsys, "closure", str(path), *flags)
     assert (code, err) == (0, "")
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_verify_delta_text_and_generic_infinity(capsys):

@@ -1,31 +1,41 @@
-"""Differential tests: the row echelon minor gcd against the Smith normal form.
+"""Differential tests: the one-variable minor gcd against the Smith normal form.
 
-``minors._echelon_minor_gcd`` echelons the matrix once, then each
-k-column submatrix, and folds the products of their pivots.
+``minors.minor_gcd`` in one variable turns the rows into dense lists,
+drops zero rows and unit multiples, contracts unit entries c t^a without
+division, and ``minors._echelon_minor_gcd`` echelons what is left once,
+then each k-column submatrix, and folds the products of their pivots.
 ``snf_reference._snf_minor_gcd`` keeps the Smith normal form over Q[t]
-that it replaced, whose first k invariant factors multiply to the same
-determinantal divisor.  Both results are unit-normal, so they must be
-equal, on seeded random matrices and on every one-variable call that the
-Fox matrices of arrangements and torus links make.  ``minor_gcd`` must
-agree too: it contracts unit entries such as 2t first, so the echelon
-route then sees ``Fraction`` coefficients.  The reference keeps its own
-dense-list arithmetic, so the conversion of a row to dense lists is
-checked against it as well.
+that the echelon replaced, whose first k invariant factors multiply to
+the same determinantal divisor.  Both results are unit-normal, so they
+must be equal, on seeded random matrices and on every one-variable call
+that the Fox matrices of arrangements, torus links, the shipped
+factorizations and torus closures with every relator repeated
+conjugated make.  Each is compared on the rows the route starts from,
+so that a wrong drop or contraction shows as well as a wrong echelon.
+The reference keeps its own dense-list arithmetic, so the conversion of
+a row to dense lists is checked against it as well.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import alexpoly.fox as fox
 import alexpoly.minors as minors
-from alexpoly.braid import factorization_from_json, zvk_presentation
-from alexpoly.fox import alexander_one_variable
+from alexpoly.braid import (closure_presentation, factorization_from_json,
+                            full_twist, zvk_presentation)
+from alexpoly.fox import alexander_one_variable, alexander_polynomial
+from alexpoly.group import AbelMap, Presentation, Word
 from alexpoly.linkpoly import hat_delta, marked_torus_link, one_variable_delta, torus_link
 from alexpoly.ring import LaurentPoly
 
 import snf_reference as reference
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 ZERO = LaurentPoly.zero(1)
 
 
@@ -63,7 +73,7 @@ def test_random_matrices_match_smith_form():
     for _ in range(300):
         rows = _random_matrix(rng)
         for k in range(1, min(len(rows), len(rows[0])) + 1):
-            got = minors._echelon_minor_gcd(rows, k)
+            got = minors._echelon_minor_gcd(_dense(rows), k)
             assert got == reference._snf_minor_gcd(rows, k), (rows, k)
             deficient += got.is_zero
     assert deficient  # rank-deficient cases were drawn
@@ -81,6 +91,19 @@ def test_dense_rows_match_reference_conversion():
             reference._dense(e.shift((-low,))) for e in row], row
 
 
+def _dense(rows) -> list[list[list]]:
+    return [minors._dense_row(row) for row in rows]
+
+
+def _drop(rows):
+    return minors._drop_unit_multiples(rows, minors._lengths, minors._dense_key)
+
+
+def _nonzero(rows):
+    """rows without the zero rows, which the reference does not take."""
+    return [row for row in rows if any(not e.is_zero for e in row)]
+
+
 def _with_units(rng: random.Random, rows):
     """rows with some entries replaced by units c t^a, c in +-1, +-2, 3."""
     return [tuple(LaurentPoly(1, {(rng.randint(-2, 2),): rng.choice((1, -1, 2, -2, 3))})
@@ -88,14 +111,20 @@ def _with_units(rng: random.Random, rows):
 
 
 def test_minor_gcd_matches_smith_form(monkeypatch):
+    # unit entries such as 2t are contracted first; the echelon then sees
+    # rows both taller than k and square
+    contract = minors._contract_dense
     echelon = minors._echelon_minor_gcd
-    seen = {"fraction": 0, "tall": 0, "square": 0}
+    seen = {"scaled pivot": 0, "tall": 0, "square": 0}
+
+    def contracting(rows, i, j):
+        seen["scaled pivot"] += rows[i][j][-1] not in (1, -1)
+        return contract(rows, i, j)
 
     def recording(rows, k):
-        seen["fraction"] += any(type(c) is Fraction for row in rows
-                                for e in row for c in e.terms.values())
         seen["tall" if len(rows) > k else "square"] += 1
         return echelon(rows, k)
+    monkeypatch.setattr(minors, "_contract_dense", contracting)
     monkeypatch.setattr(minors, "_echelon_minor_gcd", recording)
     rng = random.Random(20261021)
     deficient = 0
@@ -109,35 +138,108 @@ def test_minor_gcd_matches_smith_form(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_contraction_keeps_integer_rows_integer():
+    # c t^a x - x_j p divides by nothing: integer rows stay integer through
+    # every contraction, whatever the pivot's coefficient
+    rng = random.Random(20261022)
+    pivots = set()
+    for _ in range(200):
+        work = _drop(_dense(_with_units(rng, _random_matrix(rng))))
+        while (spot := minors._find_dense_unit(work)) is not None:
+            i, j = spot
+            pivots.add(work[i][j][-1])
+            work = _drop(minors._contract_dense(work, i, j))
+            assert all(type(c) is int for row in work for e in row for c in e)
+    assert {2, -2, 3} <= pivots
+
+
+def _unit(rng: random.Random) -> LaurentPoly:
+    """c t^a with c in +-1, 2, -3/2 and a in -2..3."""
+    return LaurentPoly(1, {(rng.randint(-2, 3),):
+                           rng.choice((1, -1, 2, Fraction(-3, 2)))})
+
+
+def _dense_route_matrix(rng: random.Random) -> list[tuple[LaurentPoly, ...]]:
+    """Up to 9 x 5: a first row whose first unit is a pivot c t^a, random
+    rows, rows repeating an earlier one times -t^3 or 2/3, rows s y + g p
+    for a unit s, a row y and the pivot row p, which contracting p turns
+    into s times the image of y, and zero rows; each row is then shifted
+    by t^b, b in -3..0."""
+    n = rng.randint(1, 5)
+    j = rng.randrange(n)
+    pivot = tuple(ZERO if c < j else _unit(rng) if c == j else _random_entry(rng)
+                  for c in range(n))
+    rows = [tuple(_random_entry(rng) for _ in range(n))
+            for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(1, 4)):
+        y = rng.choice(rows + [pivot])
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.choice((LaurentPoly.monomial(-1, (3,)),
+                            LaurentPoly.constant(Fraction(2, 3))))
+            rows.append(tuple(s * e for e in y))
+        elif kind == 1:
+            s, g = _unit(rng), _random_entry(rng)
+            rows.append(tuple(s * a + g * b for a, b in zip(y, pivot)))
+        else:
+            rows.append((ZERO,) * n)
+    rng.shuffle(rows)
+    return [tuple(e.shift((b,)) for e in row)
+            for b, row in ((rng.randint(-3, 0), row) for row in [pivot] + rows)]
+
+
+def test_dense_route_matches_smith_form():
+    rng = random.Random(20261023)
+    seen = {"fraction pivot": 0, "dropped after contraction": 0,
+            "zero row": 0, "deficient": 0}
+    for _ in range(300):
+        rows = _dense_route_matrix(rng)
+        seen["zero row"] += len(_nonzero(rows)) < len(rows)
+        first = _drop(_dense(rows))
+        i, j = minors._find_dense_unit(first)
+        seen["fraction pivot"] += type(first[i][j][-1]) is Fraction
+        contracted = minors._contract_dense(first, i, j)
+        seen["dropped after contraction"] += len(_drop(contracted)) < len(contracted)
+        for k in range(1, len(rows[0]) + 1):
+            got = minors.minor_gcd(rows, k, 1)
+            assert got == reference._snf_minor_gcd(_nonzero(rows), k), (rows, k)
+            seen["deficient"] += got.is_zero
+    assert all(seen.values()), seen
+
+
 def test_contract_passes_rows_with_zero_pivot_entry():
     # a row whose entry in the pivot column is zero keeps its other
-    # entries, the same objects, with no multiply or subtract
+    # entries, the same lists, with no multiply or subtract
     t = LaurentPoly.univariate
     rows = [(t({0: 1}), t({1: 1}), t({0: -1, 1: 1})),
             (ZERO, t({0: 1, 1: 1}), t({2: 3})),
             (t({2: 1}), ZERO, t({0: -1, 3: 1})),
             (ZERO, ZERO, t({1: 2, 0: 1}))]
-    out = minors._contract(rows, 0, 0)
+    dense = _dense(rows)
+    out = minors._contract_dense(dense, 0, 0)
     assert len(out) == 3
-    for kept, row in ((out[0], rows[1]), (out[2], rows[3])):
+    for kept, row in ((out[0], dense[1]), (out[2], dense[3])):
         assert all(a is b for a, b in zip(kept, row[1:], strict=True))
-    assert out[1] == (t({3: -1}), t({2: 1, 0: -1}))  # row - t^2 pivot row
+    assert out[1] == [[0, 0, 0, -1], [-1, 0, 1]]  # row - t^2 pivot row
     for k in (1, 2, 3):
         assert minors.minor_gcd(rows, k, 1) == reference._snf_minor_gcd(rows, k)
 
 
 def test_row_made_a_unit_multiple_by_contraction_is_dropped(monkeypatch):
     # no two rows are unit multiples of each other, but clearing column 0
-    # with the pivot 1 leaves the third row 2t times the second: the
-    # echelon route sees two rows, and the gcd is that of every minor
+    # with the pivot 1 leaves the third row 2t times the second, and 2
+    # times it once both lose their common power of t: the echelon route
+    # sees two rows, and the gcd is that of every minor
     t = LaurentPoly.univariate
     rows = [(t({0: 1}), ZERO, ZERO),
             (t({1: 1}), t({1: 1, 0: -1}), t({2: 1, 0: 1})),
             (t({0: 1, 1: 1}), t({2: 2, 1: -2}), t({3: 2, 1: 2})),
             (ZERO, t({2: 1, 0: 2}), t({1: 1, 0: 3}))]
-    assert minors._drop_unit_multiples(rows) == rows
-    assert minors._drop_unit_multiples(minors._contract(rows, 0, 0)) == \
-        [(t({1: 1, 0: -1}), t({2: 1, 0: 1})), (t({2: 1, 0: 2}), t({1: 1, 0: 3}))]
+    dense = _dense(rows)
+    assert _drop(dense) == dense
+    contracted = minors._contract_dense(dense, 0, 0)
+    assert contracted[1] == [[-2, 2], [2, 0, 2]]
+    assert _drop(contracted) == [[[-1, 1], [1, 0, 1]], [[2, 0, 1], [3, 1]]]
     echelon = minors._echelon_minor_gcd
     heights = []
 
@@ -152,18 +254,26 @@ def test_row_made_a_unit_multiple_by_contraction_is_dropped(monkeypatch):
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Route every one-variable minor gcd through both loops, asserting
-    that they agree; the list collects (rows, columns, k) per call."""
+    """Check every one-variable minor gcd of a Fox matrix against the
+    reference on the rows it starts from.  ``checked`` counts the checks
+    and ``echelon`` collects (rows, columns, k) per echelon call."""
+    route = fox.minor_gcd
     echelon = minors._echelon_minor_gcd
-    calls = []
+    seen = SimpleNamespace(checked=0, echelon=[])
 
-    def both(rows, k):
-        got = echelon(rows, k)
-        assert got == reference._snf_minor_gcd(rows, k), (rows, k)
-        calls.append((len(rows), len(rows[0]), k))
+    def both(rows, k, nvars, floor=None):
+        got = route(rows, k, nvars, floor)
+        if nvars == 1:
+            assert got == reference._snf_minor_gcd(_nonzero(rows), k), (rows, k)
+            seen.checked += 1
         return got
-    monkeypatch.setattr(minors, "_echelon_minor_gcd", both)
-    return calls
+
+    def recording(rows, k):
+        seen.echelon.append((len(rows), len(rows[0]), k))
+        return echelon(rows, k)
+    monkeypatch.setattr(fox, "minor_gcd", both)
+    monkeypatch.setattr(minors, "_echelon_minor_gcd", recording)
+    return seen
 
 
 def _arrangement(n: int):
@@ -183,12 +293,36 @@ def test_arrangement_fox_matrices(compared, n, projective):
     # the affine Fox matrix omits a column and has one k-column subset;
     # the projective one keeps every column and has k + 1
     extra = 1 if projective else 0
-    assert compared
-    assert all(cols == k + extra for _, cols, k in compared)
+    assert compared.echelon
+    assert all(cols == k + extra for _, cols, k in compared.echelon)
 
 
 @pytest.mark.parametrize("d", range(3, 13))
 def test_torus_link_fox_matrices(compared, d):
     one_variable_delta(torus_link(d))
     hat_delta(marked_torus_link(d, d + 1))
-    assert compared
+    assert compared.checked == 2
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*/factorization.json")),
+                         ids=lambda path: path.parent.name)
+@pytest.mark.parametrize("projective", [None, True])
+def test_shipped_fox_matrices(compared, path, projective):
+    # the sextic's matrix contracts four unit entries before its echelon
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    pres, phi = zvk_presentation(factorization_from_json(obj),
+                                 projective=projective)
+    alexander_one_variable(pres, phi)
+    assert compared.checked == 1
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_conjugated_relator_fox_matrices(compared, d):
+    # the Fox row of x1^-1 r x1 is t^-1 times that of r under the map
+    # sending every generator to t, so the drop rule halves the matrix
+    pres = closure_presentation(full_twist(d))
+    x1 = Word([(0, 1)])
+    doubled = Presentation(pres.generators, pres.relators + tuple(
+        x1.inverse() * r * x1 for r in pres.relators))
+    alexander_polynomial(doubled, AbelMap(1, ((1,),) * d))
+    assert compared.echelon == [(len(pres.relators), d - 1, d - 1)]

@@ -12,8 +12,9 @@ from alexpoly.errors import ComputationError
 from alexpoly.fox import alexander_one_variable, alexander_polynomial, fox_matrix
 from alexpoly.group import AbelMap, Presentation, Word, parse_word
 from alexpoly.braid import closure_presentation, full_twist
-from alexpoly.minors import (_drop_unit_multiples, _echelon_minor_gcd,
-                             _enumerate_minor_gcd, minor_gcd)
+from alexpoly.minors import (_dense_row, _drop_unit_multiples, _echelon_minor_gcd,
+                             _enumerate_minor_gcd, _term_counts, _terms_key,
+                             minor_gcd)
 from alexpoly.ring import (
     LaurentPoly,
     equal_up_to_units,
@@ -209,6 +210,10 @@ def test_minor_gcd_degenerate_shapes():
     assert minor_gcd([[P("t")]], 0, 1) == LaurentPoly.one(1)
 
 
+def drop_unit_multiples(rows):
+    return _drop_unit_multiples(rows, _term_counts, _terms_key)
+
+
 def test_unit_multiple_rows_are_dropped():
     # rows scaled by -t0^3 and by 2/3 repeat earlier rows up to units and
     # go; a row times t0 - 1, not a unit, stays.  Either way the gcd is
@@ -219,12 +224,30 @@ def test_unit_multiple_rows_are_dropped():
     scaled = base + [tuple(P("-t0^3", 2) * e for e in base[0]),
                      tuple(e * Fraction(2, 3) for e in base[1])]
     not_unit = base + [tuple(P("t0 - 1", 2) * e for e in base[2])]
-    assert _drop_unit_multiples(scaled) == base
-    assert _drop_unit_multiples(not_unit) == not_unit
+    assert drop_unit_multiples(scaled) == base
+    assert drop_unit_multiples(not_unit) == not_unit
     for k in (1, 2, 3):
         assert minor_gcd(scaled, k, 2) == minor_gcd(base, k, 2) == \
             oracle_minor_gcd(scaled, k, 2)
         assert minor_gcd(not_unit, k, 2) == oracle_minor_gcd(not_unit, k, 2)
+    # three variables: a Fraction scale with a negative-exponent unit
+    # goes; a row whose terms match up to a shift entry by entry but not
+    # by one shift for the whole row stays
+    base = [(P("0", 3), P("t0*t2 - t1", 3), P("3*t2^2 + t0^-1", 3)),
+            (P("t1 + t2^-1", 3), P("2", 3), P("t0*t1*t2 - 1", 3)),
+            (P("t0^2 - t2", 3), P("t1", 3), P("1 + t0 + t1", 3))]
+    unit = P("-5/7*t0^-2*t1*t2^-3", 3)
+    scaled = base + [tuple(unit * e for e in base[0])]
+    skewed = base + [(base[1][0] * unit, base[1][1], base[1][2] * unit)]
+    assert drop_unit_multiples(scaled) == base
+    assert drop_unit_multiples(skewed) == skewed
+    for k in (1, 2, 3):
+        assert minor_gcd(scaled, k, 3) == minor_gcd(base, k, 3) == \
+            oracle_minor_gcd(scaled, k, 3)
+    # ring.gcd does not finish on the 3-minors of skewed within a minute,
+    # so k stops at 2 there
+    for k in (1, 2):
+        assert minor_gcd(skewed, k, 3) == oracle_minor_gcd(skewed, k, 3)
 
 
 def test_conjugated_relators_are_dropped():
@@ -238,7 +261,7 @@ def test_conjugated_relators_are_dropped():
         x1.inverse() * r * x1 for r in pres.relators))
     phi = AbelMap(d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
     rows = [tuple(row) for row in fox_matrix(doubled, phi)]
-    assert _drop_unit_multiples(rows) == rows[:len(pres.relators)]
+    assert drop_unit_multiples(rows) == rows[:len(pres.relators)]
     expected = (LaurentPoly.monomial(1, (1,) * d) - 1) ** (d - 2)
     assert alexander_polynomial(doubled, phi) == expected
 
@@ -275,9 +298,9 @@ def test_enumeration_and_echelon_agree(rows, k):
     tidy = [tuple(r) for r in rows if any(not e.is_zero for e in r)]
     if len(tidy) < k:
         return
-    by_echelon = _echelon_minor_gcd(tidy, k)
+    by_echelon = _echelon_minor_gcd([_dense_row(r) for r in tidy], k)
     by_enum = _enumerate_minor_gcd(tidy, k, 1)
-    assert by_echelon == by_enum
+    assert by_echelon == by_enum == minor_gcd(rows, k, 1)
 
 
 def sympy_determinant_divisor(rows, k):
@@ -309,8 +332,10 @@ def test_echelon_minor_gcd_matches_sympy():
             if any(not e.is_zero for e in row):
                 rows.append(row)
         for k in range(1, min(m, n) + 1):
-            assert _echelon_minor_gcd(rows, k) == sympy_determinant_divisor(rows, k), \
-                (rows, k)
+            expected = sympy_determinant_divisor(rows, k)
+            assert _echelon_minor_gcd([_dense_row(r) for r in rows], k) == \
+                expected, (rows, k)
+            assert minor_gcd(rows, k, 1) == expected, (rows, k)
 
 
 def test_echelon_minor_gcd_diagonal_not_dividing():
@@ -319,8 +344,18 @@ def test_echelon_minor_gcd_diagonal_not_dividing():
     # 1-minors t - 1 and t + 1 are coprime
     rows = [(P("t - 1"), P("0", 1)), (P("0", 1), P("t + 1"))]
     for k, expected in ((1, P("1", 1)), (2, P("t^2 - 1"))):
-        assert _echelon_minor_gcd(rows, k) == expected
+        assert _echelon_minor_gcd([_dense_row(r) for r in rows], k) == expected
         assert sympy_determinant_divisor(rows, k) == expected
+    # bordered by the unit -2t: contracting it leaves the same 2 x 2
+    # matrix times units, so the (k + 1)-minors have the same gcd
+    x, y = P("t^2 + 3"), P("t - 4")
+    border = (P("-2*t"), P("t^3 - t"), P("5"))
+    bordered = [border,
+                (x * border[0], P("t - 1") + x * border[1], x * border[2]),
+                (y * border[0], y * border[1], P("t + 1") + y * border[2])]
+    for k, expected in ((1, P("1", 1)), (2, P("1", 1)), (3, P("t^2 - 1"))):
+        assert minor_gcd(bordered, k, 1) == expected
+        assert sympy_determinant_divisor(bordered, k) == expected
 
 
 # ---------------------------------------------------------------------------
