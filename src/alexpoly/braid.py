@@ -30,6 +30,10 @@ from .errors import InputError
 from .group import AbelMap, Letters, Presentation, _inverse, _join, _word
 
 
+class _NotIntegers(ValueError):
+    """Raised for braid letters that are not all ``int``."""
+
+
 @dataclass(frozen=True)
 class BraidWord:
     strands: int
@@ -40,7 +44,7 @@ class BraidWord:
             raise ValueError("a braid needs at least 2 strands")
         letters = tuple(self.letters)
         if not set(map(type, letters)) <= {int}:
-            raise ValueError("letters must be integers")
+            raise _NotIntegers("letters must be integers")
         top = self.strands - 1
         if letters and (min(letters) < -top or max(letters) > top
                         or 0 in letters):
@@ -385,11 +389,13 @@ def braid_from_json(obj: object) -> BraidWord:
     """Decode {"strands": d, "word": [i, ...]} braid data."""
     strands = _strands_from_json(obj, "braid")
     word = obj.get("word", [])
-    if not isinstance(word, list) or not all(type(v) is int for v in word):
-        raise InputError("word must be a list of nonzero integers",
-                         field="word")
     try:
+        if not isinstance(word, list):
+            raise _NotIntegers
         return BraidWord(strands, tuple(word))
+    except _NotIntegers:
+        raise InputError("word must be a list of nonzero integers",
+                         field="word") from None
     except ValueError as exc:
         raise InputError(str(exc), field="word") from None
 
@@ -403,11 +409,13 @@ def factorization_from_json(obj: object) -> Factorization:
                          field="factors")
     factors = []
     for idx, letters in enumerate(factors_obj):
-        if not isinstance(letters, list) or not all(type(v) is int for v in letters):
-            raise InputError(f"factor {idx} must be a list of integers",
-                             field="factors")
         try:
+            if not isinstance(letters, list):
+                raise _NotIntegers
             factors.append(BraidWord(strands, tuple(letters)))
+        except _NotIntegers:
+            raise InputError(f"factor {idx} must be a list of integers",
+                             field="factors") from None
         except ValueError as exc:
             raise InputError(f"factor {idx}: {exc}", field="factors") from None
     projective = obj.get("projective", False)

@@ -62,7 +62,7 @@ from itertools import combinations, repeat
 from operator import add, mul, sub
 
 from .ring import LaurentPoly, gcd, gcd_many, normalize
-from .ring.poly import Scalar, _demote, _raw, scalar_quotient
+from .ring.poly import Scalar, _demote, _pdivmod, _ptrim, _raw, scalar_quotient
 
 Row = tuple[LaurentPoly, ...]
 Dense = list[list[Scalar]]
@@ -436,29 +436,8 @@ def _submul(x: list[Scalar], q: list[Scalar], y: list[Scalar]) -> list[Scalar]:
     return _ptrim(out)
 
 
-def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    """Quotient and remainder of a by the nonzero b."""
-    n = len(b)
-    lead = b[-1]
-    rem = list(a)
-    quo = [0] * max(len(a) - n + 1, 0)
-    while len(rem) >= n:
-        shift = len(rem) - n
-        factor = scalar_quotient(rem[-1], lead)
-        quo[shift] = factor
-        rem[shift:] = map(sub, rem[shift:], map(mul, b, repeat(factor)))
-        _ptrim(rem)
-    return quo, rem
-
-
 def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
     return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _ptrim(a: list[Scalar]) -> list[Scalar]:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:

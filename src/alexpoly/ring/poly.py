@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as int_gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Union
 
 Exponents = tuple[int, ...]
@@ -328,7 +329,8 @@ def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
 def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Quotient p/q for ordinary polynomials (min exponents 0), or None.
 
-    Single-divisor graded-lex division on one remainder dict, updated in
+    ``exact_divide`` uses it in several variables.  Single-divisor
+    graded-lex division on one remainder dict, updated in
     place.  If q divides p exactly the algorithm never meets a
     non-divisible lead term, so we abort early the moment one shows up.
     Each step cancels the remainder's lead term and adds only smaller
@@ -356,11 +358,45 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     return _raw(p.nvars, quot)
 
 
+def _ptrim(a: list[Scalar]) -> list[Scalar]:
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """Quotient and remainder of the dense coefficient lists (constant
+    term first) a by the nonzero b."""
+    n = len(b)
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * max(len(a) - n + 1, 0)
+    while len(rem) >= n:
+        shift = len(rem) - n
+        factor = scalar_quotient(rem[-1], lead)
+        quo[shift] = factor
+        rem[shift:] = map(sub, rem[shift:], map(mul, b, repeat(factor)))
+        _ptrim(rem)
+    return quo, rem
+
+
+def _dense(p: LaurentPoly) -> tuple[int, list[Scalar]]:
+    """(least exponent e, coefficients of t^-e p, constant term first) of
+    a nonzero univariate p."""
+    low = min(e for e, in p.terms)
+    coeffs = [0] * (max(e for e, in p.terms) - low + 1)
+    for (e,), c in p.terms.items():
+        coeffs[e - low] = c
+    return low, coeffs
+
+
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Return c with p = q*c, or None when q does not divide p.
 
     Laurent divisibility reduces to ordinary divisibility after shifting
-    both arguments to minimum exponent 0 (monomials are units).
+    both arguments to minimum exponent 0 (monomials are units).  In one
+    variable that is one dense long division with no remainder.
     """
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")
@@ -370,6 +406,12 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         return None
     if p.is_zero:
         return p
+    if p.nvars == 1:
+        (p_low, a), (q_low, b) = _dense(p), _dense(q)
+        quo, rem = _pdivmod(a, b)
+        if rem:
+            return None
+        return _raw(1, {(i + p_low - q_low,): c for i, c in enumerate(quo) if c})
     p_min = p.min_exponents()
     q_min = q.min_exponents()
     c = _divide_ordinary(p.shift(tuple(-e for e in p_min)),

@@ -387,6 +387,37 @@ def test_braid_json_errors():
         braid_from_json({"strands": 2, "word": "nope"})
 
 
+@pytest.mark.parametrize("word, message", [
+    ("nope", "word must be a list of nonzero integers"),
+    ({"1": 1}, "word must be a list of nonzero integers"),
+    ([1, 2.0], "word must be a list of nonzero integers"),
+    ([True], "word must be a list of nonzero integers"),
+    ([1, None, 9], "word must be a list of nonzero integers"),
+    ([2, 0], "letter 0 out of range for 3 strands"),
+    ([1, -3, 5], "letter -3 out of range for 3 strands"),
+])
+def test_braid_json_letter_messages(word, message):
+    # one letter check, in BraidWord; the decoder only names the field
+    with pytest.raises(InputError) as exc:
+        braid_from_json({"strands": 3, "word": word})
+    assert (exc.value.field, exc.value.args[0]) == ("word", message)
+
+
+@pytest.mark.parametrize("factors, message", [
+    ([[1], "12"], "factor 1 must be a list of integers"),
+    ([[1], None], "factor 1 must be a list of integers"),
+    ([[1.5]], "factor 0 must be a list of integers"),
+    ([[1], [2, False]], "factor 1 must be a list of integers"),
+    ([[1], [1, "1"], [9]], "factor 1 must be a list of integers"),
+    ([[1], [2, 3]], "factor 1: letter 3 out of range for 3 strands"),
+    ([[0]], "factor 0: letter 0 out of range for 3 strands"),
+])
+def test_factorization_json_letter_messages(factors, message):
+    with pytest.raises(InputError) as exc:
+        factorization_from_json({"strands": 3, "factors": factors})
+    assert (exc.value.field, exc.value.args[0]) == ("factors", message)
+
+
 def test_factorization_json_errors():
     with pytest.raises(InputError):
         factorization_from_json({"strands": 3, "factors": []})

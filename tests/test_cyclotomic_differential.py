@@ -1,7 +1,7 @@
 """Differential tests: cyclotomic extraction against the index scan.
 
 ``ring.cyclotomic_factorization`` enumerates the indices with small
-phi, filters them by an integer evaluation and divides integer lists;
+phi, filters them by integer evaluations and divides integer lists;
 ``cyclotomic_reference`` scans every index up to 2*deg^2 with rational
 division.  Both must give the same factors in the same order and the
 same remainder.  sympy, where installed, is the oracle for Phi_n.
@@ -15,7 +15,8 @@ import pytest
 from alexpoly.errors import InputError
 from alexpoly.ring import (MAX_DEGREE, LaurentPoly, cyclotomic_factorization,
                            cyclotomic_polynomial, parse_poly)
-from alexpoly.ring.cyclotomic import _candidates
+from alexpoly.ring import cyclotomic
+from alexpoly.ring.cyclotomic import _candidates, _phi_at
 
 from cyclotomic_reference import cyclotomic_factorization as reference
 from cyclotomic_reference import euler_phi
@@ -89,3 +90,73 @@ def test_degree_limit():
                   {10 ** 12: 1, 0: -1}):
         with pytest.raises(InputError, match=f"limit {MAX_DEGREE}"):
             cyclotomic_factorization(LaurentPoly.univariate(terms))
+
+
+def test_phi_at_bound_behind_the_gcd_filter():
+    # the filter skips n when 4 gcd(a(x), x^n - 1) <= x^phi(n), sound
+    # only while 4 Phi_n(x) > x^phi(n)
+    for n, phi, support in _candidates(MAX_DEGREE):
+        for x in (2, 3, 5):
+            assert 4 * _phi_at(n, support, x) > x ** phi, (n, x)
+
+
+def _repeated_product(rng: random.Random) -> tuple[LaurentPoly, bool]:
+    """Two Phi_n squared to fourth power times non-cyclotomic factors, and
+    whether t - 2, a root at 2 that moves the evaluation to x >= 3, is one
+    of them."""
+    p = LaurentPoly.monomial(rng.choice((1, -3)), (rng.randint(-4, 4),))
+    for n in rng.sample((1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15), 2):
+        p = p * cyclotomic_polynomial(n) ** rng.randint(2, 4)
+    moved = rng.random() < 0.4
+    if moved:
+        p = p * LaurentPoly.univariate({1: 1, 0: -2})
+    for _ in range(rng.randint(0, 2)):
+        degree = rng.randint(1, 4)
+        q = {i: rng.randint(-5, 5) for i in range(degree)}
+        q[degree] = rng.choice((1, 2, -3))
+        p = p * LaurentPoly.univariate(q)
+    return p, moved
+
+
+def test_repeated_factors_match_reference():
+    # each accepted Phi_n is divided again only while Phi_n(x) divides a(x)
+    rng = random.Random(2702)
+    moved = 0
+    for _ in range(80):
+        p, at_three = _repeated_product(rng)
+        factors, rem = cyclotomic_factorization(p)
+        ref_factors, ref_rem = reference(p)
+        assert list(factors.items()) == list(ref_factors.items()), p
+        assert rem == ref_rem, p
+        assert sum(k > 1 for k in factors.values()) >= 2, p
+        moved += at_three
+    assert moved > 20
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    inner = getattr(cyclotomic, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(cyclotomic, name, counted)
+    return calls
+
+
+def test_gcd_filter_leaves_few_phi_values(monkeypatch):
+    # 242 indices have phi(n) <= 120; the gcd with x^n - 1 refuses most
+    calls = _counting(monkeypatch, "_phi_at")
+    factors, rem = cyclotomic_factorization(parse_poly("t^120 + 2"))
+    assert not factors and rem == parse_poly("t^120 + 2")
+    assert calls[0] <= 16
+
+
+def test_one_division_per_factor(monkeypatch):
+    # Phi_1(2) = 1 and Phi_2(2) = Phi_6(2) = 3: the tests at 1 and -1
+    # refuse the divisions that a(2) lets through
+    calls = _counting(monkeypatch, "_divide")
+    p = parse_poly("t^2 - t + 1") ** 3 * parse_poly("t - 1") ** 2
+    assert cyclotomic_factorization(p) == ({1: 2, 6: 3}, LaurentPoly.one(1))
+    assert calls[0] == 5

@@ -4,9 +4,10 @@
 one argument divides the other, and runs the primitive remainder
 sequence otherwise; ``gcd_reference`` always runs the sequence.  Both
 results are unit-normal, so they must be equal, not only associates.
-``ring.poly._divide_ordinary`` updates one remainder dict in place; the
-reference rebuilds the remainder polynomial at every step, and both must
-give the same quotient or the same refusal.  sympy, where installed, is
+``ring.poly._divide_ordinary`` updates one remainder dict in place, and
+in one variable ``exact_divide`` runs one dense long division instead;
+the reference rebuilds the remainder polynomial at every step, and all
+must give the same quotient or the same refusal.  sympy, where installed, is
 an independent oracle up to units.
 """
 
@@ -167,3 +168,32 @@ def test_exact_divide_matches_reference():
                 assert q * got == p
     with pytest.raises(ZeroDivisionError):
         _divide_ordinary(LaurentPoly.one(2), LaurentPoly.zero(2))
+
+
+def _dense_poly(rng: random.Random, degree: int) -> LaurentPoly:
+    """A univariate polynomial with every coefficient up to degree drawn,
+    some of them zero or a Fraction, shifted by a random power of t."""
+    coeffs = {i: rng.choice((0, 1, -1, 2, -5, Fraction(3, 4), Fraction(-7, 6)))
+              for i in range(degree)}
+    coeffs[degree] = rng.choice((1, -2, Fraction(5, 3)))
+    coeffs[0] = coeffs[0] or 1
+    return LaurentPoly.univariate(coeffs).shift((rng.randint(-9, 9),))
+
+
+def test_one_variable_exact_divide_matches_reference():
+    rng = random.Random(2027)
+    refused = 0
+    for _ in range(200):
+        q = _dense_poly(rng, rng.randint(0, 9))
+        c = _dense_poly(rng, rng.randint(0, 16))
+        near = _dense_poly(rng, rng.randint(0, 3))
+        for p in (q * c, q * c + near, c, q * c * Fraction(-2, 9)):
+            got = exact_divide(p, q)
+            want = reference.exact_divide(p, q)
+            assert got == want, (p, q)
+            refused += got is None
+            if got is not None:
+                assert q * got == p
+                assert all(type(v) is int or v.denominator > 1
+                           for v in got.terms.values())
+    assert refused > 100
