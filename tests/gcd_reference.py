@@ -1,11 +1,13 @@
 """Reference gcd: the primitive remainder sequence alone, and the
 division that rebuilds the remainder polynomial at every step.
 
-``ring.gcd`` returns early when an argument is a unit or divides the
-other, and ``ring.poly._divide_ordinary`` updates one remainder dict in
-place.  This module keeps the previous code, which always runs the
-remainder sequence, so the tests can check that both give the same
-unit-normal gcd and the same quotients.
+``ring.gcd`` returns early when an argument is a unit, tries the
+heuristic gcd (GCDHEU) next and the trial divisions after it, and
+``ring.poly._divide_ordinary`` updates one remainder dict in place.
+This module keeps the previous code, which always runs the remainder
+sequence (PRS): that PRS is what the heuristic is checked against, so
+the tests can check that both give the same unit-normal gcd and the
+same quotients.
 """
 
 from __future__ import annotations

@@ -212,18 +212,16 @@ def _shared_factor(rng, nvars):
 
 
 def test_random_matrices_match_the_recursive_fold():
-    # m x k and m x (k + 1) matrices in two and three variables with floor
-    # 1, and with a known floor: a column scaled by f on the square route,
+    # m x k and m x (k + 1) matrices, k = 1..3, in two and three variables
+    # with floor 1, and with a known floor: a column scaled by f on the square route,
     # two columns on the other, so that every k-minor is a multiple of f.
     # One draw in three multiplies every row by a shared factor, so that
-    # no fold reaches the floor and the lexicographic tail runs.  Three
-    # variables stop at k = 2: ring.gcd takes seconds on some of their
-    # 3 x 3 minors
+    # no fold reaches the floor and the lexicographic tail runs
     rng = random.Random(20261019)
     tail_runs = 0
     for _ in range(150):
         nvars = rng.randint(2, 3)
-        k = rng.randint(1, 5 - nvars)
+        k = rng.randint(1, 3)
         m = k + rng.randint(0, 3)
         n = k + rng.randint(0, 1)
         rows = _random_matrix(rng, nvars, m, n)

@@ -244,10 +244,30 @@ def test_unit_multiple_rows_are_dropped():
     for k in (1, 2, 3):
         assert minor_gcd(scaled, k, 3) == minor_gcd(base, k, 3) == \
             oracle_minor_gcd(scaled, k, 3)
-    # ring.gcd does not finish on the 3-minors of skewed within a minute,
-    # so k stops at 2 there
     for k in (1, 2):
         assert minor_gcd(skewed, k, 3) == oracle_minor_gcd(skewed, k, 3)
+    # oracle_minor_gcd folds ring.gcd, so the 3-minors go to sympy
+    assert minor_gcd(skewed, 3, 3) == sympy_minor_gcd(skewed, 3, 3)
+
+
+def sympy_minor_gcd(rows, k, nvars):
+    """Unit-normal gcd of the k-minors from sympy's determinants and gcd;
+    the calling test is skipped without sympy."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f"t0:{nvars}")
+    matrix = sympy.Matrix([[sum(sympy.Rational(c.numerator, c.denominator)
+                                * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                                for exps, c in entry.terms.items())
+                            for entry in row] for row in rows])
+    g = sympy.Integer(0)
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(len(rows[0])), k):
+            # a Laurent minor over a monomial denominator: its numerator
+            # is the same minor up to units
+            g = sympy.gcd(g, sympy.numer(sympy.together(matrix.extract(ri, ci).det())))
+    poly = sympy.Poly(g, *syms, domain=sympy.QQ)
+    return normalize(LaurentPoly(nvars, [(m, Fraction(int(c.p), int(c.q)))
+                                         for m, c in poly.terms() if c]))
 
 
 def test_conjugated_relators_are_dropped():

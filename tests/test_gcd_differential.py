@@ -1,25 +1,35 @@
-"""Differential tests: gcd with its shortcuts against the remainder sequence.
+"""Differential tests: gcd with its heuristic and shortcuts against the
+remainder sequence.
 
-``ring.gcd`` returns 1 when an argument is a unit and the divisor when
-one argument divides the other, and runs the primitive remainder
-sequence otherwise; ``gcd_reference`` always runs the sequence.  Both
-results are unit-normal, so they must be equal, not only associates.
-``ring.poly._divide_ordinary`` updates one remainder dict in place, and
-in one variable ``exact_divide`` runs one dense long division instead;
-the reference rebuilds the remainder polynomial at every step, and all
-must give the same quotient or the same refusal.  sympy, where installed, is
-an independent oracle up to units.
+``ring.gcd`` returns 1 when an argument is a unit, then tries the
+heuristic gcd (GCDHEU), certified by multiplying back, then returns the
+divisor when one argument divides the other, and runs the primitive
+remainder sequence (PRS) last.  ``gcd_reference`` always runs the PRS,
+so it is what the heuristic is checked against: both results are
+unit-normal, so they must be equal, not only associates.  Two inputs pin
+that the PRS is still reached, past the heuristic's bit budget and after
+a heuristic failure.  ``ring.poly._divide_ordinary`` updates one
+remainder dict in place, and in one variable ``exact_divide`` runs one
+dense long division instead; the reference rebuilds the remainder
+polynomial at every step, and all must give the same quotient or the
+same refusal.  sympy, where installed, is an independent oracle up to
+units.
 """
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from alexpoly.ring import LaurentPoly, exact_divide, gcd, gcd_many, normalize
+from alexpoly.ring import LaurentPoly, exact_divide, gcd, gcd_many, normalize, parse_poly
 from alexpoly.ring.poly import _divide_ordinary
 
 import gcd_reference as reference
+
+# the package exports the function gcd under the module's name
+gcd_module = importlib.import_module("alexpoly.ring.gcd")
 
 
 def _random_poly(rng: random.Random, nvars: int, terms: int | None = None,
@@ -117,24 +127,133 @@ def test_gcd_many_matches_reference():
     assert gcd_many([], nvars=2) == reference.gcd_many([], nvars=2) == LaurentPoly.zero(2)
 
 
-def test_gcd_matches_sympy():
-    # sympy serves as an independent oracle; it is never a runtime dependency
+def _sympy_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """sympy's gcd of a and b, unit-normal; sympy is never a runtime
+    dependency, and the calling test is skipped without it."""
     sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f"t0:{a.nvars}")
+    # Laurent polynomials become ordinary after normalize; units and the
+    # zero case are compared after normalizing sympy's answer too
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                 for exps, c in normalize(p).terms.items())
+             for p in (a, b)]
+    g = sympy.Poly(sympy.gcd(exprs[0], exprs[1]), *syms, domain=sympy.QQ)
+    return normalize(LaurentPoly(a.nvars, [(m, Fraction(int(c.p), int(c.q)))
+                                           for m, c in g.terms() if c]))
+
+
+def test_gcd_matches_sympy():
+    # sympy serves as an independent oracle in one to five variables
+    pytest.importorskip("sympy")
     rng = random.Random(20261018)
     for _ in range(150):
-        nvars = rng.randint(1, 3)
-        syms = sympy.symbols(f"t0:{nvars}")
-        a, b = _pair(rng, nvars)
-        # Laurent polynomials become ordinary after normalize; units and
-        # the zero case are compared after normalizing sympy's answer too
-        exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                     * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
-                     for exps, c in normalize(p).terms.items())
-                 for p in (a, b)]
-        g = sympy.Poly(sympy.gcd(exprs[0], exprs[1]), *syms, domain=sympy.QQ)
-        expected = LaurentPoly(nvars, [(m, Fraction(int(c.p), int(c.q)))
-                                       for m, c in g.terms() if c])
-        assert gcd(a, b) == normalize(expected), (a, b)
+        a, b = _pair(rng, rng.randint(1, 5))
+        assert gcd(a, b) == _sympy_gcd(a, b), (a, b)
+
+
+def test_sparse_five_variable_minors_are_coprime():
+    # two 2 x 2 minors of a seeded random matrix, on which the remainder
+    # sequence alone did not finish in 100 s
+    a = parse_poly("3*t0^4*t1^3*t2^3*t3^2*t4^4 + 6*t0^4*t1^3*t2*t3*t4^4"
+                   " - 6*t0^3*t1^4*t2*t3^2*t4^3 - t0*t1^2*t3^3*t4^2"
+                   " - t0*t1^2*t2*t3^2*t4 + t1^3*t2*t3^3 - 3*t0*t2*t4 + 3*t1*t2*t3", 5)
+    b = parse_poly("-2*t0^3*t1^2*t2*t3*t4^3 + 2*t0^2*t1^3*t2*t3^2*t4^2"
+                   " + 5*t0^2*t1^2*t2^2*t4^2 - 5*t0*t1^3*t2^2*t3*t4", 5)
+    # the heuristic certifies on its own, so no route hangs here
+    assert gcd_module._heuristic(normalize(a), normalize(b)) == LaurentPoly.one(5)
+    assert gcd(a, b) == LaurentPoly.one(5) == _sympy_gcd(a, b)
+
+
+def test_heuristic_certifies_by_multiplying_back():
+    # at the first evaluation point the digits give a wrong candidate:
+    # t + 3 for the first pair, whose gcd is 1.  The last pair vanishes
+    # at t = 2, below the CGG bound
+    t = LaurentPoly.monomial(1, (1,))
+    pairs = [(t ** 2 + 2, t + 3),
+             (t ** 2 + 4 * t + 4, 2 * t ** 3 + 4 * t ** 2 + t + 2),
+             (10 * t ** 3 + 6 * t ** 2 + 5 * t + 3, 5 * t ** 3 + 3 * t ** 2 + 10 * t + 6),
+             ((t - 2) * (t + 1), (t - 2) * (t + 3))]
+    for a, b in pairs:
+        expected = reference.gcd(a, b)
+        assert gcd_module._heuristic(normalize(a), normalize(b)) == expected
+        assert gcd(a, b) == expected
+
+
+def test_evaluation_points_exceed_twice_the_max_norm(monkeypatch):
+    # so that no coefficient cancels, and above the CGG bound
+    # 2 min(|a|, |b|) + 2 under which a certified divisor is the greatest
+    evaluate = gcd_module._evaluate_last
+    seen = []
+
+    def checked(f, xi):
+        assert xi >= 2 * max(map(abs, f.values())) + 2, (f, xi)
+        seen.append(xi)
+        return evaluate(f, xi)
+
+    monkeypatch.setattr(gcd_module, "_evaluate_last", checked)
+    rng = random.Random(6000)
+    for _ in range(100):
+        a, b = _pair(rng, rng.randint(1, 3))
+        assert gcd(a, b) == reference.gcd(a, b), (a, b)
+    assert len(seen) > 100
+
+
+def test_a_failed_level_fails_the_heuristic(monkeypatch):
+    # when no candidate certifies, the innermost level tries every
+    # evaluation point once and each level above gives up at once,
+    # instead of retrying with a larger xi
+    levels = Counter()
+    heu = gcd_module._heu
+
+    def counted(f, g, k):
+        levels[k] += 1
+        return heu(f, g, k)
+
+    monkeypatch.setattr(gcd_module, "_heu", counted)
+    # no digits: every candidate is zero, and multiplying back fails
+    monkeypatch.setattr(gcd_module, "_digits", lambda image, xi, scale: {})
+    common = parse_poly("t0*t1 - t2^2 + 3", 3)
+    a = common * parse_poly("2*t0 - t1*t2", 3)
+    b = common * parse_poly("t2^3 + t0 - 5*t1^2", 3)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) is None
+    assert levels == {3: 1, 2: 1, 1: 1, 0: gcd_module._HEU_ATTEMPTS}
+
+
+def test_remainder_sequence_is_the_fallback(monkeypatch):
+    reached = []
+    prs = gcd_module._prs
+    heu = gcd_module._heu
+
+    def counted(a, b, primitive):
+        reached.append(a.nvars)
+        return prs(a, b, primitive)
+
+    def refused(f, g, k):
+        raise AssertionError("heuristic run past its bit budget")
+
+    monkeypatch.setattr(gcd_module, "_prs", counted)
+    # past the bit budget: prod(deg_i + 1) alone is 9^9, and neither
+    # minor divides the other
+    a, b = _sparse_link(0, 7), _sparse_link(3, 7)
+    monkeypatch.setattr(gcd_module, "_heu", refused)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) is None
+    monkeypatch.setattr(gcd_module, "_heu", heu)
+    core = normalize((LaurentPoly.monomial(1, (1,) * 9) - 1) ** 7)
+    assert gcd(a, b) == reference.gcd(a, b) == core
+    assert 9 in reached
+    # within the budget the heuristic certifies; with no attempt left it
+    # fails, and the PRS gives the same gcd
+    common = parse_poly("t0*t1 - t2^2 + 3", 3)
+    a = common * parse_poly("2*t0 - t1*t2^-1", 3) * Fraction(-3, 4)
+    b = common * parse_poly("t2^3 + t0 - 5*t1^2", 3)
+    expected = normalize(common)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) == expected
+    reached.clear()
+    monkeypatch.setattr(gcd_module, "_HEU_ATTEMPTS", 0)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) is None
+    assert gcd(a, b) == reference.gcd(a, b) == expected
+    assert 3 in reached
 
 
 def test_divide_ordinary_matches_reference():
