@@ -16,9 +16,10 @@ dense integer coefficient lists (constant term first):
   remainder a; a(x) is updated by exact division along with a.  If Phi_n
   divides a, then Phi_n(x) divides g = gcd(a(x), x^n - 1), and Phi_n(x)
   = x^phi prod_{d|n} (1 - x^-d)^mu(n/d) > x^phi prod_{d>=1} (1 - 2^-d)
-  > x^phi / 4.  So n is skipped when 4 g <= x^phi, then when Phi_n(x)
-  does not divide a(x), or for Phi_1, Phi_2 = t -+ 1 when a(+-1) != 0,
-  and each further division by Phi_n waits on the same test.
+  > x^phi / 4.  So n is skipped when 4 g <= x^phi.  Otherwise Phi_n(x)
+  is read off the coefficients of Phi_n that the certificate divides by,
+  and each division by Phi_n, the first included, is tried only while
+  Phi_n(x) divides a(x), or for Phi_1, Phi_2 = t -+ 1 while a(+-1) = 0.
 * **Certificate.**  Each remaining candidate is tried by integer
   synthetic division of the primitive remainder by the monic Phi_n; a
   nonzero remainder means it does not divide.  By Gauss's lemma the
@@ -85,29 +86,6 @@ def _candidates(k: int) -> list[tuple[int, int, list[int]]]:
     return found
 
 
-def _moebius_divisors(support: list[int]) -> list[tuple[int, bool]]:
-    """(d, mu(r/d) == -1) for the divisors d of r, the product of the
-    distinct primes ``support``."""
-    divisors = [(1, len(support) % 2 == 1)]
-    for p in support:
-        divisors += [(d * p, not odd) for d, odd in divisors]
-    return divisors
-
-
-def _phi_at(n: int, support: list[int], x: int) -> int:
-    """Phi_n(x) for an integer x >= 2: the product of
-    (x^(d*n/r) - 1)^mu(r/d) over the divisors d of r = rad(n)."""
-    rad = prod(support)
-    num = den = 1
-    for d, odd in _moebius_divisors(support):
-        value = x ** (d * n // rad) - 1
-        if odd:
-            den *= value
-        else:
-            num *= value
-    return num // den
-
-
 def _phi_coeffs(n: int, phi: int, support: list[int]) -> list[int]:
     """Coefficients of Phi_n, constant term first; ``support`` holds the
     primes of n and ``phi`` is euler_phi(n)."""
@@ -115,8 +93,12 @@ def _phi_coeffs(n: int, phi: int, support: list[int]) -> list[int]:
         return [-1, 1]
     rad = prod(support)
     top = phi * rad // n  # euler_phi(rad)
+    # (d, mu(rad/d) == -1) for the divisors d of rad
+    divisors = [(1, len(support) % 2 == 1)]
+    for p in support:
+        divisors += [(d * p, not odd) for d, odd in divisors]
     c = [1] + [0] * top
-    for d, odd in _moebius_divisors(support):
+    for d, odd in divisors:
         if odd:  # divide by 1 - t^d: multiply by 1 + t^d + t^2d + ...
             for i in range(d, top + 1):
                 c[i] += c[i - d]
@@ -210,19 +192,15 @@ def cyclotomic_factorization(p: LaurentPoly) -> tuple[dict[int, int], LaurentPol
     for n, phi, support in _candidates(len(coeffs) - 1):
         if phi >= len(coeffs) or 4 * gcd(value, x ** n - 1) <= x ** phi:
             continue
-        phi_value = _phi_at(n, support, x)
-        if not _may_divide(n, coeffs, value, phi_value):
-            continue
         phi_n = _phi_coeffs(n, phi, support)
-        while True:
+        phi_value = _evaluate(phi_n, x)
+        while phi < len(coeffs) and _may_divide(n, coeffs, value, phi_value):
             q = _divide(coeffs, phi_n)
             if q is None:
                 break
             coeffs = q
             value //= phi_value
             factors[n] = factors.get(n, 0) + 1
-            if phi >= len(coeffs) or not _may_divide(n, coeffs, value, phi_value):
-                break
         if len(coeffs) == 1:
             break
     return factors, _raw(1, {(i,): c for i, c in enumerate(coeffs) if c})

@@ -2,7 +2,7 @@
 
 Both arguments are first brought to unit-normal form: integer
 coefficients with content 1 and least exponent 0 in every variable.
-When either is zero or a unit the answer is immediate.  Otherwise the
+When either is zero or a unit the answer is immediate.  Otherwise two
 routes are tried in this order, in every ring:
 
 1. The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic
@@ -25,9 +25,7 @@ routes are tried in this order, in every ring:
    It is not tried when prod(deg_i + 1) times (the bit length of the
    larger max-norm + 2) passes ``_HEU_BITS``: that product is about the
    size of its integers.
-2. When one argument divides the other (exact trial division) it is
-   the gcd.
-3. One primitive remainder sequence (PRS) with pseudo-division in the
+2. One primitive remainder sequence (PRS) with pseudo-division in the
    last variable.  In one variable the primitive part is the
    unit-normal form; with more, contents over the smaller ring come from
    ``gcd`` itself, so every route applies again at every level.  The
@@ -60,10 +58,6 @@ def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     h = _heuristic(a, b)
     if h is not None:
         return h
-    if exact_divide(b, a) is not None:
-        return a
-    if exact_divide(a, b) is not None:
-        return b
     if a.nvars == 1:
         return _prs(a, b, normalize)
     cont_a = _content_last(a)

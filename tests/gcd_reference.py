@@ -2,7 +2,7 @@
 division that rebuilds the remainder polynomial at every step.
 
 ``ring.gcd`` returns early when an argument is a unit, tries the
-heuristic gcd (GCDHEU) next and the trial divisions after it, and
+heuristic gcd (GCDHEU) before the remainder sequence, and
 ``ring.poly._divide_ordinary`` updates one remainder dict in place.
 This module keeps the previous code, which always runs the remainder
 sequence (PRS): that PRS is what the heuristic is checked against, so

@@ -16,7 +16,7 @@ from alexpoly.errors import InputError
 from alexpoly.ring import (MAX_DEGREE, LaurentPoly, cyclotomic_factorization,
                            cyclotomic_polynomial, parse_poly)
 from alexpoly.ring import cyclotomic
-from alexpoly.ring.cyclotomic import _candidates, _phi_at
+from alexpoly.ring.cyclotomic import _candidates, _evaluate, _phi_coeffs
 
 from cyclotomic_reference import cyclotomic_factorization as reference
 from cyclotomic_reference import euler_phi
@@ -96,8 +96,9 @@ def test_phi_at_bound_behind_the_gcd_filter():
     # the filter skips n when 4 gcd(a(x), x^n - 1) <= x^phi(n), sound
     # only while 4 Phi_n(x) > x^phi(n)
     for n, phi, support in _candidates(MAX_DEGREE):
+        phi_n = _phi_coeffs(n, phi, support)
         for x in (2, 3, 5):
-            assert 4 * _phi_at(n, support, x) > x ** phi, (n, x)
+            assert 4 * _evaluate(phi_n, x) > x ** phi, (n, x)
 
 
 def _repeated_product(rng: random.Random) -> tuple[LaurentPoly, bool]:
@@ -146,11 +147,28 @@ def _counting(monkeypatch, name: str) -> list[int]:
 
 
 def test_gcd_filter_leaves_few_phi_values(monkeypatch):
-    # 242 indices have phi(n) <= 120; the gcd with x^n - 1 refuses most
-    calls = _counting(monkeypatch, "_phi_at")
+    # 242 indices have phi(n) <= 120; the gcd with x^n - 1 refuses most,
+    # and Phi_n(x) divides a(x) for 4 of the 7 that are left
+    calls = _counting(monkeypatch, "_phi_coeffs")
+    divisions = _counting(monkeypatch, "_divide")
     factors, rem = cyclotomic_factorization(parse_poly("t^120 + 2"))
     assert not factors and rem == parse_poly("t^120 + 2")
     assert calls[0] <= 16
+    assert divisions[0] == 4
+
+
+@pytest.mark.parametrize("n, divisions", [(360, 22), (720, 28), (1000, 15)])
+def test_gcd_filter_worst_case(monkeypatch, n, divisions):
+    # a(2) = 2^n - 1, so both integer tests pass for every divisor d of n,
+    # and for Phi_6(2) = 3 at every even n; the tests at 1 and -1 refuse
+    # d = 1, 2.  Every root of 2 t^(n-1) - 1 has modulus 2^(-1/(n-1)), so
+    # none is a root of unity and every division fails
+    calls = _counting(monkeypatch, "_divide")
+    p = LaurentPoly.univariate({n - 1: 2, 0: -1})
+    assert cyclotomic_factorization(p) == ({}, p)
+    assert calls[0] == divisions
+    indices = {d for d in range(3, n + 1) if n % d == 0} | {6}
+    assert divisions == len(indices)
 
 
 def test_one_division_per_factor(monkeypatch):

@@ -2,17 +2,17 @@
 remainder sequence.
 
 ``ring.gcd`` returns 1 when an argument is a unit, then tries the
-heuristic gcd (GCDHEU), certified by multiplying back, then returns the
-divisor when one argument divides the other, and runs the primitive
-remainder sequence (PRS) last.  ``gcd_reference`` always runs the PRS,
-so it is what the heuristic is checked against: both results are
-unit-normal, so they must be equal, not only associates.  Two inputs pin
-that the PRS is still reached, past the heuristic's bit budget and after
-a heuristic failure.  ``ring.poly._divide_ordinary`` updates one
-remainder dict in place, and in one variable ``exact_divide`` runs one
-dense long division instead; the reference rebuilds the remainder
-polynomial at every step, and all must give the same quotient or the
-same refusal.  sympy, where installed, is an independent oracle up to
+heuristic gcd (GCDHEU), certified by multiplying back, and runs the
+primitive remainder sequence (PRS) when the heuristic gives no answer.
+``gcd_reference`` always runs the PRS, so it is what the heuristic is
+checked against: both results are unit-normal, so they must be equal,
+not only associates.  Three inputs pin that the PRS is still reached:
+past the heuristic's bit budget, there also when one argument divides
+the other, and after a heuristic failure.
+``ring.poly._divide_ordinary`` updates one remainder dict in place, and
+in one variable ``exact_divide`` runs one dense long division instead;
+the reference rebuilds the remainder polynomial at every step, and all
+must give the same quotient or the same refusal.  sympy, where installed, is an independent oracle up to
 units.
 """
 
@@ -102,7 +102,8 @@ def _sparse_link(j: int, k: int) -> LaurentPoly:
 
 
 def test_gcd_of_sparse_nine_variable_minors():
-    # the minors of the torus link T(9,9): one real gcd, then divisions
+    # synthetic minors of the torus link T(9,9), past the heuristic's bit
+    # budget, so the PRS folds them
     minors = [_sparse_link(j, k) for j, k in ((0, 7), (3, 7), (8, 6), (5, 7), (0, 6))]
     core = normalize((LaurentPoly.monomial(1, (1,) * 9) - 1) ** 6)
     running = expected = LaurentPoly.zero(9)
@@ -241,6 +242,12 @@ def test_remainder_sequence_is_the_fallback(monkeypatch):
     monkeypatch.setattr(gcd_module, "_heu", heu)
     core = normalize((LaurentPoly.monomial(1, (1,) * 9) - 1) ** 7)
     assert gcd(a, b) == reference.gcd(a, b) == core
+    assert 9 in reached
+    # past the budget the PRS runs even when one argument divides the other
+    reached.clear()
+    a, b = _sparse_link(2, 3), _sparse_link(2, 1)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) is None
+    assert gcd(a, b) == normalize(b) == reference.gcd(a, b)
     assert 9 in reached
     # within the budget the heuristic certifies; with no attempt left it
     # fails, and the PRS gives the same gcd
