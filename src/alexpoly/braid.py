@@ -21,7 +21,6 @@ the Dynnikov coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import eq, neg
 from typing import Iterable
@@ -34,24 +33,34 @@ class _NotIntegers(ValueError):
     """Raised for braid letters that are not all ``int``."""
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if not isinstance(self.strands, int) or self.strands < 2:
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        if not isinstance(strands, int) or strands < 2:
             raise ValueError("a braid needs at least 2 strands")
-        letters = tuple(self.letters)
+        letters = tuple(letters)
         if not set(map(type, letters)) <= {int}:
             raise _NotIntegers("letters must be integers")
-        top = self.strands - 1
+        top = strands - 1
         if letters and (min(letters) < -top or max(letters) > top
                         or 0 in letters):
             v = next(v for v in letters if v == 0 or abs(v) > top)
             raise ValueError(
-                f"letter {v} out of range for {self.strands} strands")
+                f"letter {v} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BraidWord is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -240,18 +249,31 @@ def strand_components(braid: BraidWord) -> list[tuple[int, ...]]:
 # monodromy factorizations
 
 
-@dataclass(frozen=True)
 class Factorization:
-    strands: int
-    factors: tuple[BraidWord, ...]
-    projective: bool = False
+    __slots__ = ("strands", "factors", "projective")
 
-    def __post_init__(self):
-        if not isinstance(self.strands, int) or self.strands < 2:
+    def __init__(self, strands: int, factors: tuple[BraidWord, ...],
+                 projective: bool = False):
+        if not isinstance(strands, int) or strands < 2:
             raise ValueError("a factorization needs at least 2 strands")
-        for f in self.factors:
-            if not isinstance(f, BraidWord) or f.strands != self.strands:
+        for f in factors:
+            if not isinstance(f, BraidWord) or f.strands != strands:
                 raise ValueError("every factor must be a braid on the same strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "projective", projective)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factorization is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.strands, self.factors, self.projective)
+                == (other.strands, other.factors, other.projective))
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.factors, self.projective))
 
     def product(self) -> BraidWord:
         return BraidWord(self.strands,

@@ -10,8 +10,6 @@ field holds the total degree of C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .linkpoly import MarkedLink, hat_delta, link_from_json
 from .ring import LaurentPoly, cyclotomic_factorization, normalize
@@ -23,35 +21,61 @@ from .ring import LaurentPoly, cyclotomic_factorization, normalize
 Factored = tuple[dict[int, int], LaurentPoly] | None
 
 
-@dataclass(frozen=True)
 class CurveComponent:
-    name: str
-    degree: int
-    genus: int
+    __slots__ = ("name", "degree", "genus")
 
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"component {self.name!r} needs degree >= 1")
-        if not isinstance(self.genus, int) or self.genus < 0:
-            raise ValueError(f"component {self.name!r} needs genus >= 0")
+    def __init__(self, name: str, degree: int, genus: int):
+        if not isinstance(degree, int) or degree < 1:
+            raise ValueError(f"component {name!r} needs degree >= 1")
+        if not isinstance(genus, int) or genus < 0:
+            raise ValueError(f"component {name!r} needs genus >= 0")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "genus", genus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CurveComponent is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.degree, self.genus)
+                == (other.name, other.degree, other.genus))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.degree, self.genus))
 
 
-@dataclass(frozen=True)
 class Singularity:
-    link: MarkedLink
-    on_L: bool
+    __slots__ = ("link", "on_L")
+
+    def __init__(self, link: MarkedLink, on_L: bool):
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "on_L", on_L)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Singularity is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.link, self.on_L) == (other.link, other.on_L)
+
+    def __hash__(self) -> int:
+        return hash((self.link, self.on_L))
 
     def branch_count(self, colours: set[int]) -> int:
         """Number of link components whose colour lies in the given set."""
         return sum(1 for c in self.link.colours.values() if c in colours)
 
 
-@dataclass(frozen=True)
 class CurveData:
-    components: tuple[CurveComponent, ...]
-    singularities: tuple[Singularity, ...]
+    __slots__ = ("components", "singularities")
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[CurveComponent, ...],
+                 singularities: tuple[Singularity, ...]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "singularities", singularities)
         if len(self.components) < 2:
             raise InputError("need the line plus at least one curve component",
                              field="components")
@@ -83,6 +107,18 @@ class CurveData:
             elif sing.link.marked is not None:
                 raise InputError(f"singularity {idx}: marked links belong on "
                                  "the line", field="singularities")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CurveData is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.components, self.singularities)
+                == (other.components, other.singularities))
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.singularities))
 
     @property
     def degree(self) -> int:
@@ -183,13 +219,29 @@ def boundary_factors(curve: CurveData, local: list[LaurentPoly]) -> Factored:
     return {n: e for n, e in sorted(exps.items()) if e}, normalize(remainder)
 
 
-@dataclass(frozen=True)
 class AffineCounts:
     """Bookkeeping constants of the affine curve C minus L."""
 
-    s_aff: int     # singular points of C off the line
-    ell: int       # number of components of C
-    chi_ns: int    # Euler characteristic of the nonsingular affine part
+    # s_aff: singular points of C off the line; ell: number of components
+    # of C; chi_ns: Euler characteristic of the nonsingular affine part
+    __slots__ = ("s_aff", "ell", "chi_ns")
+
+    def __init__(self, s_aff: int, ell: int, chi_ns: int):
+        object.__setattr__(self, "s_aff", s_aff)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "chi_ns", chi_ns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffineCounts is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.s_aff, self.ell, self.chi_ns)
+                == (other.s_aff, other.ell, other.chi_ns))
+
+    def __hash__(self) -> int:
+        return hash((self.s_aff, self.ell, self.chi_ns))
 
 
 def affine_counts(curve: CurveData) -> AffineCounts:

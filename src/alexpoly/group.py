@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from operator import neg
 from typing import Iterable, Sequence
@@ -117,27 +116,39 @@ _IDENTITY = _word(())
 # presentations
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Finite group presentation; relators are stored freely reduced."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...] = ()
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[Word, ...] = ()):
+        if not generators:
             raise ValueError("a presentation needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
         cleaned = []
-        for r in self.relators:
+        for r in relators:
             if not isinstance(r, Word):
                 raise TypeError("relators must be Words")
-            if r.max_generator() >= len(self.generators):
+            if r.max_generator() >= len(generators):
                 raise ValueError(f"relator {r!r} uses an undeclared generator")
             if not r.is_identity:
                 cleaned.append(r)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(cleaned))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Presentation is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.generators, self.relators)
+                == (other.generators, other.relators))
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.relators))
 
     @property
     def n(self) -> int:
@@ -152,25 +163,35 @@ class Presentation:
 # abelianization maps
 
 
-@dataclass(frozen=True)
 class AbelMap:
     """Map from a free group onto Z^rank, given by generator images."""
 
-    rank: int
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "images")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, images: tuple[tuple[int, ...], ...]):
+        if rank < 1:
             raise ValueError("rank must be at least 1")
         coerced = []
-        for img in self.images:
+        for img in images:
             vec = tuple(img) if isinstance(img, (tuple, list)) else (img,)
             if not set(map(type, vec)) <= {int}:
                 raise ValueError(f"image {vec} must hold integers")
-            if len(vec) != self.rank:
-                raise ValueError(f"image {vec} has length {len(vec)}, expected {self.rank}")
+            if len(vec) != rank:
+                raise ValueError(f"image {vec} has length {len(vec)}, expected {rank}")
             coerced.append(vec)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", tuple(coerced))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AbelMap is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.images) == (other.rank, other.images)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.images))
 
     @classmethod
     def constant_one(cls, n_generators: int) -> "AbelMap":

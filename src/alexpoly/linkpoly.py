@@ -15,8 +15,6 @@ Three invariants are computed from the closure presentation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .braid import (
     BraidWord,
     braid_from_json,
@@ -31,42 +29,54 @@ from .ring import (MAX_VARIABLES, LaurentPoly, equal_up_to_units, normalize,
                    poly_to_str)
 
 
-@dataclass(frozen=True)
 class MarkedLink:
-    braid: BraidWord
-    colours: dict[int, int]
-    marked: int | None = None
-    degree: int | None = None
-    #: strand sets of the closure's components, from the braid unless the
-    #: caller has already computed them
-    components: list[tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = ("braid", "colours", "marked", "degree", "components")
 
-    def __post_init__(self):
-        comps = self.components
-        if comps is None:
-            comps = strand_components(self.braid)
-            object.__setattr__(self, "components", comps)
-        keys = {min(c) for c in comps}
-        if set(self.colours) != keys:
+    def __init__(self, braid: BraidWord, colours: dict[int, int],
+                 marked: int | None = None, degree: int | None = None, *,
+                 components: list[tuple[int, ...]] | None = None):
+        # components: strand sets of the closure's components, from the
+        # braid unless the caller has already computed them; left out of
+        # == and hash
+        if components is None:
+            components = strand_components(braid)
+        keys = {min(c) for c in components}
+        if set(colours) != keys:
             raise ValueError(
                 f"colours must be keyed by the component base strands {sorted(keys)}")
-        for k, v in self.colours.items():
+        for k, v in colours.items():
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"colour of component {k} must be a "
                                  "nonnegative integer")
-        zero_coloured = [k for k, v in self.colours.items() if v == 0]
+        zero_coloured = [k for k, v in colours.items() if v == 0]
         if len(zero_coloured) > 1:
             raise ValueError("at most one component may have colour 0")
-        if all(v == 0 for v in self.colours.values()):
+        if all(v == 0 for v in colours.values()):
             raise ValueError("at least one component needs a nonzero colour")
-        if self.marked is not None:
-            if self.marked not in self.colours:
-                raise ValueError(f"marked component {self.marked} does not exist")
-            if self.colours[self.marked] != 0:
+        if marked is not None:
+            if marked not in colours:
+                raise ValueError(f"marked component {marked} does not exist")
+            if colours[marked] != 0:
                 raise ValueError("the marked component must have colour 0")
-            if not isinstance(self.degree, int) or self.degree < 1:
+            if not isinstance(degree, int) or degree < 1:
                 raise ValueError("a marked link needs a degree >= 1")
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MarkedLink is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.braid, self.colours, self.marked, self.degree)
+                == (other.braid, other.colours, other.marked, other.degree))
+
+    def __hash__(self) -> int:
+        return hash((self.braid, self.colours, self.marked, self.degree))
 
     def component_of_strand(self) -> dict[int, int]:
         """strand -> base strand of its component."""

@@ -18,7 +18,8 @@ dense integer coefficient lists (constant term first):
   = x^phi prod_{d|n} (1 - x^-d)^mu(n/d) > x^phi prod_{d>=1} (1 - 2^-d)
   > x^phi / 4.  So n is skipped when 4 g <= x^phi.  Otherwise Phi_n(x)
   is read off the coefficients of Phi_n that the certificate divides by,
-  and each division by Phi_n, the first included, is tried only while
+  as Phi_r(x^(n/r)) from the phi(r) + 1 of them that can be nonzero, and
+  each division by Phi_n, the first included, is tried only while
   Phi_n(x) divides a(x), or for Phi_1, Phi_2 = t -+ 1 while a(+-1) = 0.
 * **Certificate.**  Each remaining candidate is tried by integer
   synthetic division of the primitive remainder by the monic Phi_n; a
@@ -193,7 +194,8 @@ def cyclotomic_factorization(p: LaurentPoly) -> tuple[dict[int, int], LaurentPol
         if phi >= len(coeffs) or 4 * gcd(value, x ** n - 1) <= x ** phi:
             continue
         phi_n = _phi_coeffs(n, phi, support)
-        phi_value = _evaluate(phi_n, x)
+        step = n // prod(support)  # Phi_n(t) = Phi_rad(n)(t^step)
+        phi_value = _evaluate(phi_n[::step], x ** step)
         while phi < len(coeffs) and _may_divide(n, coeffs, value, phi_value):
             q = _divide(coeffs, phi_n)
             if q is None:

@@ -54,11 +54,11 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
 
     indexed_seen = False
     plain_seen = False
-    parsed: list[tuple[int, Fraction, dict[int, int]]] = []
+    parsed: list[tuple[int, Scalar, dict[int, int]]] = []
     for sign, body in term_texts:
         if not body:
             raise fail("empty term (stray sign?)")
-        coeff = Fraction(1)
+        coeff: Scalar = 1
         rest = body
         m = _COEFF_RE.match(rest)
         if m:
@@ -69,7 +69,7 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
                     raise fail(f"zero denominator in coefficient {frac_text!r}")
                 coeff = Fraction(num, den)
             else:
-                coeff = Fraction(number(frac_text))
+                coeff = number(frac_text)
             rest = rest[m.end():]
             if rest.startswith("*"):
                 rest = rest[1:]

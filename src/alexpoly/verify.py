@@ -23,8 +23,6 @@ check that does not apply reports ``inapplicable`` and does not fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .curve import (CurveData, Factored, affine_counts, boundary_factors,
                     first_betti, local_deltas)
 from .errors import ComputationError
@@ -44,15 +42,28 @@ SKIP = "inapplicable"
 _ONE_MINUS_T = LaurentPoly.univariate({0: 1, 1: -1})
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    detail: str
-    left: str | None = None
-    right: str | None = None
-    witness: str | None = None
-    ledger: list = field(default_factory=list)
+    __slots__ = ("name", "status", "detail", "left", "right", "witness",
+                 "ledger")
+
+    def __init__(self, name: str, status: str, detail: str,
+                 left: str | None = None, right: str | None = None,
+                 witness: str | None = None, ledger: list | None = None):
+        self.name = name
+        self.status = status
+        self.detail = detail
+        self.left = left
+        self.right = right
+        self.witness = witness
+        self.ledger = [] if ledger is None else ledger
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.status, self.detail, self.left, self.right,
+                 self.witness, self.ledger)
+                == (other.name, other.status, other.detail, other.left,
+                    other.right, other.witness, other.ledger))
 
     @property
     def ok(self) -> bool:
@@ -69,9 +80,16 @@ class CheckResult:
         return obj
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
 
     @property
     def ok(self) -> bool:

@@ -954,11 +954,15 @@ def test_cli_builds_parsers_only_for_help_and_errors(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_well_formed_call_imports_neither_argparse_nor_locale():
+def test_well_formed_call_imports_no_argparse_locale_or_dataclasses():
+    # the records are plain classes: dataclasses would pull in inspect,
+    # ast, dis and tokenize at every call's startup
     code = ("import sys\n"
             "import alexpoly.cli\n"
             "assert alexpoly.cli.main(['fox', sys.argv[1], '--one']) == 0\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+            "print(sorted({'argparse', 'gettext', 'locale', 'dataclasses',\n"
+            "              'inspect', 'ast', 'dis', 'tokenize'}\n"
+            "             & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code, FOX_FILE],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")

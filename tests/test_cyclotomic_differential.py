@@ -9,6 +9,7 @@ same remainder.  sympy, where installed, is the oracle for Phi_n.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -94,11 +95,15 @@ def test_degree_limit():
 
 def test_phi_at_bound_behind_the_gcd_filter():
     # the filter skips n when 4 gcd(a(x), x^n - 1) <= x^phi(n), sound
-    # only while 4 Phi_n(x) > x^phi(n)
+    # only while 4 Phi_n(x) > x^phi(n); extraction evaluates Phi_n(x) as
+    # Phi_r(x^step), r = rad(n), step = n / r, on every step-th coefficient
     for n, phi, support in _candidates(MAX_DEGREE):
         phi_n = _phi_coeffs(n, phi, support)
+        step = n // prod(support)
         for x in (2, 3, 5):
-            assert 4 * _evaluate(phi_n, x) > x ** phi, (n, x)
+            value = _evaluate(phi_n, x)
+            assert _evaluate(phi_n[::step], x ** step) == value, (n, x)
+            assert 4 * value > x ** phi, (n, x)
 
 
 def _repeated_product(rng: random.Random) -> tuple[LaurentPoly, bool]:
