@@ -15,12 +15,22 @@ u_j0 != 0, each D_{S,j0} is a multiple of u_j0 / g, and the gcd of all
 (n-1)-minors equals (g / u_j0) times the gcd of the minors omitting
 column j0 (Fox, Free differential calculus II, Ann. Math. 1954; Torres,
 On the Alexander polynomial, Ann. Math. 1953).  ``alexander_polynomial``
-takes that route, handing u_j0 / g, read off the exponents of phi, to
-the minor gcd as a floor at which its fold may stop.  It runs the gcd
-over every column only when the identity gives nothing: some relator
-is not killed by phi (the product relator x_1 ... x_d of a projective
-presentation, or a map that is not a homomorphism of the presented
-group), or every u_j is 0.
+takes that route.  It omits the column whose image phi(x_j0) has the
+least L1 norm, the first of those on ties, since the minors it keeps
+carry the factor u_j0 / g, and hands that factor, read off the
+exponents of phi, to the minor gcd as a floor at which its fold may
+stop.  In one variable the floor is then a unit whenever some |phi(x_j)|
+is the gcd of all of them, as for the weighted map of a hat invariant,
+and no division is left; colour and ZvK maps send every generator to a
+unit vector, so the first column with a nonzero image goes.
+
+Whether phi kills every relator is read off the Fox rows: the
+coefficient sum of phi(dr/dx_j) is the exponent sum of x_j in r, so
+phi(r) = sum_j eps(row_j) phi(x_j), eps the coefficient sum.  The gcd
+runs over every column only when the identity gives nothing: some
+relator is not killed by phi (the product relator x_1 ... x_d of a
+projective presentation, or a map that is not a homomorphism of the
+presented group), or every u_j is 0.
 """
 
 from __future__ import annotations
@@ -75,11 +85,13 @@ def alexander_polynomial(pres: Presentation, phi: AbelMap) -> LaurentPoly:
 
     With fewer than n-1 relators the ideal is zero.  A single-generator
     presentation gives 1 when some relator has nonzero image under phi
-    and 0 otherwise.  When phi kills every relator, only the minors that
-    omit the first column j0 with u_j0 != 0 are computed (see the module
-    docstring), and their gcd is divided by the floor u_j0 / gcd(u); a
-    remainder raises ComputationError.  Otherwise the identity does not
-    hold or gives no column, and every column takes part.
+    and 0 otherwise.  When the Fox rows show that phi kills every
+    relator, only the minors that omit the column j0 of least nonzero
+    image are computed (see the module docstring): they carry
+    u_j0 / gcd(u), the floor of their gcd, which is then divided by it
+    unless it is a unit; a remainder raises ComputationError.  Otherwise
+    the identity does not hold or gives no column, and every column
+    takes part.
     """
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
@@ -94,10 +106,11 @@ def alexander_polynomial(pres: Presentation, phi: AbelMap) -> LaurentPoly:
     rows = fox_matrix(pres, phi)
     k = pres.n - 1
     images = [img for img in dict.fromkeys(phi.images) if any(img)]
-    if not images or any(any(phi(r)) for r in pres.relators):
+    if not images or not _kills_every_relator(rows, phi.images):
         return minor_gcd(rows, k, nvars)
-    j0 = phi.images.index(images[0])
-    floor = _floor(images)
+    least = min(images, key=lambda img: sum(map(abs, img)))
+    j0 = phi.images.index(least)
+    floor = _floor([least] + [img for img in images if img != least])
     reduced = minor_gcd([row[:j0] + row[j0 + 1:] for row in rows], k, nvars,
                         floor=floor)
     if floor.is_unit:
@@ -108,6 +121,22 @@ def alexander_polynomial(pres: Presentation, phi: AbelMap) -> LaurentPoly:
             f"the minor gcd without column {j0} is not a multiple of "
             f"u_{j0} / gcd(u) = {floor}")
     return normalize(result)
+
+
+def _kills_every_relator(rows: list[list[LaurentPoly]],
+                         images: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether phi(r) = 0 for the relator r of every Fox row: phi(r) is
+    sum_j eps_j phi(x_j), eps_j the coefficient sum of phi(dr/dx_j),
+    which is the exponent sum of x_j in r."""
+    for row in rows:
+        image = (0,) * len(images[0])
+        for entry, img in zip(row, images):
+            eps = sum(entry.terms.values())
+            if eps:
+                image = [a + eps * v for a, v in zip(image, img)]
+        if any(image):
+            return False
+    return True
 
 
 def _floor(images: list[tuple[int, ...]]) -> LaurentPoly:

@@ -15,6 +15,9 @@ Three invariants are computed from the closure presentation:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from .braid import (
     BraidWord,
     braid_from_json,
@@ -32,12 +35,13 @@ from .ring import (MAX_VARIABLES, LaurentPoly, equal_up_to_units, normalize,
 class MarkedLink:
     __slots__ = ("braid", "colours", "marked", "degree", "components")
 
-    def __init__(self, braid: BraidWord, colours: dict[int, int],
+    def __init__(self, braid: BraidWord, colours: Mapping[int, int],
                  marked: int | None = None, degree: int | None = None, *,
                  components: list[tuple[int, ...]] | None = None):
         # components: strand sets of the closure's components, from the
         # braid unless the caller has already computed them; left out of
-        # == and hash
+        # == and hash.  colours is kept as a read-only copy, so that the
+        # link hashes over its items
         if components is None:
             components = strand_components(braid)
         keys = {min(c) for c in components}
@@ -61,7 +65,7 @@ class MarkedLink:
             if not isinstance(degree, int) or degree < 1:
                 raise ValueError("a marked link needs a degree >= 1")
         object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "colours", MappingProxyType(dict(colours)))
         object.__setattr__(self, "marked", marked)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
@@ -76,7 +80,8 @@ class MarkedLink:
                 == (other.braid, other.colours, other.marked, other.degree))
 
     def __hash__(self) -> int:
-        return hash((self.braid, self.colours, self.marked, self.degree))
+        return hash((self.braid, frozenset(self.colours.items()), self.marked,
+                     self.degree))
 
     def component_of_strand(self) -> dict[int, int]:
         """strand -> base strand of its component."""

@@ -15,7 +15,7 @@ import pytest
 
 from alexpoly.errors import InputError
 from alexpoly.ring import (MAX_DEGREE, LaurentPoly, cyclotomic_factorization,
-                           cyclotomic_polynomial, parse_poly)
+                           cyclotomic_polynomial, exact_divide, parse_poly)
 from alexpoly.ring import cyclotomic
 from alexpoly.ring.cyclotomic import _candidates, _evaluate, _phi_coeffs
 
@@ -183,3 +183,28 @@ def test_one_division_per_factor(monkeypatch):
     p = parse_poly("t^2 - t + 1") ** 3 * parse_poly("t - 1") ** 2
     assert cyclotomic_factorization(p) == ({1: 2, 6: 3}, LaurentPoly.one(1))
     assert calls[0] == 5
+
+
+@pytest.mark.parametrize("powers", [{1: 1000}, {1: 200, 6: 300}])
+def test_divisions_logarithmic_in_multiplicity(monkeypatch, powers):
+    # Phi_n^m is divided out by powers Phi_n^(2^k): at most 2 ceil(log2 m) + 2
+    # divisions per factor, and no other index reaches a division
+    divisors = []
+    inner = cyclotomic._divide
+
+    def counted(a, b):
+        divisors.append(LaurentPoly.univariate(dict(enumerate(b))))
+        return inner(a, b)
+
+    p = prod((cyclotomic_polynomial(n) ** m for n, m in powers.items()),
+             start=LaurentPoly.one(1))
+    want = reference(p)
+    monkeypatch.setattr(cyclotomic, "_divide", counted)
+    factors, rem = cyclotomic_factorization(p)
+    assert (factors, rem) == want == (powers, LaurentPoly.one(1))
+    for n, m in powers.items():
+        phi_n = cyclotomic_polynomial(n)
+        count = sum(exact_divide(b, phi_n) is not None for b in divisors)
+        assert count <= 2 * (m - 1).bit_length() + 2, (n, count)
+    assert len(divisors) <= sum(2 * (m - 1).bit_length() + 2
+                                for m in powers.values())

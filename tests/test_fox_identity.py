@@ -121,7 +121,7 @@ def test_closures_with_repeated_colours(seed, routes):
 @pytest.mark.parametrize("seed", range(4))
 def test_closures_with_arbitrary_images(rank, seed, routes):
     # each component gets an image in Z^rank, zero vectors included; the
-    # omitted column is the first strand with a nonzero image
+    # omitted column is the strand of least nonzero image
     rng = random.Random(100 * rank + seed)
     for _ in range(12):
         braid = random_braid(rng)

@@ -3,7 +3,9 @@ field, except the two mutable verify records.
 
 Nine records are frozen: assignment raises ``AttributeError`` and equal
 fields give equal hashes (``curve.local_deltas`` keys a dict by
-``link.braid``).  ``MarkedLink`` leaves its ``components`` out of both.
+``link.braid``).  ``MarkedLink`` leaves its ``components`` out of both
+and holds its colours read-only, so that a link, and a singularity or a
+curve holding one, hashes with a plain dict of colours.
 ``CheckResult`` and ``VerificationReport`` stay mutable and unhashable.
 """
 
@@ -16,15 +18,8 @@ from alexpoly.linkpoly import MarkedLink
 from alexpoly.verify import CheckResult, VerificationReport
 
 
-class _Colours(dict):
-    """A hashable colour map, so that records holding a link can hash."""
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-
 def _link(degree=1, components=None):
-    return MarkedLink(BraidWord(2, (1, 1)), _Colours({0: 0, 1: 1}), marked=0,
+    return MarkedLink(BraidWord(2, (1, 1)), {0: 0, 1: 1}, marked=0,
                       degree=degree, components=components)
 
 
@@ -91,9 +86,16 @@ def test_marked_link_leaves_components_out():
     a, b = _link(), _link(components=[(1,), (0,)])
     assert a.components != b.components
     assert a == b and hash(a) == hash(b)
-    # a plain dict of colours is not hashable, and neither is the link
+    # the colours are a read-only copy of the dict given, equal to it, and
+    # the link hashes over their items
+    colours = {0: 1, 1: 1}
+    link = MarkedLink(BraidWord(2, (1, 1)), colours)
+    assert hash(link) == hash(MarkedLink(BraidWord(2, (1, 1)), dict(colours)))
+    assert link.colours == colours
     with pytest.raises(TypeError):
-        hash(MarkedLink(BraidWord(2, (1, 1)), {0: 1, 1: 1}))
+        link.colours[0] = 2
+    colours[0] = 2
+    assert link.colours == {0: 1, 1: 1}
 
 
 def test_each_check_result_has_its_own_ledger():
