@@ -5,7 +5,10 @@ stderr each one gave: ``fox``, ``zvk`` (plain, ``--multi``,
 ``--projective``), ``closure`` (plain, ``--multi``, ``--hat``), ``curve``
 and ``verify`` on every JSON file under ``data/``, each in text and in
 ``--output json``, and ``cyclo`` on t^n - 1 and t^n + 2 for n = 30, 60,
-120.  Paths are relative to the repository root, where every command
+120.  Polynomial text with ``p/q`` coefficients goes to ``cyclo`` (a
+cyclotomic product and a remainder) and to ``verify`` as ``--delta``
+and as ``--infinity``, each in text and in JSON, and one zero
+denominator exits 2.  Paths are relative to the repository root, where every command
 runs.  A refactor that should not change behaviour must leave every
 entry equal.
 
