@@ -6,7 +6,7 @@ f3 in general position.  Such a curve has degree six, six ordinary cusps
 (at the intersection points of f2 and f3) and no other singularities.
 
 Method: project to the x-axis, locate the critical values of the
-projection exactly (Sylvester resultant over Q[x] by fraction-free
+projection exactly (Sylvester resultant over Z[x] by fraction-free
 elimination, then a squarefree split to separate the six cusp values from
 the twelve simple tangency values), and track the six roots of f(x, .)
 numerically along a standard system of loops in the base.  Each loop
@@ -29,7 +29,6 @@ import json
 import math
 import pathlib
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,13 +47,13 @@ OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "data" / "zariski_sex
 # exact polynomial helpers (x is variable 0, y is variable 1)
 
 def poly2(terms: dict[tuple[int, int], int]) -> LaurentPoly:
-    return LaurentPoly(2, {k: Fraction(v) for k, v in terms.items()})
+    return LaurentPoly(2, terms)
 
 
 def y_coefficients(f: LaurentPoly) -> list[LaurentPoly]:
     """Coefficients of f as a polynomial in y, each a polynomial in x."""
     deg = max(e[1] for e in f.terms)
-    rows: list[dict[tuple[int], Fraction]] = [{} for _ in range(deg + 1)]
+    rows: list[dict[tuple[int], int]] = [{} for _ in range(deg + 1)]
     for (i, j), c in f.terms.items():
         rows[j][(i,)] = c
     return [LaurentPoly(1, r) for r in rows]
@@ -71,10 +70,12 @@ def x_derivative(p: LaurentPoly) -> LaurentPoly:
 
 
 def sylvester_resultant(p: list[LaurentPoly], q: list[LaurentPoly]) -> LaurentPoly:
-    """Resultant of two y-polynomials with coefficients in Q[x].
+    """Resultant of two y-polynomials with coefficients in Z[x].
 
     p and q are ascending coefficient lists.  Fraction-free (Bareiss)
-    elimination keeps every entry a polynomial and every division exact.
+    elimination keeps every entry a polynomial over Z: each division is
+    exact in Z[x], by Sylvester's identity, although the divisor is not
+    primitive.
     """
     m, n = len(p) - 1, len(q) - 1
     size = m + n
@@ -383,7 +384,7 @@ def genericity_report(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Check the discriminant profile; return (cusp poly, tangency poly)."""
     coeffs = y_coefficients(f)
     assert len(coeffs) == 7 and x_degree(coeffs[6]) == 0, "projection must be proper"
-    dy = [c * Fraction(j) for j, c in enumerate(coeffs)][1:]
+    dy = [c * j for j, c in enumerate(coeffs)][1:]
     res = sylvester_resultant(coeffs, dy)
     assert x_degree(res) == 30, f"resultant degree {x_degree(res)} != 30"
     assert res.coefficient((0,)) != 0, "critical value at the origin"

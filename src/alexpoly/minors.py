@@ -1,45 +1,46 @@
 """Greatest common divisor of the k x k minors of a Laurent-polynomial matrix.
 
-The result generates the smallest principal ideal containing the ideal of
-k-minors, which is all the downstream invariants need.  One rule drops
-rows, before the first contraction and after each one: a zero row goes,
-and so does every row that is a unit multiple of an earlier row, since a
-minor holding both is zero and one holding the later row alone is a unit
-times a minor holding the earlier one, so neither adds to the ideal.  The
-Fox row of a conjugated relator u^-1 r u is such a multiple, phi(u)^-1
-times the row of r.  Only rows of the same shape, the sizes of their
-entries, are compared, each by a key that is equal exactly on unit
-multiples.  A unit entry lets the matrix contract: clearing its column
+The result generates the smallest principal ideal of Q[t^+-1] containing
+the ideal of k-minors, which is all the downstream invariants need.  One
+rule drops rows, before the first contraction and after each one: a zero
+row goes, and so does every row that is a unit multiple of an earlier
+row, since a minor holding both is zero and one holding the later row
+alone is a unit times a minor holding the earlier one, so neither adds
+to the ideal.  The Fox row of a conjugated relator u^-1 r u is such a
+multiple, phi(u)^-1 times the row of r.  Only rows of the same shape,
+the sizes of their entries, are compared, each by a key that is equal
+exactly on unit multiples.  A unit entry lets the matrix contract: clearing its column
 with row operations and deleting its row and column turns the gcd of
 k-minors into the gcd of (k-1)-minors of the smaller matrix.  Each ring
 takes one route from the Fox rows on:
 
 * one variable: each row is shifted by a monomial so that its entries lie
-  in the Euclidean domain Q[t] and turned into dense coefficient lists
-  once, read straight off each entry's terms with the row's least
-  exponent as offset.  Unit multiples are then scalar multiples, keyed by
-  their lists divided by the leading coefficient of the first nonzero
-  entry.  A unit is an entry with one nonzero coefficient, c t^a, and
-  the contraction needs no division: every other row x becomes
-  c t^a x - x_j p, p the pivot row, which is a unit times
-  x - (x_j / c t^a) p, and then loses its common power of t, so integer
-  rows stay integer.  Row operations bring what is left to row echelon
-  form once, then each k-column submatrix in turn, and the gcd is folded
-  from the products of their pivots.  A row step x - q y is one pass per
-  entry, and the pivot column takes the remainder of the division that
-  gave q;
+  in Z[t] and turned into dense coefficient lists once, read straight off
+  each entry's terms with the row's least exponent as offset.  Unit
+  multiples are then rational multiples, keyed by their primitive lists
+  signed as the leading coefficient of the first nonzero entry.  A unit
+  is an entry with one nonzero coefficient, c t^a, and the contraction
+  needs no division: every other row x becomes c t^a x - x_j p, p the
+  pivot row, which is a unit times x - (x_j / c t^a) p, and then loses
+  its common power of t.  Row operations bring what is left to row
+  echelon form once, then each k-column submatrix in turn, and the gcd
+  is folded from the products of their pivots.  A row step s x - q y is
+  one pass per entry, s x_c = q y_c + r the integer pseudo-division in
+  the pivot column c, which takes the remainder r; a row with s != 1 is
+  made primitive again;
 * several variables: rows stay tuples of ``LaurentPoly``, keyed by their
-  terms shifted and scaled by the lex-least term of the first nonzero
-  entry, and a unit pivot clears its column by multiplying with its
-  inverse.  Then the minors of each k-row subset, cyclic row windows
-  first, come from one Laplace expansion and fold until the gcd hits a
-  floor.  Each row is first shifted by a monomial so that its exponents
-  are >= 0, which changes every minor by a unit only, and each exponent
-  vector e is packed into one int, sum(e_i << (w i)) (Kronecker's
-  substitution).  An exponent of a product of entries from distinct rows
-  is at most the sum of the row maxima, so with w that sum's bit length
-  no field carries into the next, and a monomial product is one integer
-  add.  Each minor is unpacked once, just before its gcd.
+  primitive terms shifted by the lex-least term of the first nonzero
+  entry, and a unit pivot c t^a clears its column without division,
+  x -> |c| x - (sign(c) t^-a x_j) p.  Then the minors of each k-row
+  subset, cyclic row windows first, come from one Laplace expansion and
+  fold until the gcd hits a floor.  Each row is first shifted by a
+  monomial so that its exponents are >= 0, which changes every minor by
+  a unit only, and each exponent vector e is packed into one int,
+  sum(e_i << (w i)) (Kronecker's substitution).  An exponent of a
+  product of entries from distinct rows is at most the sum of the row
+  maxima, so with w that sum's bit length no field carries into the
+  next, and a monomial product is one integer add.  Each minor is
+  unpacked once, just before its gcd.
 
 The floor is a polynomial the caller knows to divide every k-minor, 1 by
 default.  ``fox.alexander_polynomial`` passes u_j0 / gcd(u) for Fox
@@ -59,13 +60,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterator
 from itertools import combinations, repeat
+from math import gcd as int_gcd
 from operator import add, mul, sub
 
 from .ring import LaurentPoly, gcd, gcd_many, normalize
-from .ring.poly import Scalar, _demote, _pdivmod, _ptrim, _raw, scalar_quotient
+from .ring.poly import _pdivmod, _ptrim, _raw
 
 Row = tuple[LaurentPoly, ...]
-Dense = list[list[Scalar]]
+Dense = list[list[int]]
 
 
 def minor_gcd(rows: list[Row] | list[list[LaurentPoly]], k: int, nvars: int,
@@ -129,7 +131,7 @@ def _drop_unit_multiples(rows: list, shape: Callable[..., tuple[int, ...]],
 
 
 # ---------------------------------------------------------------------------
-# several variables: rows of LaurentPoly, contracted by the pivot's inverse
+# several variables: rows of LaurentPoly, contracted without division
 
 
 def _term_counts(row: Row) -> tuple[int, ...]:
@@ -138,13 +140,16 @@ def _term_counts(row: Row) -> tuple[int, ...]:
 
 def _terms_key(row: Row) -> tuple[frozenset, ...]:
     """The terms of row shifted by the lex-least exponent of its first
-    nonzero entry and divided by that term's coefficient.  Lex order is
-    translation-invariant, so a unit c t^a maps that term of row to the
-    same term of c t^a row, and unit multiples get equal keys."""
+    nonzero entry and divided by the gcd of its coefficients, signed as
+    that term's.  Lex order is translation-invariant, so a unit c t^a
+    maps that term of row to the same term of c t^a row, and unit
+    multiples get equal keys."""
     first = next(e.terms for e in row if e.terms)
     low = min(first)
-    c = first[low]
-    return tuple(frozenset((tuple(map(sub, e, low)), scalar_quotient(v, c))
+    g = int_gcd(*(v for entry in row for v in entry.terms.values()))
+    if first[low] < 0:
+        g = -g
+    return tuple(frozenset((tuple(map(sub, e, low)), v // g)
                            for e, v in entry.terms.items())
                  for entry in row)
 
@@ -158,12 +163,13 @@ def _find_unit(rows: list[Row]) -> tuple[int, int] | None:
 
 
 def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
-    """Clear column j with the unit pivot at (i, j), then delete row i, col j.
-
-    A row whose entry in column j is already zero keeps its other
-    entries as they are."""
+    """Clear column j with the unit pivot c t^a at (i, j), then delete row
+    i and column j: every other row x becomes |c| x - (sign(c) t^-a x_j) p,
+    |c| times x - (x_j / c t^a) p.  A row whose entry in column j is
+    already zero keeps its other entries as they are."""
     pivot_row = rows[i]
-    inv = pivot_row[j] ** -1
+    (a, c), = pivot_row[j].terms.items()
+    inv = _raw(len(a), {tuple(-e for e in a): 1 if c > 0 else -1})
     out: list[Row] = []
     for r, row in enumerate(rows):
         if r == i:
@@ -172,8 +178,8 @@ def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
             out.append(row[:j] + row[j + 1:])
             continue
         factor = row[j] * inv
-        out.append(tuple(row[c] - factor * pivot_row[c]
-                         for c in range(len(row)) if c != j))
+        out.append(tuple(row[k] * abs(c) - factor * pivot_row[k]
+                         for k in range(len(row)) if k != j))
     return out
 
 
@@ -184,7 +190,7 @@ def _contract(rows: list[Row], i: int, j: int) -> list[Row]:
 # exponent vector e as sum(e_i << (width * i)), every e_i >= 0; a minor is
 # keyed by the bit set of its columns
 
-Packed = dict[int, Scalar]
+Packed = dict[int, int]
 
 
 def _enumerate_minor_gcd(rows: list[Row], k: int, nvars: int,
@@ -246,8 +252,8 @@ def _pack(rows: list[Row], nvars: int) -> tuple[list[list[tuple[int, Packed]]], 
 def _unpack(p: Packed, width: int, nvars: int) -> LaurentPoly:
     mask = (1 << width) - 1
     offsets = range(0, width * nvars, width)
-    return _raw(nvars, _demote({tuple(key >> s & mask for s in offsets): v
-                                for key, v in p.items()}))
+    return _raw(nvars, {tuple(key >> s & mask for s in offsets): v
+                        for key, v in p.items()})
 
 
 def _expand(state: dict[int, Packed], row: list[tuple[int, Packed]],
@@ -283,17 +289,16 @@ def _expand(state: dict[int, Packed], row: list[tuple[int, Packed]],
 
 
 # ---------------------------------------------------------------------------
-# one variable: dense rows over Q[t], contracted without division, then
+# one variable: dense rows over Z[t], contracted without division, then
 # row echelon forms
 #
 # a row is a list of dense coefficient lists, the coefficient of t^i at
 # index i and the last one nonzero, [] for zero, and some entry of a
-# nonzero row has a nonzero constant term.  Row operations keep every
-# ideal of minors, the k-minors are the maximal minors of the k-column
-# submatrices, and the maximal minors of an echelon matrix are generated
-# by the product of its pivots, or all zero when a column has no pivot.
-# Coefficients are int unless the input holds a Fraction or a division
-# in the echelon is not integral
+# nonzero row has a nonzero constant term.  Row operations and nonzero
+# rational factors of a row keep every ideal of minors over Q[t], the
+# k-minors are the maximal minors of the k-column submatrices, and the
+# maximal minors of an echelon matrix are generated by the product of
+# its pivots, or all zero when a column has no pivot
 
 
 def _dense_row(row: Row) -> Dense:
@@ -314,13 +319,15 @@ def _lengths(row: Dense) -> tuple[int, ...]:
     return tuple(map(len, row))
 
 
-def _dense_key(row: Dense) -> tuple[tuple[Scalar, ...], ...]:
-    """The lists of row divided by the leading coefficient of its first
-    nonzero entry.  Rows that are unit multiples of each other have lost
-    their common powers of t, so they are scalar multiples, and get equal
-    keys."""
-    lead = next(e for e in row if e)[-1]
-    return tuple(tuple(scalar_quotient(c, lead) for c in e) for e in row)
+def _dense_key(row: Dense) -> tuple[tuple[int, ...], ...]:
+    """The lists of row divided by the gcd of their coefficients, signed
+    as the leading coefficient of its first nonzero entry.  Rows that are
+    unit multiples of each other have lost their common powers of t, so
+    they are rational multiples, and get equal keys."""
+    g = int_gcd(*(c for e in row for c in e))
+    if next(e for e in row if e)[-1] < 0:
+        g = -g
+    return tuple(tuple(c // g for c in e) for e in row)
 
 
 def _find_dense_unit(rows: list[Dense]) -> tuple[int, int] | None:
@@ -379,7 +386,7 @@ def _echelon_minor_gcd(mat: list[Dense], k: int) -> LaurentPoly:
                      for cols in combinations(range(len(mat[0])), k)), 1)
 
 
-def _pivot_product(a: list[list[list[Scalar]]]) -> LaurentPoly:
+def _pivot_product(a: list[Dense]) -> LaurentPoly:
     """Generator of the maximal minors of a matrix with no more columns
     than rows; a is reduced in place."""
     pivots = _echelon(a)
@@ -391,7 +398,7 @@ def _pivot_product(a: list[list[list[Scalar]]]) -> LaurentPoly:
     return _from_dense(product)
 
 
-def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
+def _echelon(a: list[Dense]) -> list[list[int]]:
     """Bring a to row echelon form in place; return its pivots in column
     order, one per column that has one.
 
@@ -399,8 +406,9 @@ def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
     Euclidean size of an entry is its length.  In each column the
     shortest entry of the rows below the pivots found so far moves up and
     reduces every other such row, until one nonzero entry is left.  A row
-    step subtracts q times the pivot row, q the quotient of the division
-    in the pivot column, whose remainder is the row's new entry there.
+    step takes s x - q y, y the pivot row and s x_col = q y_col + r the
+    pseudo-division in the pivot column, whose remainder r is the row's
+    new entry there; a row with s != 1 is then made primitive.
     """
     m = len(a)
     pivots = []
@@ -420,13 +428,19 @@ def _echelon(a: list[list[list[Scalar]]]) -> list[list[Scalar]]:
             rest = pivot_row[col + 1:]
             for row in a[top + 1:]:
                 if row[col]:
-                    q, row[col] = _pdivmod(row[col], pivot_row[col])
+                    s, q, row[col] = _pdivmod(row[col], pivot_row[col])
+                    if s > 1:
+                        row[col + 1:] = [[v * s for v in x]
+                                         for x in row[col + 1:]]
                     row[col + 1:] = [_submul(x, q, y) if y else x
                                      for x, y in zip(row[col + 1:], rest)]
+                    if s > 1:
+                        g = int_gcd(*(c for e in row for c in e))
+                        row[:] = [[c // g for c in e] for e in row]
     return pivots
 
 
-def _submul(x: list[Scalar], q: list[Scalar], y: list[Scalar]) -> list[Scalar]:
+def _submul(x: list[int], q: list[int], y: list[int]) -> list[int]:
     """x - q y as a new trimmed list; q and y are nonzero."""
     n = len(y)
     out = x + [0] * (len(q) + n - 1 - len(x))
@@ -436,11 +450,11 @@ def _submul(x: list[Scalar], q: list[Scalar], y: list[Scalar]) -> list[Scalar]:
     return _ptrim(out)
 
 
-def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
+def _from_dense(coeffs: list[int]) -> LaurentPoly:
     return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
-def _pmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+def _pmul(a: list[int], b: list[int]) -> list[int]:
     """a b for nonzero a and b; the leading coefficients cannot cancel."""
     n = len(b)
     out = [0] * (len(a) + n - 1)

@@ -85,7 +85,7 @@ def gcd_many(polys: Iterable[LaurentPoly], nvars: int | None = None) -> LaurentP
 _HEU_ATTEMPTS = 6
 """Growing evaluation points tried per level before the heuristic fails."""
 
-_HEU_BITS = 1 << 14
+_HEU_BITS = 1 << 18
 """Largest prod(deg_i + 1) * (bit length of the larger max-norm + 2)."""
 
 _Terms = dict[tuple[int, ...], int]

@@ -1,13 +1,11 @@
-"""Exact Laurent polynomials over the rationals, in one or several variables.
+"""Laurent polynomials with integer coefficients, in one or several variables.
 
 A polynomial knows its variable count ``nvars``; exponent vectors are
-integer tuples of that length and may be negative.  All arithmetic is
-exact.  A coefficient is stored as an ``int`` when it is integral and as
-a ``fractions.Fraction`` (denominator > 1) only otherwise, so the integer
-polynomials that Fox matrices, minors and unit-normal forms produce stay
-on integer arithmetic.  Division is exact: a quotient of two coefficients
-is a ``Fraction`` demoted to ``int`` when integral, never a ``float``.
-The univariate case is simply ``nvars == 1``.
+integer tuples of that length and may be negative.  Coefficients are
+``int``, and any other type raises TypeError: every invariant here lies
+in Z[t^+-1] up to units (``parse_poly`` clears denominators).  All
+arithmetic is exact, and so is division, over Z.  The univariate case
+is simply ``nvars == 1``.
 
 Monomial order: graded lexicographic with t0 < t1 < ... (total degree
 first, then the exponent of the highest-indexed variable decides).
@@ -16,71 +14,38 @@ first, then the exponent of the highest-indexed variable decides).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from itertools import repeat
 from math import gcd as int_gcd
-from operator import add, mul, sub
-from typing import Union
+from operator import add, index, mul, sub
 
 Exponents = tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
 
 
-def _scalar(c) -> Scalar:
-    """``c`` as a stored coefficient: ``int`` when integral, else ``Fraction``."""
-    if type(c) is int:
-        return c
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
-
-
-def scalar_quotient(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient a / b of two coefficients, as ``_scalar`` stores it."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
-
-
-def _demote(terms: dict) -> dict:
-    """Store integral ``Fraction`` values of ``terms`` as ``int``, in place.
-
-    Only a sum or product involving a ``Fraction`` can yield one; on
-    all-integer terms this is a scan for the type and nothing else.
-    """
-    if Fraction in map(type, terms.values()):
-        for e, c in terms.items():
-            if type(c) is not int and c.denominator == 1:
-                terms[e] = c.numerator
-    return terms
-
-
 class LaurentPoly:
-    """Immutable-by-convention Laurent polynomial with exact coefficients."""
+    """Immutable-by-convention Laurent polynomial with ``int`` coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int,
-                 terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
+                 terms: Mapping[Exponents, int] | Iterable[tuple[Exponents, int]] = ()):
         if not isinstance(nvars, int) or nvars < 1:
             raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Scalar] = {}
+        acc: dict[Exponents, int] = {}
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
-            c = acc.get(exps, 0) + _scalar(coeff)
+            c = acc.get(exps, 0) + index(coeff)
             if c:
                 acc[exps] = c
             elif exps in acc:
                 del acc[exps]
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", _demote(acc))
+        object.__setattr__(self, "terms", acc)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
@@ -96,16 +61,16 @@ class LaurentPoly:
         return cls.constant(1, nvars)
 
     @classmethod
-    def constant(cls, value: Scalar, nvars: int = 1) -> "LaurentPoly":
+    def constant(cls, value: int, nvars: int = 1) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def monomial(cls, coeff: Scalar, exps: Iterable[int]) -> "LaurentPoly":
+    def monomial(cls, coeff: int, exps: Iterable[int]) -> "LaurentPoly":
         exps = tuple(int(e) for e in exps)
         return cls(len(exps), {exps: coeff})
 
     @classmethod
-    def univariate(cls, coeffs: Mapping[int, Scalar]) -> "LaurentPoly":
+    def univariate(cls, coeffs: Mapping[int, int]) -> "LaurentPoly":
         return cls(1, {(int(e),): c for e, c in coeffs.items()})
 
     # -- basic queries -------------------------------------------------
@@ -123,7 +88,7 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def coefficient(self, exps: Iterable[int]) -> Scalar:
+    def coefficient(self, exps: Iterable[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
     def min_exponents(self) -> Exponents:
@@ -136,7 +101,7 @@ class LaurentPoly:
             return (0,) * self.nvars
         return tuple(max(e[i] for e in self.terms) for i in range(self.nvars))
 
-    def leading(self) -> tuple[Exponents, Scalar]:
+    def leading(self) -> tuple[Exponents, int]:
         """Leading (exponents, coefficient) under graded lex; errors on zero."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
@@ -149,7 +114,7 @@ class LaurentPoly:
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)
         self._require_same_ring(other)
         acc = dict(self.terms)
@@ -159,29 +124,29 @@ class LaurentPoly:
                 acc[exps] = s
             elif exps in acc:
                 del acc[exps]
-        return _raw(self.nvars, _demote(acc))
+        return _raw(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return _raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "LaurentPoly":
+    def __rsub__(self, other: int) -> "LaurentPoly":
         return self._coerce(other) + (-self)
 
-    def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            f = _scalar(other)
-            if not f:
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        if isinstance(other, int):
+            if not other:
                 return LaurentPoly.zero(self.nvars)
-            return _raw(self.nvars, _demote({e: c * f for e, c in self.terms.items()}))
+            return _raw(self.nvars, {e: c * other for e, c in self.terms.items()})
+        other = self._coerce(other)
         self._require_same_ring(other)
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero(self.nvars)
-        acc: dict[Exponents, Scalar] = {}
+        acc: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
@@ -190,7 +155,7 @@ class LaurentPoly:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        return _raw(self.nvars, _demote(acc))
+        return _raw(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -198,10 +163,10 @@ class LaurentPoly:
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            if not self.is_unit:
-                raise ValueError("negative power of a non-unit")
-            (exps, c), = self.terms.items()
-            inv = _raw(self.nvars, {tuple(-e for e in exps): scalar_quotient(1, c)})
+            if [abs(c) for c in self.terms.values()] != [1]:
+                raise ValueError("negative power of a non-unit of Z[t^+-1]")
+            inv = _raw(self.nvars, {tuple(-e for e in exps): c
+                                    for exps, c in self.terms.items()})
             return inv ** (-n)
         result = LaurentPoly.one(self.nvars)
         base = self
@@ -212,10 +177,10 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def _coerce(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def _coerce(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly.constant(other, self.nvars)
         raise TypeError(f"cannot coerce {type(other).__name__} to LaurentPoly")
 
@@ -244,7 +209,7 @@ class LaurentPoly:
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
-        acc: dict[Exponents, Scalar] = {}
+        acc: dict[Exponents, int] = {}
         for exps, c in self.terms.items():
             e = (sum(a * b for a, b in zip(exps, exponents)),)
             s = acc.get(e, 0) + c
@@ -252,12 +217,12 @@ class LaurentPoly:
                 acc[e] = s
             elif e in acc:
                 del acc[e]
-        return _raw(1, _demote(acc))
+        return _raw(1, acc)
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(other, self.nvars)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -278,9 +243,9 @@ class LaurentPoly:
         return poly_to_str(self)
 
 
-def _raw(nvars: int, terms: dict[Exponents, Scalar]) -> LaurentPoly:
+def _raw(nvars: int, terms: dict[Exponents, int]) -> LaurentPoly:
     """Internal fast constructor; `terms` must already be clean: nonzero
-    coefficients stored as ``_scalar`` stores them."""
+    ``int`` coefficients."""
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", terms)
@@ -292,7 +257,7 @@ def _raw(nvars: int, terms: dict[Exponents, Scalar]) -> LaurentPoly:
 
 
 def normalize(p: LaurentPoly) -> LaurentPoly:
-    """Canonical associate of ``p`` under multiplication by units.
+    """Canonical associate of ``p`` under multiplication by units of Q[t^+-1].
 
     Result has integer coefficients with content 1, minimum exponent 0
     in every variable, and positive leading coefficient in graded lex
@@ -302,19 +267,12 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
         return p
     shift = tuple(-e for e in p.min_exponents())
     shifted = p.shift(shift)
-    terms = shifted.terms
-    if Fraction in map(type, terms.values()):
-        denom_lcm = 1
-        for c in terms.values():
-            denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-        terms = {e: c.numerator * (denom_lcm // c.denominator)
-                 for e, c in terms.items()}
-    content = int_gcd(*terms.values())
+    content = int_gcd(*shifted.terms.values())
     if shifted.leading()[1] < 0:
         content = -content
     if content == 1:
-        return shifted if terms is shifted.terms else _raw(p.nvars, terms)
-    return _raw(p.nvars, {e: c // content for e, c in terms.items()})
+        return shifted
+    return _raw(p.nvars, {e: c // content for e, c in shifted.terms.items()})
 
 
 def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -327,7 +285,7 @@ def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
 # division
 
 def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """Quotient p/q for ordinary polynomials (min exponents 0), or None.
+    """Quotient p/q over Z for ordinary polynomials (min exponents 0), or None.
 
     ``exact_divide`` uses it in several variables.  Single-divisor
     graded-lex division on one remainder dict, updated in
@@ -338,7 +296,7 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    quot: dict[Exponents, Scalar] = {}
+    quot: dict[Exponents, int] = {}
     rem = dict(p.terms)
     q_exps, q_lead = q.leading()
     while rem:
@@ -346,7 +304,9 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         d = tuple(map(sub, r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
-        c = scalar_quotient(rem[r_exps], q_lead)
+        c, r = divmod(rem[r_exps], q_lead)
+        if r:
+            return None
         quot[d] = c
         for e, qc in q.terms.items():
             m = tuple(map(add, e, d))
@@ -358,30 +318,40 @@ def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     return _raw(p.nvars, quot)
 
 
-def _ptrim(a: list[Scalar]) -> list[Scalar]:
+def _ptrim(a: list[int]) -> list[int]:
     """a without its trailing zeros, in place."""
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    """Quotient and remainder of the dense coefficient lists (constant
-    term first) a by the nonzero b."""
+def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s a = q b + r, s > 0 and r shorter than the nonzero
+    b, for dense coefficient lists (constant term first).  Only a step
+    where lead(b) does not divide the remainder's lead c scales the
+    remainder, q and s by lead(b) / gcd(lead(b), c), so s = 1 when lead(b)
+    is +-1 or b divides a over Z."""
     n = len(b)
     lead = b[-1]
+    s = 1
     rem = list(a)
     quo = [0] * max(len(a) - n + 1, 0)
     while len(rem) >= n:
         shift = len(rem) - n
-        factor = scalar_quotient(rem[-1], lead)
+        factor, r = divmod(rem[-1], lead)
+        if r:
+            m = abs(lead) // int_gcd(lead, rem[-1])
+            s *= m
+            rem = [v * m for v in rem]
+            quo = [v * m for v in quo]
+            factor = rem[-1] // lead
         quo[shift] = factor
         rem[shift:] = map(sub, rem[shift:], map(mul, b, repeat(factor)))
         _ptrim(rem)
-    return quo, rem
+    return s, quo, rem
 
 
-def _dense(p: LaurentPoly) -> tuple[int, list[Scalar]]:
+def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     """(least exponent e, coefficients of t^-e p, constant term first) of
     a nonzero univariate p."""
     low = min(e for e, in p.terms)
@@ -392,11 +362,13 @@ def _dense(p: LaurentPoly) -> tuple[int, list[Scalar]]:
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """Return c with p = q*c, or None when q does not divide p.
+    """Return c with p = q*c in Z[t^+-1], or None when there is none.
 
     Laurent divisibility reduces to ordinary divisibility after shifting
     both arguments to minimum exponent 0 (monomials are units).  In one
-    variable that is one dense long division with no remainder.
+    variable that is one dense division that neither scales nor leaves a
+    remainder.  A quotient over Q that is not integral is None, which
+    cannot happen when q is primitive (Gauss's lemma).
     """
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")
@@ -408,8 +380,8 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         return p
     if p.nvars == 1:
         (p_low, a), (q_low, b) = _dense(p), _dense(q)
-        quo, rem = _pdivmod(a, b)
-        if rem:
+        s, quo, rem = _pdivmod(a, b)
+        if s != 1 or rem:
             return None
         return _raw(1, {(i + p_low - q_low,): c for i, c in enumerate(quo) if c})
     p_min = p.min_exponents()

@@ -4,6 +4,8 @@ Terms look like ``c*t^e`` (one variable) or ``c*t0^e0*t1^e1`` (several),
 with integer or ``p/q`` coefficients, ``*`` optional around coefficients
 of absolute value 1, ``^1`` optional, and insignificant whitespace.
 Exponents may be negative (``t^-1``).  Parentheses are not supported.
+The parser multiplies every term by the lcm of the denominators in the
+text, a unit over Q: ``1/2*t - 1/3`` reads as ``3*t - 2``.
 
 Printing is deterministic: terms in descending graded-lex order, the
 single-variable ring prints its variable as ``t``.
@@ -12,10 +14,10 @@ single-variable ring prints its variable as ``t``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import lcm
 
 from ..errors import InputError
-from .poly import LaurentPoly, Scalar, grlex_key
+from .poly import LaurentPoly, grlex_key
 
 _VAR_RE = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
@@ -54,22 +56,23 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
 
     indexed_seen = False
     plain_seen = False
-    parsed: list[tuple[int, Scalar, dict[int, int]]] = []
+    # (signed numerator, denominator, exponents) per term
+    parsed: list[tuple[int, int, dict[int, int]]] = []
+    common = 1  # lcm of the denominators
     for sign, body in term_texts:
         if not body:
             raise fail("empty term (stray sign?)")
-        coeff: Scalar = 1
+        coeff = den = 1
         rest = body
         m = _COEFF_RE.match(rest)
         if m:
-            frac_text = m.group(1)
-            if "/" in frac_text:
-                num, den = map(number, frac_text.split("/"))
+            num_text, _, den_text = m.group(1).partition("/")
+            coeff = number(num_text)
+            if den_text:
+                den = number(den_text)
                 if den == 0:
-                    raise fail(f"zero denominator in coefficient {frac_text!r}")
-                coeff = Fraction(num, den)
-            else:
-                coeff = number(frac_text)
+                    raise fail(f"zero denominator in coefficient {m.group(1)!r}")
+                common = lcm(common, den)
             rest = rest[m.end():]
             if rest.startswith("*"):
                 rest = rest[1:]
@@ -95,7 +98,7 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
                                    f"{MAX_VARIABLES - 1}")
                 exp = number(exp_text) if exp_text is not None else 1
                 exps[index] = exps.get(index, 0) + exp
-        parsed.append((sign, coeff, exps))
+        parsed.append((sign * coeff, den, exps))
 
     if plain_seen and indexed_seen:
         raise fail("cannot mix plain 't' with indexed variables t0, t1, ...")
@@ -108,9 +111,9 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
         raise fail("plain 't' denotes the single-variable ring")
 
     terms = []
-    for sign, coeff, exps in parsed:
+    for coeff, den, exps in parsed:
         vec = tuple(exps.get(i, 0) for i in range(nvars))
-        terms.append((vec, sign * coeff))
+        terms.append((vec, coeff * (common // den)))
     return LaurentPoly(nvars, terms)
 
 
@@ -128,10 +131,6 @@ def _monomial_str(exps: tuple[int, ...], univariate: bool) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(c: Scalar) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_to_str(p: LaurentPoly) -> str:
     if p.is_zero:
         return "0"
@@ -142,11 +141,11 @@ def poly_to_str(p: LaurentPoly) -> str:
         mono = _monomial_str(exps, univariate)
         mag = abs(coeff)
         if not mono:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         pieces.append((coeff < 0, body))
     first_neg, first_body = pieces[0]
     out = ("-" if first_neg else "") + first_body

@@ -108,7 +108,9 @@ def theta(elem: GroupRingElement, phi: AbelMap) -> LaurentPoly:
     for word, coeff in elem.coeffs.items():
         exps = phi(word)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return LaurentPoly(phi.rank, terms)
+    if any(c.denominator != 1 for c in terms.values()):
+        raise ValueError("theta maps integer combinations of words only")
+    return LaurentPoly(phi.rank, {e: c.numerator for e, c in terms.items()})
 
 
 def fox_matrix(pres: Presentation, phi: AbelMap) -> list[list[LaurentPoly]]:

@@ -7,7 +7,9 @@ heuristic gcd (GCDHEU) before the remainder sequence, and
 This module keeps the previous code, which always runs the remainder
 sequence (PRS): that PRS is what the heuristic is checked against, so
 the tests can check that both give the same unit-normal gcd and the
-same quotients.
+same quotients.  Its division runs over Q on ``Fraction`` terms of its
+own and refuses a quotient that is not integral, where the package
+divides over Z.
 """
 
 from __future__ import annotations
@@ -15,37 +17,43 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from alexpoly.ring.poly import LaurentPoly, normalize, _raw
+from alexpoly.ring.poly import LaurentPoly, grlex_key, normalize, _raw
 
 _ZERO_FRAC = Fraction(0)
 Exponents = tuple[int, ...]
 
 
 def _divide_ordinary(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """Quotient p/q for ordinary polynomials (min exponents 0), or None.
+    """Quotient p/q over Z for ordinary polynomials (min exponents 0), or
+    None.
 
-    Single-divisor graded-lex division.  If q divides p exactly the
-    algorithm never meets a non-divisible lead term, so we abort early
-    the moment one shows up.
+    Single-divisor graded-lex division over Q, on ``Fraction`` terms of
+    its own.  If q divides p exactly the algorithm never meets a
+    non-divisible lead term, so we abort early the moment one shows up;
+    a quotient over Q that is not integral is None too.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     quot: dict[Exponents, Fraction] = {}
-    r = p
+    r = {e: Fraction(c) for e, c in p.terms.items()}
     q_exps, q_lead = q.leading()
-    while not r.is_zero:
-        r_exps, r_lead = r.leading()
+    while r:
+        r_exps = max(r, key=grlex_key)
         d = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(e < 0 for e in d):
             return None
-        c = Fraction(r_lead) / q_lead
+        c = r[r_exps] / q_lead
         quot[d] = quot.get(d, _ZERO_FRAC) + c
-        r = r - q.shift(d) * c
-    return _raw(p.nvars, {e: c for e, c in quot.items() if c})
+        product = {tuple(a + b for a, b in zip(e, d)): v * c for e, v in q.terms.items()}
+        r = {e: v for e in r.keys() | product.keys()
+             if (v := r.get(e, _ZERO_FRAC) - product.get(e, _ZERO_FRAC))}
+    if any(c.denominator != 1 for c in quot.values()):
+        return None
+    return _raw(p.nvars, {e: c.numerator for e, c in quot.items() if c})
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """Return c with p = q*c, or None when q does not divide p.
+    """Return c with p = q*c in Z[t^+-1], or None when there is none.
 
     Laurent divisibility reduces to ordinary divisibility after shifting
     both arguments to minimum exponent 0 (monomials are units).

@@ -6,15 +6,27 @@ This module keeps the previous route, a full Smith normal form with
 column operations and a divisibility-repair pass whose first k invariant
 factors multiply to the gcd of the k-minors, so the tests can check that
 both give the same unit-normal polynomial.  Its dense-list arithmetic is
-its own (one step per operation: multiply, then subtract), so the kernel
-under test is never its own oracle.
+its own (one step per operation: multiply, then subtract), over Q with
+``Fraction`` quotients, so the kernel under test, which stays on
+integers, is never its own oracle.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from typing import Union
+
 from alexpoly.minors import Row
 from alexpoly.ring import LaurentPoly, normalize
-from alexpoly.ring.poly import Scalar, scalar_quotient
+
+Scalar = Union[int, Fraction]
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a / b over Q: an int when integral."""
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _snf_minor_gcd(rows: list[Row], k: int) -> LaurentPoly:
@@ -117,7 +129,10 @@ def _dense(p: LaurentPoly) -> list[Scalar]:
 
 
 def _from_dense(coeffs: list[Scalar]) -> LaurentPoly:
-    return LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+    """The integer polynomial with the coefficients times the lcm of
+    their denominators, an associate over Q."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return LaurentPoly(1, {(i,): int(c * den) for i, c in enumerate(coeffs) if c})
 
 
 def _ptrim(a: list[Scalar]) -> list[Scalar]:
@@ -156,7 +171,7 @@ def _pdivmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scala
     lead = b[-1]
     while len(rem) - 1 >= db and rem:
         shift = len(rem) - 1 - db
-        factor = scalar_quotient(rem[-1], lead)
+        factor = _quotient(rem[-1], lead)
         quo[shift] = factor
         for i, bi in enumerate(b):
             rem[shift + i] -= factor * bi

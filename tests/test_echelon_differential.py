@@ -13,12 +13,17 @@ factorizations and torus closures with every relator repeated
 conjugated make.  Each is compared on the rows the route starts from,
 so that a wrong drop or contraction shows as well as a wrong echelon.
 The reference keeps its own dense-list arithmetic, so the conversion of
-a row to dense lists is checked against it as well.
+a row to dense lists is checked against it as well.  The echelon stays
+on integers: its pseudo-divisions scale a row only where a pivot's
+leading coefficient does not divide.  Matrices whose pivots lead with
+other coefficients, entries of degree 20 to 80 and the Fox matrices of
+random closures, are also checked against sympy's determinants and gcd
+over Z[t], and against the Smith form where it finishes in time.
 """
 
 import json
 import random
-from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,12 +31,14 @@ import pytest
 
 import alexpoly.fox as fox
 import alexpoly.minors as minors
-from alexpoly.braid import (closure_presentation, factorization_from_json,
-                            full_twist, zvk_presentation)
+from alexpoly.braid import (BraidWord, closure_presentation,
+                            factorization_from_json, full_twist,
+                            zvk_presentation)
 from alexpoly.fox import alexander_one_variable, alexander_polynomial
 from alexpoly.group import AbelMap, Presentation, Word
 from alexpoly.linkpoly import hat_delta, marked_torus_link, one_variable_delta, torus_link
-from alexpoly.ring import LaurentPoly
+from alexpoly.errors import InputError
+from alexpoly.ring import LaurentPoly, normalize
 
 import snf_reference as reference
 
@@ -154,14 +161,13 @@ def test_contraction_keeps_integer_rows_integer():
 
 
 def _unit(rng: random.Random) -> LaurentPoly:
-    """c t^a with c in +-1, 2, -3/2 and a in -2..3."""
-    return LaurentPoly(1, {(rng.randint(-2, 3),):
-                           rng.choice((1, -1, 2, Fraction(-3, 2)))})
+    """c t^a with c in +-1, 2, -3 and a in -2..3."""
+    return LaurentPoly(1, {(rng.randint(-2, 3),): rng.choice((1, -1, 2, -3))})
 
 
 def _dense_route_matrix(rng: random.Random) -> list[tuple[LaurentPoly, ...]]:
     """Up to 9 x 5: a first row whose first unit is a pivot c t^a, random
-    rows, rows repeating an earlier one times -t^3 or 2/3, rows s y + g p
+    rows, rows repeating an earlier one times -t^3 or 6, rows s y + g p
     for a unit s, a row y and the pivot row p, which contracting p turns
     into s times the image of y, and zero rows; each row is then shifted
     by t^b, b in -3..0."""
@@ -176,7 +182,7 @@ def _dense_route_matrix(rng: random.Random) -> list[tuple[LaurentPoly, ...]]:
         kind = rng.randrange(3)
         if kind == 0:
             s = rng.choice((LaurentPoly.monomial(-1, (3,)),
-                            LaurentPoly.constant(Fraction(2, 3))))
+                            LaurentPoly.constant(6)))
             rows.append(tuple(s * e for e in y))
         elif kind == 1:
             s, g = _unit(rng), _random_entry(rng)
@@ -188,16 +194,35 @@ def _dense_route_matrix(rng: random.Random) -> list[tuple[LaurentPoly, ...]]:
             for b, row in ((rng.randint(-3, 0), row) for row in [pivot] + rows)]
 
 
-def test_dense_route_matches_smith_form():
+def _count_scaled_steps(monkeypatch) -> list[int]:
+    """The scales s != 1 of the pseudo-divisions the echelon takes from
+    now on."""
+    pdivmod = minors._pdivmod
+    scales = []
+
+    def recording(a, b):
+        s, q, r = pdivmod(a, b)
+        # s a = q b + r, r shorter than b
+        assert s > 0 and len(r) < len(b)
+        assert reference._psub(reference._pmul([s], a), reference._pmul(q, b)) == r
+        if s != 1:
+            scales.append(s)
+        return s, q, r
+    monkeypatch.setattr(minors, "_pdivmod", recording)
+    return scales
+
+
+def test_dense_route_matches_smith_form(monkeypatch):
     rng = random.Random(20261023)
-    seen = {"fraction pivot": 0, "dropped after contraction": 0,
+    seen = {"non-monic pivot": 0, "dropped after contraction": 0,
             "zero row": 0, "deficient": 0}
+    scaled = _count_scaled_steps(monkeypatch)
     for _ in range(300):
         rows = _dense_route_matrix(rng)
         seen["zero row"] += len(_nonzero(rows)) < len(rows)
         first = _drop(_dense(rows))
         i, j = minors._find_dense_unit(first)
-        seen["fraction pivot"] += type(first[i][j][-1]) is Fraction
+        seen["non-monic pivot"] += abs(first[i][j][-1]) != 1
         contracted = minors._contract_dense(first, i, j)
         seen["dropped after contraction"] += len(_drop(contracted)) < len(contracted)
         for k in range(1, len(rows[0]) + 1):
@@ -205,6 +230,117 @@ def test_dense_route_matches_smith_form():
             assert got == reference._snf_minor_gcd(_nonzero(rows), k), (rows, k)
             seen["deficient"] += got.is_zero
     assert all(seen.values()), seen
+    assert scaled
+
+
+def _sympy_minor_gcd(rows, k: int) -> LaurentPoly:
+    """Unit-normal gcd of the k-minors from sympy's determinants and gcd
+    over Z[t], each row shifted to exponents >= 0 (a unit per minor);
+    sympy is never a runtime dependency, and the calling test is skipped
+    without it."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    t = sympy.Symbol("t")
+    ring = sympy.ZZ[t]
+    mat = []
+    for row in rows:
+        low = min(e for entry in row for e, in entry.terms)
+        mat.append([ring.from_sympy(sympy.Add(*(c * t ** (e - low)
+                                                for (e,), c in entry.terms.items())))
+                    for entry in row])
+    g = ring.zero
+    for ri in combinations(range(len(mat)), k):
+        for ci in combinations(range(len(mat[0])), k):
+            g = ring.gcd(g, DomainMatrix([[mat[i][j] for j in ci] for i in ri],
+                                         (k, k), ring).det())
+    poly = sympy.Poly(ring.to_sympy(g), t)
+    return normalize(LaurentPoly(1, {e: int(c) for e, c in
+                                     zip(poly.monoms(), poly.coeffs())}))
+
+
+def _sparse_entry(rng: random.Random) -> LaurentPoly:
+    """c t^d + b t^e + a with d in 20..80, c in 2, -3, 5, 6 and a != 0."""
+    d = rng.randint(20, 80)
+    return LaurentPoly.univariate({d: rng.choice((2, -3, 5, 6)),
+                                   rng.randint(1, d - 1): rng.randint(-3, 3),
+                                   0: rng.choice((1, -2, 3, 7))})
+
+
+def test_high_degree_non_monic_matrices(monkeypatch):
+    # entries of degree 20 to 80 whose leading coefficients are not +-1:
+    # no entry is a unit, so the echelon takes every matrix, and its
+    # pseudo-divisions scale rows.  The Smith form over Q, slow at these
+    # degrees, checks the 2 x 2 matrices; sympy checks every one
+    scaled = _count_scaled_steps(monkeypatch)
+    rng = random.Random(20261024)
+    for m, n in [(2, 2)] * 8 + [(3, 3), (3, 4)]:
+        rows = [tuple(_sparse_entry(rng) for _ in range(n)) for _ in range(m)]
+        for k in range(1, min(m, n) + 1):
+            got = minors.minor_gcd(rows, k, 1)
+            if m == 2:
+                assert got == reference._snf_minor_gcd(rows, k), (rows, k)
+            assert got == _sympy_minor_gcd(rows, k), (rows, k)
+    assert len(scaled) > 100
+
+
+def test_random_closure_fox_matrices(monkeypatch):
+    # the one-variable Fox matrices of closures of random braids on 3 to 6
+    # strands with 10 to 80 letters, whose echelon pivots mostly have
+    # leading coefficients other than +-1; a word whose generator images
+    # pass braid.MAX_SYLLABLES is drawn again.  sympy checks every matrix;
+    # the Smith form over Q, which can take minutes on 5 x 5 matrices of
+    # these degrees, checks those of at most 3 rows
+    scaled = _count_scaled_steps(monkeypatch)
+    route = fox.minor_gcd
+    calls = []
+
+    def recording(rows, k, nvars, floor=None):
+        got = route(rows, k, nvars, floor)
+        calls.append((_nonzero(rows), k, got))
+        return got
+    monkeypatch.setattr(fox, "minor_gcd", recording)
+    rng = random.Random(20261025)
+    closures = 0
+    while closures < 40:
+        d = rng.randint(3, 6)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, d - 1)
+                     for _ in range(rng.randint(10, 80)))
+        try:
+            pres = closure_presentation(BraidWord(d, word))
+        except InputError:
+            continue
+        alexander_polynomial(pres, AbelMap(1, ((1,),) * d))
+        closures += 1
+    smith = 0
+    for rows, k, got in calls:
+        assert got == _sympy_minor_gcd(rows, k), (rows, k)
+        if len(rows) <= 3:
+            assert got == reference._snf_minor_gcd(rows, k), (rows, k)
+            smith += 1
+    assert len(calls) >= 30 and smith >= 10
+    assert len(scaled) > 100
+
+
+def test_dense_key_is_equal_exactly_on_rational_multiples():
+    # a row times -2 t^3 keys as the row, 3 times the row with an entry
+    # changed does not: the key is the primitive row, signed by the
+    # leading coefficient of its first nonzero entry
+    t = LaurentPoly.univariate
+    row = (t({0: 3, 1: -6}), ZERO, t({2: 9, 0: 3}))
+    rows = [row, tuple(e * -2 for e in row), (row[0] * 3, ZERO, t({2: 27}))]
+    dense = _dense([row, tuple(e.shift((3,)) for e in rows[1]), rows[2]])
+    assert dense[1] == [[-6, 12], [], [-6, 0, -18]]
+    assert minors._dense_key(dense[0]) == minors._dense_key(dense[1]) == \
+        ((-1, 2), (), (-1, 0, -3))
+    assert _drop(dense) == [dense[0], dense[2]]
+
+
+def test_scaled_row_is_made_primitive():
+    # 4 (3 t^2) = (6t - 3)(1 + 2t) + 3 scales the second row by 4, which
+    # leaves (3, 12 + 6t - 12t^2); divided by its content 3 the row gives
+    # the pivot 1
+    a = [[[1, 2], [0, 2]], [[0, 0, 3], [3]]]
+    assert minors._echelon(a)[0] == [1]
 
 
 def test_contract_passes_rows_with_zero_pivot_entry():

@@ -12,7 +12,6 @@ random matrices, on every multivariable call of ``test_fox_identity.py``
 
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -98,7 +97,7 @@ def test_expand_gives_every_minor_with_its_sign():
 
 def _tight_matrix(rng, nvars, k, n, widest=6):
     """A k x n matrix in nvars variables, n >= k, with negative exponents,
-    Fraction coefficients and a zero row, whose row maxima after the
+    coefficients other than +-1 and a zero row, whose row maxima after the
     shift sum to exactly 2^w - 1 for its packing width w, a value some
     term of the minor on columns 0..k-1 reaches in variable v.
 
@@ -125,11 +124,10 @@ def _tight_matrix(rng, nvars, k, n, widest=6):
         for c in range(n):
             if rng.random() < 0.6:
                 for _ in range(rng.randint(1, 2)):
-                    entries[c][below()] = rng.choice((1, -2, Fraction(1, 3),
-                                                      Fraction(-5, 2)))
+                    entries[c][below()] = rng.choice((1, -2, 3, -5))
         top = list(lo)
         top[v] += a
-        entries[i][tuple(top)] = rng.choice((1, -1, Fraction(2, 3)))
+        entries[i][tuple(top)] = rng.choice((1, -1, 2))
         entries[k - 1 - i][tuple(lo)] = entries[k - 1 - i].get(tuple(lo), 0) + 1
         rows.append(tuple(LaurentPoly(nvars, terms) for terms in entries))
     zero = tuple(LaurentPoly.zero(nvars) for _ in range(n))

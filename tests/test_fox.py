@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -215,14 +216,14 @@ def drop_unit_multiples(rows):
 
 
 def test_unit_multiple_rows_are_dropped():
-    # rows scaled by -t0^3 and by 2/3 repeat earlier rows up to units and
+    # rows scaled by -t0^3 and by -6 repeat earlier rows up to units and
     # go; a row times t0 - 1, not a unit, stays.  Either way the gcd is
     # that of every minor, the dropped rows' included
     base = [(P("t0 - t1", 2), P("t0*t1 + 2", 2), P("0", 2)),
             (P("1 + t1^-1", 2), P("t0^2", 2), P("t1 - 1", 2)),
             (P("t0", 2), P("t1 + 1", 2), P("t0 + t1", 2))]
     scaled = base + [tuple(P("-t0^3", 2) * e for e in base[0]),
-                     tuple(e * Fraction(2, 3) for e in base[1])]
+                     tuple(e * -6 for e in base[1])]
     not_unit = base + [tuple(P("t0 - 1", 2) * e for e in base[2])]
     assert drop_unit_multiples(scaled) == base
     assert drop_unit_multiples(not_unit) == not_unit
@@ -230,7 +231,7 @@ def test_unit_multiple_rows_are_dropped():
         assert minor_gcd(scaled, k, 2) == minor_gcd(base, k, 2) == \
             oracle_minor_gcd(scaled, k, 2)
         assert minor_gcd(not_unit, k, 2) == oracle_minor_gcd(not_unit, k, 2)
-    # three variables: a Fraction scale with a negative-exponent unit
+    # three variables: a scale of -5 with a negative-exponent unit
     # goes; a row whose terms match up to a shift entry by entry but not
     # by one shift for the whole row stays
     base = [(P("0", 3), P("t0*t2 - t1", 3), P("3*t2^2 + t0^-1", 3)),
@@ -250,6 +251,41 @@ def test_unit_multiple_rows_are_dropped():
     assert minor_gcd(skewed, 3, 3) == sympy_minor_gcd(skewed, 3, 3)
 
 
+def test_non_monic_unit_contraction_matches_enumeration(monkeypatch):
+    # a unit pivot c t^a with |c| != 1 clears its column without an
+    # inverse, x -> |c| x - (sign(c) t^-a x_j) p; the gcd of the
+    # contracted matrix's minors is that of every column subset of the
+    # whole matrix
+    import alexpoly.minors as minors
+    contract = minors._contract
+    scales = []
+
+    def recording(rows, i, j):
+        (_, c), = rows[i][j].terms.items()
+        scales.append(abs(c))
+        return contract(rows, i, j)
+    monkeypatch.setattr(minors, "_contract", recording)
+    rng = random.Random(20261021)
+
+    def entry(nvars):
+        return LaurentPoly(nvars, [(tuple(rng.randint(-1, 2) for _ in range(nvars)),
+                                    rng.randint(-3, 3))
+                                   for _ in range(rng.randint(0, 3))])
+    for _ in range(40):
+        nvars = rng.randint(2, 3)
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        rows = [[entry(nvars) for _ in range(n)] for _ in range(m)]
+        i, j = rng.randrange(m), rng.randrange(n)
+        rows[i][j] = LaurentPoly.monomial(rng.choice((2, -3, 5, -6)),
+                                          (rng.randint(-2, 2) for _ in range(nvars)))
+        rows = [tuple(row) for row in rows[i:] + rows[:i]]
+        live = [row for row in rows if any(not e.is_zero for e in row)]
+        for k in range(1, min(m, n) + 1):
+            assert minor_gcd(rows, k, nvars) == \
+                _enumerate_minor_gcd(live, k, nvars), (rows, k)
+    assert sum(c != 1 for c in scales) >= 40
+
+
 def sympy_minor_gcd(rows, k, nvars):
     """Unit-normal gcd of the k-minors from sympy's determinants and gcd;
     the calling test is skipped without sympy."""
@@ -266,7 +302,8 @@ def sympy_minor_gcd(rows, k, nvars):
             # is the same minor up to units
             g = sympy.gcd(g, sympy.numer(sympy.together(matrix.extract(ri, ci).det())))
     poly = sympy.Poly(g, *syms, domain=sympy.QQ)
-    return normalize(LaurentPoly(nvars, [(m, Fraction(int(c.p), int(c.q)))
+    den = lcm(*(int(c.q) for _, c in poly.terms()))
+    return normalize(LaurentPoly(nvars, [(m, int(c * den))
                                          for m, c in poly.terms() if c]))
 
 
@@ -295,7 +332,7 @@ def poly_matrix_st(draw, max_rows=4, ncols=3, nvars=1):
 
     def poly():
         return st.builds(
-            lambda cs: LaurentPoly(nvars, {exps(i): Fraction(c)
+            lambda cs: LaurentPoly(nvars, {exps(i): c
                                            for i, c in enumerate(cs) if c}),
             st.lists(st.integers(-2, 2), min_size=0, max_size=2 + nvars))
     m = draw(st.integers(1, max_rows))
@@ -334,8 +371,9 @@ def sympy_determinant_divisor(rows, k):
                             for entry in row] for row in rows])
     factors = invariant_factors(matrix, domain=sympy.QQ[t])
     product = sympy.Poly(sympy.prod(factors[:k]), t)
+    den = lcm(*(int(c.q) for c in product.coeffs()))
     return normalize(LaurentPoly(1, {
-        e: Fraction(int(c.p), int(c.q))
+        e: int(c * den)
         for e, c in zip(product.monoms(), product.coeffs()) if c}))
 
 

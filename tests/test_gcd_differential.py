@@ -19,7 +19,7 @@ units.
 import importlib
 import random
 from collections import Counter
-from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -35,19 +35,19 @@ gcd_module = importlib.import_module("alexpoly.ring.gcd")
 def _random_poly(rng: random.Random, nvars: int, terms: int | None = None,
                  degree: int = 3) -> LaurentPoly:
     """Random Laurent polynomial with small integer coefficients, shifted
-    by a monomial with negative exponents and scaled by a fraction."""
+    by a monomial with negative exponents and scaled by an integer."""
     count = rng.randint(1, 4) if terms is None else terms
     p = LaurentPoly(nvars, [(tuple(rng.randint(0, degree) for _ in range(nvars)),
                              rng.choice((1, -1, 2, -3, 5)))
                             for _ in range(count)])
     if p.is_zero:
         p = LaurentPoly.one(nvars)
-    scale = Fraction(rng.choice((1, -1, 3, -4)), rng.choice((1, 2, 9)))
+    scale = rng.choice((1, -1, 3, -4)) * rng.choice((1, 2, 9))
     return p.shift(tuple(rng.randint(-3, 1) for _ in range(nvars))) * scale
 
 
 def _unit(rng: random.Random, nvars: int) -> LaurentPoly:
-    return LaurentPoly.monomial(Fraction(rng.choice((1, -2, 7)), rng.choice((1, 3))),
+    return LaurentPoly.monomial(rng.choice((1, -2, 7)) * rng.choice((1, 3)),
                                 tuple(rng.randint(-4, 4) for _ in range(nvars)))
 
 
@@ -86,12 +86,12 @@ def test_gcd_of_units_and_zero():
     for nvars in (1, 2, 3):
         one = LaurentPoly.one(nvars)
         zero = LaurentPoly.zero(nvars)
-        unit = LaurentPoly.monomial(Fraction(-3, 7), (-2,) + (5,) * (nvars - 1))
+        unit = LaurentPoly.monomial(-21, (-2,) + (5,) * (nvars - 1))
         p = LaurentPoly(nvars, {(0,) * nvars: 1, (1,) * nvars: -1})
         assert gcd(unit, p) == one == reference.gcd(unit, p)
         assert gcd(zero, zero) == zero == reference.gcd(zero, zero)
         assert gcd(zero, unit) == one == reference.gcd(zero, unit)
-        assert gcd(p.shift((-4,) * nvars) * Fraction(2, 3), zero) == normalize(p)
+        assert gcd(p.shift((-4,) * nvars) * 6, zero) == normalize(p)
 
 
 def _sparse_link(j: int, k: int) -> LaurentPoly:
@@ -140,7 +140,8 @@ def _sympy_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                  for exps, c in normalize(p).terms.items())
              for p in (a, b)]
     g = sympy.Poly(sympy.gcd(exprs[0], exprs[1]), *syms, domain=sympy.QQ)
-    return normalize(LaurentPoly(a.nvars, [(m, Fraction(int(c.p), int(c.q)))
+    den = lcm(*(int(c.q) for _, c in g.terms()))
+    return normalize(LaurentPoly(a.nvars, [(m, int(c * den))
                                            for m, c in g.terms() if c]))
 
 
@@ -153,17 +154,43 @@ def test_gcd_matches_sympy():
         assert gcd(a, b) == _sympy_gcd(a, b), (a, b)
 
 
-def test_sparse_five_variable_minors_are_coprime():
-    # two 2 x 2 minors of a seeded random matrix, on which the remainder
-    # sequence alone did not finish in 100 s
+def _sparse_five_variable_pair() -> tuple[LaurentPoly, LaurentPoly]:
     a = parse_poly("3*t0^4*t1^3*t2^3*t3^2*t4^4 + 6*t0^4*t1^3*t2*t3*t4^4"
                    " - 6*t0^3*t1^4*t2*t3^2*t4^3 - t0*t1^2*t3^3*t4^2"
                    " - t0*t1^2*t2*t3^2*t4 + t1^3*t2*t3^3 - 3*t0*t2*t4 + 3*t1*t2*t3", 5)
     b = parse_poly("-2*t0^3*t1^2*t2*t3*t4^3 + 2*t0^2*t1^3*t2*t3^2*t4^2"
                    " + 5*t0^2*t1^2*t2^2*t4^2 - 5*t0*t1^3*t2^2*t3*t4", 5)
+    return a, b
+
+
+def test_sparse_five_variable_minors_are_coprime():
+    # two 2 x 2 minors of a seeded random matrix, on which the remainder
+    # sequence alone did not finish in 100 s
+    a, b = _sparse_five_variable_pair()
     # the heuristic certifies on its own, so no route hangs here
     assert gcd_module._heuristic(normalize(a), normalize(b)) == LaurentPoly.one(5)
     assert gcd(a, b) == LaurentPoly.one(5) == _sympy_gcd(a, b)
+
+
+def test_gcd_of_a_product_and_a_square_takes_the_heuristic(monkeypatch):
+    # gcd(a b, b^2) = b for the coprime pair above: within the bit budget
+    # the heuristic certifies it, where the remainder sequence ran for
+    # minutes
+    def refused(a, b, primitive):
+        raise AssertionError("remainder sequence reached")
+    monkeypatch.setattr(gcd_module, "_prs", refused)
+    a, b = _sparse_five_variable_pair()
+    assert gcd(a * b, b * b) == normalize(b)
+
+
+def test_nine_variable_minors_stay_on_the_remainder_sequence():
+    # the synthetic minors of T(9,9) are past the bit budget: the
+    # heuristic is not tried in nine variables, and the remainder
+    # sequence gives (t0 ... t8 - 1)^7
+    a, b = _sparse_link(0, 7), _sparse_link(3, 7)
+    assert gcd_module._heuristic(normalize(a), normalize(b)) is None
+    core = normalize((LaurentPoly.monomial(1, (1,) * 9) - 1) ** 7)
+    assert gcd(a, b) == core
 
 
 def test_heuristic_certifies_by_multiplying_back():
@@ -252,7 +279,7 @@ def test_remainder_sequence_is_the_fallback(monkeypatch):
     # within the budget the heuristic certifies; with no attempt left it
     # fails, and the PRS gives the same gcd
     common = parse_poly("t0*t1 - t2^2 + 3", 3)
-    a = common * parse_poly("2*t0 - t1*t2^-1", 3) * Fraction(-3, 4)
+    a = common * parse_poly("-3/2*t0 + 3/4*t1*t2^-1", 3)
     b = common * parse_poly("t2^3 + t0 - 5*t1^2", 3)
     expected = normalize(common)
     assert gcd_module._heuristic(normalize(a), normalize(b)) == expected
@@ -298,10 +325,9 @@ def test_exact_divide_matches_reference():
 
 def _dense_poly(rng: random.Random, degree: int) -> LaurentPoly:
     """A univariate polynomial with every coefficient up to degree drawn,
-    some of them zero or a Fraction, shifted by a random power of t."""
-    coeffs = {i: rng.choice((0, 1, -1, 2, -5, Fraction(3, 4), Fraction(-7, 6)))
-              for i in range(degree)}
-    coeffs[degree] = rng.choice((1, -2, Fraction(5, 3)))
+    some of them zero, shifted by a random power of t."""
+    coeffs = {i: rng.choice((0, 1, -1, 2, -5, 3, -7)) for i in range(degree)}
+    coeffs[degree] = rng.choice((1, -2, 5))
     coeffs[0] = coeffs[0] or 1
     return LaurentPoly.univariate(coeffs).shift((rng.randint(-9, 9),))
 
@@ -313,13 +339,14 @@ def test_one_variable_exact_divide_matches_reference():
         q = _dense_poly(rng, rng.randint(0, 9))
         c = _dense_poly(rng, rng.randint(0, 16))
         near = _dense_poly(rng, rng.randint(0, 3))
-        for p in (q * c, q * c + near, c, q * c * Fraction(-2, 9)):
-            got = exact_divide(p, q)
-            want = reference.exact_divide(p, q)
-            assert got == want, (p, q)
+        # q * 3 divides q * c over Q, and over Z only when 3 divides c
+        for p, d in ((q * c, q), (q * c + near, q), (c, q), (q * c * -2, q),
+                     (q * c, q * 3)):
+            got = exact_divide(p, d)
+            want = reference.exact_divide(p, d)
+            assert got == want, (p, d)
             refused += got is None
             if got is not None:
-                assert q * got == p
-                assert all(type(v) is int or v.denominator > 1
-                           for v in got.terms.values())
+                assert d * got == p
+                assert all(type(v) is int for v in got.terms.values())
     assert refused > 100

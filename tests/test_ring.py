@@ -100,13 +100,18 @@ def test_negative_exponents_multiply():
 
 def test_scalar_multiplication():
     assert 2 * P("t - 1") == P("2*t - 2")
-    assert P("t - 1") * Fraction(1, 2) == P("1/2*t - 1/2")
+    assert P("t - 1") * -3 == P("3 - 3*t")
+    with pytest.raises(TypeError):
+        P("t - 1") * Fraction(1, 2)
 
 
 def test_unit_negative_power():
     assert P("t^2") ** -3 == P("t^-6")
-    with pytest.raises(ValueError):
-        P("t + 1") ** -1
+    assert P("-t^2") ** -1 == P("-t^-2")
+    # the units of Z[t^+-1] are +-t^a: 2t has no inverse
+    for p in (P("t + 1"), P("2*t")):
+        with pytest.raises(ValueError):
+            p ** -1
 
 
 def test_variable_count_mismatch_rejected():
@@ -144,7 +149,7 @@ def test_normalize_leading_sign_two_variables():
 
 
 units_st = st.tuples(
-    st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]),
+    st.sampled_from([1, -1, 2, -2, 3, 6, -15]),
     st.integers(min_value=-3, max_value=3),
 )
 
@@ -155,8 +160,8 @@ def laurent_polys(draw, nvars=1, min_terms=0):
     terms = []
     for _ in range(n_terms):
         exps = tuple(draw(st.integers(min_value=-4, max_value=4)) for _ in range(nvars))
-        coeff = Fraction(draw(st.integers(min_value=-9, max_value=9)),
-                         draw(st.integers(min_value=1, max_value=5)))
+        coeff = (draw(st.integers(min_value=-9, max_value=9))
+                 * draw(st.integers(min_value=1, max_value=5)))
         terms.append((exps, coeff))
     p = LaurentPoly(nvars, terms)
     if min_terms and p.is_zero:
@@ -175,7 +180,7 @@ def test_normalize_idempotent(p):
 @given(laurent_polys(), units_st)
 def test_normalize_invariant_under_units(p, unit):
     scale, shift = unit
-    scaled = p * Fraction(scale)
+    scaled = p * scale
     scaled = scaled.shift((shift,))
     assert normalize(scaled) == normalize(p)
 
@@ -183,7 +188,7 @@ def test_normalize_invariant_under_units(p, unit):
 @given(laurent_polys(nvars=2), units_st)
 def test_normalize_invariant_under_units_two_vars(p, unit):
     scale, shift = unit
-    scaled = (p * Fraction(scale)).shift((shift, -shift))
+    scaled = (p * scale).shift((shift, -shift))
     assert normalize(scaled) == normalize(p)
 
 
@@ -194,7 +199,7 @@ def test_normalized_form_properties(p):
         assert p.is_zero
         return
     assert q.min_exponents() == (0,)
-    assert all(c.denominator == 1 for c in q.terms.values())
+    assert all(type(c) is int for c in q.terms.values())
     assert q.leading()[1] > 0
 
 
@@ -234,7 +239,9 @@ def test_exact_divide_returns_witness():
 
 @given(laurent_polys(min_terms=1), laurent_polys(min_terms=1))
 def test_divides_consistent_with_oracle(a, b):
-    assert (exact_divide(b, a) is not None) == oracle_divides(a, b)
+    # the oracle divides over Q; exact_divide over Z agrees on a
+    # primitive divisor (Gauss's lemma)
+    assert (exact_divide(b, normalize(a)) is not None) == oracle_divides(a, b)
 
 
 @given(laurent_polys(nvars=2, min_terms=1), laurent_polys(nvars=2, min_terms=1))
@@ -248,7 +255,8 @@ def test_product_always_divisible_two_vars(a, b):
 
 @given(laurent_polys(min_terms=1), laurent_polys(min_terms=1))
 def test_mutual_divisibility_is_unit_equality(a, b):
-    both = exact_divide(b, a) is not None and exact_divide(a, b) is not None
+    both = (exact_divide(b, normalize(a)) is not None
+            and exact_divide(a, normalize(b)) is not None)
     assert both == equal_up_to_units(a, b)
 
 
@@ -368,7 +376,7 @@ def test_gcd_symmetric(a, b):
 @settings(max_examples=40)
 def test_gcd_respects_common_factor(a, b, c):
     g = gcd(a * c, b * c)
-    assert exact_divide(g, c) is not None
+    assert exact_divide(g, normalize(c)) is not None
     assert equal_up_to_units(g, gcd(a, b) * c)
 
 
@@ -437,7 +445,7 @@ def test_product_of_cyclotomics_is_t_power_minus_one():
 @settings(max_examples=50)
 def test_cyclotomic_reassembly(plan, unit):
     scale, shift = unit
-    p = LaurentPoly.monomial(Fraction(scale), (shift,))
+    p = LaurentPoly.monomial(scale, (shift,))
     for n, k in plan.items():
         p = p * cyclotomic_polynomial(n) ** k
     factors, rem = cyclotomic_factorization(p)
@@ -459,7 +467,8 @@ def test_cyclotomic_mixed_with_non_cyclotomic():
 def test_parse_variants():
     assert P("t^-1 - 1 + t") == LaurentPoly.univariate({-1: 1, 0: -1, 1: 1})
     assert P("-t^5") == LaurentPoly.univariate({5: -1})
-    assert P("2/3*t0^2*t1 - 1") == LaurentPoly(2, {(2, 1): Fraction(2, 3), (0, 0): -1})
+    # denominators are cleared: the text is read times 3
+    assert P("2/3*t0^2*t1 - 1") == LaurentPoly(2, {(2, 1): 2, (0, 0): -3})
     assert P("  t ^ 2 -   t + 1  ".replace("^ ", "^")) == P("t^2-t+1")
 
 
@@ -508,8 +517,8 @@ def test_print_univariate_descending():
 
 
 def test_print_multivariable():
-    p = LaurentPoly(2, {(2, 1): Fraction(2, 3), (0, 0): -1})
-    assert poly_to_str(p) == "2/3*t0^2*t1 - 1"
+    p = LaurentPoly(2, {(2, 1): 2, (0, 0): -3})
+    assert poly_to_str(p) == "2*t0^2*t1 - 3"
 
 
 @given(laurent_polys(nvars=2))

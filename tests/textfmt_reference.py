@@ -4,13 +4,16 @@ into signed terms.
 ``ring.textfmt.parse_poly`` splits the whitespace-free text with one
 regular expression instead.  This module keeps the previous parser
 verbatim so the tests can check that both accept and reject the same
-strings, with the same messages and the same polynomials.
+strings, with the same messages and the same polynomials.  Only its last
+step is new: polynomials have integer coefficients, so it multiplies the
+rational terms by the lcm of the denominators written in the text.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from alexpoly.errors import InputError
 from alexpoly.ring.poly import LaurentPoly
@@ -53,6 +56,7 @@ def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -
     indexed_seen = False
     plain_seen = False
     parsed: list[tuple[int, Fraction, dict[int, int]]] = []
+    denominators = [1]
     for sign, body in term_texts:
         if not body:
             raise fail("empty term (stray sign?)")
@@ -66,6 +70,7 @@ def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -
                 if int(den) == 0:
                     raise fail(f"zero denominator in coefficient {frac_text!r}")
                 coeff = Fraction(int(num), int(den))
+                denominators.append(int(den))
             else:
                 coeff = Fraction(int(frac_text))
             rest = rest[m.end():]
@@ -102,8 +107,9 @@ def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -
     if plain_seen and nvars != 1:
         raise fail("plain 't' denotes the single-variable ring")
 
+    common = lcm(*denominators)
     terms = []
     for sign, coeff, exps in parsed:
         vec = tuple(exps.get(i, 0) for i in range(nvars))
-        terms.append((vec, sign * coeff))
+        terms.append((vec, int(sign * coeff * common)))
     return LaurentPoly(nvars, terms)
