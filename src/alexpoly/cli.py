@@ -35,6 +35,7 @@ from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        multivariable_delta, one_variable_delta)
 from .ring import (LaurentPoly, check_degree, cyclotomic_factorization,
                    normalize, parse_poly, poly_to_str)
+from .ring.textfmt import _parse_scaled, _quotient_str
 from .verify import cyclotomic_text, factored_text, run_verification
 
 if TYPE_CHECKING:  # argparse is imported only for help and usage errors
@@ -202,13 +203,14 @@ def cmd_verify(args: SimpleNamespace) -> int:
     if (args.factorization is None) == (args.delta is None):
         raise InputError("give either a factorization file or --delta, "
                          "not both", source="verify")
+    den = 1  # the lcm of the denominators cleared from --delta text
     if args.factorization is not None:
         delta = _file_delta(args.factorization, False)
     elif _is_file(args.delta):
         delta = _file_delta(args.delta, True)
     else:
         with _reading("--delta"):
-            delta = parse_poly(args.delta, nvars=1)
+            delta, den = _parse_scaled(args.delta, nvars=1)
             check_degree(delta)
     if args.infinity is None or args.infinity == "generic":
         delta_inf = None  # run_verification derives the generic one
@@ -224,7 +226,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     with _reading(args.curve):  # a curve link passes MAX_SYLLABLES
         report = run_verification(curve, delta, delta_inf)
     payload = report.to_json()
-    payload["alexander"] = poly_to_str(delta)
+    payload["alexander"] = _quotient_str(delta, den)  # as written
     _print(args, payload, report.to_text())
     return 0 if report.ok else 1
 

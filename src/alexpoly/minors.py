@@ -3,13 +3,13 @@
 The result generates the smallest principal ideal of Q[t^+-1] containing
 the ideal of k-minors, which is all the downstream invariants need.  One
 rule drops rows, before the first contraction and after each one: a zero
-row goes, and so does every row that is a unit multiple of an earlier
-row, since a minor holding both is zero and one holding the later row
-alone is a unit times a minor holding the earlier one, so neither adds
-to the ideal.  The Fox row of a conjugated relator u^-1 r u is such a
-multiple, phi(u)^-1 times the row of r.  Only rows of the same shape,
-the sizes of their entries, are compared, each by a key that is equal
-exactly on unit multiples.  A unit entry lets the matrix contract: clearing its column
+row goes, and so does every row that is a unit multiple of an earlier row,
+since a minor holding both is zero and one holding the later row alone is
+a unit times a minor holding the earlier one, so neither adds to the
+ideal.  The Fox row of a conjugated relator u^-1 r u is such a multiple,
+phi(u)^-1 times the row of r.  Only rows of the same shape, the sizes of
+their entries, are compared, each by a key that is equal exactly on unit
+multiples.  A unit entry lets the matrix contract: clearing its column
 with row operations and deleting its row and column turns the gcd of
 k-minors into the gcd of (k-1)-minors of the smaller matrix.  Each ring
 takes one route from the Fox rows on:
@@ -147,8 +147,7 @@ def _terms_key(row: Row) -> tuple[frozenset, ...]:
     first = next(e.terms for e in row if e.terms)
     low = min(first)
     g = int_gcd(*(v for entry in row for v in entry.terms.values()))
-    if first[low] < 0:
-        g = -g
+    g = g if first[low] > 0 else -g
     return tuple(frozenset((tuple(map(sub, e, low)), v // g)
                            for e, v in entry.terms.items())
                  for entry in row)
@@ -325,8 +324,7 @@ def _dense_key(row: Dense) -> tuple[tuple[int, ...], ...]:
     unit multiples of each other have lost their common powers of t, so
     they are rational multiples, and get equal keys."""
     g = int_gcd(*(c for e in row for c in e))
-    if next(e for e in row if e)[-1] < 0:
-        g = -g
+    g = g if next(e for e in row if e)[-1] > 0 else -g
     return tuple(tuple(c // g for c in e) for e in row)
 
 

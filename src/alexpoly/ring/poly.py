@@ -81,7 +81,8 @@ class LaurentPoly:
 
     @property
     def is_unit(self) -> bool:
-        """Units of the Laurent ring: single-term polynomials."""
+        """Units of Q[t^+-1], single terms, as the minor and gcd routes need;
+        only +-t^a has an inverse with integer coefficients (__pow__)."""
         return len(self.terms) == 1
 
     @property
@@ -366,9 +367,8 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
 
     Laurent divisibility reduces to ordinary divisibility after shifting
     both arguments to minimum exponent 0 (monomials are units).  In one
-    variable that is one dense division that neither scales nor leaves a
-    remainder.  A quotient over Q that is not integral is None, which
-    cannot happen when q is primitive (Gauss's lemma).
+    variable that is one dense division with no scale and no remainder.
+    A primitive q leaves no quotient over Q that is not integral (Gauss).
     """
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")

@@ -14,7 +14,7 @@ single-variable ring prints its variable as ``t``.
 from __future__ import annotations
 
 import re
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import InputError
 from .poly import LaurentPoly, grlex_key
@@ -31,6 +31,12 @@ MAX_VARIABLES = 1000
 
 def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     """Parse the text polynomial format; raises InputError on bad input."""
+    return _parse_scaled(text, nvars)[0]
+
+
+def _parse_scaled(text: str, nvars: int | None = None) -> tuple[LaurentPoly, int]:
+    """parse_poly's polynomial and the lcm of the denominators it cleared:
+    the text reads as the first divided by the second."""
 
     def fail(message: str) -> InputError:
         return InputError(message, field="polynomial")
@@ -114,7 +120,7 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     for coeff, den, exps in parsed:
         vec = tuple(exps.get(i, 0) for i in range(nvars))
         terms.append((vec, coeff * (common // den)))
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly(nvars, terms), common
 
 
 def _monomial_str(exps: tuple[int, ...], univariate: bool) -> str:
@@ -132,6 +138,12 @@ def _monomial_str(exps: tuple[int, ...], univariate: bool) -> str:
 
 
 def poly_to_str(p: LaurentPoly) -> str:
+    return _quotient_str(p, 1)
+
+
+def _quotient_str(p: LaurentPoly, den: int) -> str:
+    """The text of p/den, each coefficient in lowest terms: what
+    ``_parse_scaled`` read as (p, den) prints as it was written."""
     if p.is_zero:
         return "0"
     univariate = p.nvars == 1
@@ -139,10 +151,11 @@ def poly_to_str(p: LaurentPoly) -> str:
     for exps in sorted(p.terms, key=grlex_key, reverse=True):
         coeff = p.terms[exps]
         mono = _monomial_str(exps, univariate)
-        mag = abs(coeff)
+        g = gcd(coeff, den)  # |coeff| / den in lowest terms
+        mag = str(abs(coeff) // g) if g == den else f"{abs(coeff) // g}/{den // g}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"

@@ -269,11 +269,13 @@ def _sparse_entry(rng: random.Random) -> LaurentPoly:
 def test_high_degree_non_monic_matrices(monkeypatch):
     # entries of degree 20 to 80 whose leading coefficients are not +-1:
     # no entry is a unit, so the echelon takes every matrix, and its
-    # pseudo-divisions scale rows.  The Smith form over Q, slow at these
-    # degrees, checks the 2 x 2 matrices; sympy checks every one
+    # pseudo-divisions scale rows.  Wide and tall shapes both: the tall
+    # ones echelon more rows than they have pivots.  The Smith form over
+    # Q, slow at these degrees, checks the 2 x 2 matrices; sympy checks
+    # every one
     scaled = _count_scaled_steps(monkeypatch)
     rng = random.Random(20261024)
-    for m, n in [(2, 2)] * 8 + [(3, 3), (3, 4)]:
+    for m, n in [(2, 2)] * 8 + [(3, 3), (3, 4), (4, 3), (3, 2)]:
         rows = [tuple(_sparse_entry(rng) for _ in range(n)) for _ in range(m)]
         for k in range(1, min(m, n) + 1):
             got = minors.minor_gcd(rows, k, 1)

@@ -11,6 +11,10 @@ needs, and both parsers build an exponent tuple that long for every
 term: one string of this generator names t675887310.  Those strings
 (an index of four or more digits) are left out at ``nvars=None`` only;
 with a fixed ``nvars`` both parsers reject them before building a term.
+
+Where the CLI echoes p/q text as written (``verify --delta``), the
+parsed polynomial and the lcm of its denominators must print as the
+reference's terms over Q print with ``Fraction`` coefficients.
 """
 
 import random
@@ -19,6 +23,7 @@ import re
 import pytest
 
 from alexpoly.ring import parse_poly
+from alexpoly.ring.textfmt import _parse_scaled, _quotient_str
 
 import textfmt_reference as reference
 
@@ -48,13 +53,19 @@ def _strings(rng, count):
 @pytest.mark.parametrize("nvars", [None, 1, 2])
 def test_parse_poly_matches_the_character_loop(nvars):
     rng = random.Random(20_241_010 + (nvars or 0))
-    accepted = skipped = 0
+    accepted = scaled = skipped = 0
     for text in _strings(rng, 10_000):
         if nvars is None and _LONG_INDEX.search("".join(text.split())):
             skipped += 1
             continue
         got = _outcome(parse_poly, text, nvars)
         assert got == _outcome(reference.parse_poly, text, nvars), text
+        if got[0] == "ok":  # and prints as written, over its denominators
+            n, terms, common = reference.parse_rational(text, nvars)
+            assert _parse_scaled(text, nvars) == (got[2], common), text
+            assert _quotient_str(got[2], common) == reference.rational_str(n, terms), text
+            scaled += common != 1
         accepted += got[0] == "ok"
     assert accepted > 1_000  # the strings reach the term parser, not only the splitter
+    assert scaled > 100  # p/q coefficients that are not whole numbers
     assert skipped < 200

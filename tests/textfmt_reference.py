@@ -7,6 +7,11 @@ verbatim so the tests can check that both accept and reject the same
 strings, with the same messages and the same polynomials.  Only its last
 step is new: polynomials have integer coefficients, so it multiplies the
 rational terms by the lcm of the denominators written in the text.
+
+``parse_rational`` returns those terms over Q before that step, and
+``rational_str`` prints them with ``Fraction`` coefficients, as the
+printer did when polynomials stored them: the text that echoing p/q
+input must give.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from alexpoly.errors import InputError
-from alexpoly.ring.poly import LaurentPoly
+from alexpoly.ring.poly import LaurentPoly, grlex_key
 
 _VAR_RE = re.compile(r"^t(\d*)(?:\^(-?\d+))?$")
 _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
@@ -24,6 +29,14 @@ _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
 
 def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -> LaurentPoly:
     """Parse the text polynomial format; raises InputError on bad input."""
+    nvars, terms, common = parse_rational(text, nvars, source)
+    return LaurentPoly(nvars, [(vec, int(c * common)) for vec, c in terms])
+
+
+def parse_rational(text: str, nvars: int | None = None, source: str | None = None
+                   ) -> tuple[int, list[tuple[tuple[int, ...], Fraction]], int]:
+    """The number of variables, the terms over Q as written, and the lcm
+    of the written denominators."""
 
     def fail(message: str) -> InputError:
         return InputError(message, source=source, field="polynomial")
@@ -107,9 +120,28 @@ def parse_poly(text: str, nvars: int | None = None, source: str | None = None) -
     if plain_seen and nvars != 1:
         raise fail("plain 't' denotes the single-variable ring")
 
-    common = lcm(*denominators)
-    terms = []
-    for sign, coeff, exps in parsed:
-        vec = tuple(exps.get(i, 0) for i in range(nvars))
-        terms.append((vec, int(sign * coeff * common)))
-    return LaurentPoly(nvars, terms)
+    terms = [(tuple(exps.get(i, 0) for i in range(nvars)), sign * coeff)
+             for sign, coeff, exps in parsed]
+    return nvars, terms, lcm(*denominators)
+
+
+def rational_str(nvars: int, terms: list[tuple[tuple[int, ...], Fraction]]) -> str:
+    """The sum of the terms over Q, printed as poly_to_str prints."""
+    total: dict[tuple[int, ...], Fraction] = {}
+    for vec, c in terms:
+        total[vec] = total.get(vec, 0) + c
+    pieces = []
+    for vec in sorted((v for v, c in total.items() if c), key=grlex_key, reverse=True):
+        c = total[vec]
+        if nvars == 1:
+            mono = "" if vec[0] == 0 else "t" if vec[0] == 1 else f"t^{vec[0]}"
+        else:
+            mono = "*".join(f"t{i}" if e == 1 else f"t{i}^{e}"
+                            for i, e in enumerate(vec) if e)
+        mag = str(abs(c))
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in pieces[1:])
