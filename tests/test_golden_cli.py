@@ -2,7 +2,8 @@
 
 ``golden_cli.json`` lists command lines with the exit code, stdout and
 stderr each one gave: ``fox``, ``zvk`` (plain, ``--multi``,
-``--projective``), ``closure`` (plain, ``--multi``, ``--hat``), ``curve``
+``--projective``, and ``--multi --projective`` on the six shipped
+factorizations), ``closure`` (plain, ``--multi``, ``--hat``), ``curve``
 and ``verify`` on every JSON file under ``data/``, each in text and in
 ``--output json``, and ``cyclo`` on t^n - 1 and t^n + 2 for n = 30, 60,
 120.  Polynomial text with ``p/q`` coefficients goes to ``cyclo`` (a
