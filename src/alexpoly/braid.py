@@ -5,9 +5,13 @@ gives rise to.
 Positive letter i (1-based) sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
 to x_i, fixing the rest; negative letters act by the inverse rule.
 Letters of a word act left to right.  The Artin action builds the
-closure and ZvK relators.  Braid equality, and so the check that a
-factorization multiplies to the full twist, is decided on Dynnikov
-coordinates instead: a fixed number of integer operations per letter.
+closure relators and the ZvK relators of the library's
+``zvk_presentation``.  The Fox rows of the ZvK relators, which the
+``zvk`` and ``verify`` commands use, are built without words instead
+(``_zvk_rows``): row vectors pushed through the coloured Burau matrices
+of the letters.  Braid equality, and so the check that a factorization
+multiplies to the full twist, is decided on Dynnikov coordinates: a
+fixed number of integer operations per letter.
 
 Free-group words here are the letter tuples that ``group.Word`` stores,
 signed letters +-(g + 1) standing for x_g^+-1, freely reduced; every
@@ -16,17 +20,20 @@ are handed to ``Word`` as they are.
 The ``MAX_SYLLABLES`` budget on the images is checked on their letter
 count, which is never below their syllable count; syllables are counted
 only once the letters pass the bound.  ``MAX_COORDINATE_BITS`` bounds
-the Dynnikov coordinates.
+the Dynnikov coordinates, and ``MAX_ROW_SPAN`` and ``MAX_ROW_TERMS``
+the entries of the ZvK Fox rows.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import eq, neg
+from operator import add, eq, neg
 from typing import Iterable
 
 from .errors import InputError
 from .group import AbelMap, Letters, Presentation, _inverse, _join, _word
+from .ring import LaurentPoly
+from .ring.poly import _raw
 
 
 class _NotIntegers(ValueError):
@@ -76,11 +83,27 @@ class BraidWord:
 
 
 #: Largest total syllable count of the generator images that
-#: ``_letter_action`` builds for closures and ZvK relators.  Images can
-#: grow exponentially with the word.  The images of the shipped and
-#: benchmark braids and relators hold at most 169 syllables in all, for
-#: the closure of T(9,9).
+#: ``_letter_action`` builds for closures, curve-file links and the
+#: relators of ``zvk_presentation``.  Images can grow exponentially with
+#: the word.  The images of the shipped and benchmark braids and
+#: relators hold at most 169 syllables in all, for the closure of T(9,9).
 MAX_SYLLABLES = 100_000
+
+#: Largest span of the exponent sums in an entry of the Fox rows that
+#: ``_zvk_rows`` builds, checked as each entry is rebuilt.  Spans grow
+#: linearly with the letters, and the one-variable minor gcd's cost with
+#: them: at most 1 on the generic arrangements of up to 48 lines and 3 on
+#: the shipped factorizations; the generic 5-line arrangement conjugated
+#: by a random braid of 40, 80, 200 and 300 letters reads 15, 21, 53 and
+#: 75, and its minor gcd took 0.03, 0.3 and 1.3 s at 100, 200 and 300.
+MAX_ROW_SPAN = 64
+
+#: Largest number of terms in an entry of those rows.  Over several
+#: variables the terms grow with a power of the span: the conjugated
+#: 5-line arrangement's multivariable rows hold 614, 2,000 and 5,562
+#: terms at 40, 80 and 100 letters and 118,376 at 200, where they took
+#: 45 s to build; the shipped and generic ones hold at most 4.
+MAX_ROW_TERMS = 4096
 
 
 def _syllable_count(images: list[Letters]) -> int:
@@ -331,9 +354,24 @@ def _generator_names(strands: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(strands))
 
 
+def _orbit_map(f: Factorization) -> AbelMap:
+    """Each generator to the coordinate of its component, the orbits
+    ordered by least strand."""
+    orbits = factor_orbits(f)
+    images: list = [None] * f.strands
+    for idx, orbit in enumerate(orbits):
+        unit = tuple(int(r == idx) for r in range(len(orbits)))
+        for s in orbit:
+            images[s] = unit
+    return AbelMap(len(orbits), tuple(images))
+
+
 def zvk_presentation(f: Factorization, projective: bool | None = None
                      ) -> tuple[Presentation, AbelMap]:
-    """Presentation of the curve complement cut out by a factorization.
+    """Presentation of the curve complement cut out by a factorization,
+    as words: the library's route to pi_1.  The CLI's polynomials come
+    from ``_zvk_rows``, which builds this presentation's Fox matrix
+    without it.
 
     The factorization is validated first.  Each factor w s_i^k w^-1
     gives one relator, w^-1 applied to s_i^k(x_i) x_i^-1: s_i^k fixes
@@ -367,17 +405,135 @@ def zvk_presentation(f: Factorization, projective: bool | None = None
         relators.append(_word(rel))
     if projective:
         relators.append(_word(tuple(range(1, d + 1))))
-    pres = Presentation(_generator_names(d), tuple(relators))
+    return Presentation(_generator_names(d), tuple(relators)), _orbit_map(f)
 
-    orbits = factor_orbits(f)
-    rank = len(orbits)
-    orbit_of = {}
-    for idx, orbit in enumerate(orbits):
-        for s in orbit:
-            orbit_of[s] = idx
-    images = tuple(tuple(1 if orbit_of[s] == r else 0 for r in range(rank))
-                   for s in range(d))
-    return pres, AbelMap(rank, images)
+
+def _zvk_rows(f: Factorization, projective: bool | None = None,
+              multi: bool = False) -> tuple[list[list[LaurentPoly]], AbelMap]:
+    """The Fox matrix of ``zvk_presentation(f, projective)`` under its
+    map, or unless multi under that map composed to one variable, and
+    the map, built with no word.
+
+    The factorization is validated before the map is built.  By the Fox
+    chain rule the row of the relator psi(u), psi the Artin automorphism
+    of w^-1 and u = s_i^k(x_i) x_i^-1, is the row of u under phi psi
+    times the coloured Burau matrix of psi (Birman, Braids, Links and
+    Mapping Class Groups, 1974; Libgober, Invent. Math. 95, 1989).  The
+    row of s_i^k(x_i) is e_i pushed through the letters of s_i^k, u's
+    row subtracts phi psi(u) from its entry i, and ``_push`` takes it
+    through the letters of w^-1.  The running map starts as phi with
+    images i, i+1 swapped for each letter s_i^+-1 of w and of s_i^k, and
+    each letter undoes its swap before it acts, so the row ends under
+    phi.  Exponent vectors are packed into ints while the rows are built
+    (``_pack``).  An entry past MAX_ROW_TERMS or MAX_ROW_SPAN raises
+    InputError naming field ``factors`` and the factor.
+    """
+    splits = validate_factorization(f)
+    if projective is None:
+        projective = f.projective
+    d = f.strands
+    phi = _orbit_map(f) if multi else AbelMap.constant_one(d)
+    rank = phi.rank
+    # no exponent moves further from 0 than the letters of its factor
+    width = max(2 * len(w) + len(core) for w, core in splits).bit_length() + 2
+    packed = [_pack(img, width) for img in phi.images]
+    zero = _raw(rank, {})
+    rows = []
+    for idx, (w, core) in enumerate(splits):
+        images = packed[:]
+        for v in chain(w, core):  # to phi psi s_i^k
+            i = abs(v) - 1
+            images[i], images[i + 1] = images[i + 1], images[i]
+        g = abs(core[0]) - 1
+        top = images[g]  # phi psi (s_i^k(x_i))
+        row = {g: {0: 1}}
+        try:
+            _push(row, core, images, width)
+            terms = row.setdefault(g, {})
+            e = top - images[g]
+            terms[e] = terms.get(e, 0) - 1
+            if not terms[e]:
+                del terms[e]
+            _push(row, map(neg, reversed(w)), images, width)
+        except InputError as exc:
+            raise InputError(f"factor {idx}: {exc.args[0]}",
+                             field="factors") from None
+        rows.append([_raw(rank, _unpack(row[j], rank, width)) if row.get(j)
+                     else zero for j in range(d)])
+    if projective:  # d(x_1 ... x_d)/dx_j = x_1 ... x_{j-1}
+        at, row = (0,) * rank, []
+        for img in phi.images:
+            row.append(_raw(rank, {at: 1}))
+            at = tuple(map(add, at, img))
+        rows.append(row)
+    return rows, phi
+
+
+def _pack(e: tuple[int, ...], width: int) -> int:
+    """Exponent vector e as one int: its balanced digits in base
+    2^width are sum(e), then e_1, e_2, ...; adding packed ints adds the
+    vectors while every digit stays below 2^(width - 1) in size."""
+    return sum(e) + sum(v << (width * j) for j, v in enumerate(e) if j)
+
+
+def _unpack(terms: dict[int, int], rank: int, width: int
+            ) -> dict[tuple[int, ...], int]:
+    """The terms keyed by exponent vectors again, from ``_pack`` keys."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = {}
+    for k, c in terms.items():
+        digits = []
+        for _ in range(rank):
+            v = ((k + half) & mask) - half
+            digits.append(v)
+            k = (k - v) >> width
+        digits[0] -= sum(digits[1:])
+        out[tuple(digits)] = c
+    return out
+
+
+def _push(row: dict[int, dict[int, int]], letters: Iterable[int],
+          images: list[int], width: int) -> None:
+    """Multiply the row vector `row` (terms by 0-based column, ``_pack``
+    keys) by the coloured Burau matrix of each letter in turn, in place,
+    with the running map `images`, whose swap each letter undoes first.
+
+    With (a, b) at columns i, i+1 and m_i, m_{i+1} the images there,
+    s_i sends (a, b) to (a (1 - m_{i+1}) + b, a m_i) and s_i^-1 to
+    (b / m_{i+1}, a + b (m_i - 1) / m_{i+1}).  Raises InputError once an
+    entry holds more than MAX_ROW_TERMS terms or its exponent sums span
+    more than MAX_ROW_SPAN.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    for v in letters:
+        i = abs(v) - 1
+        images[i], images[i + 1] = mi, mj = images[i + 1], images[i]
+        a, b = row.get(i), row.get(i + 1)
+        if not (a or b):
+            continue
+        a, b = a or {}, b or {}
+        if v > 0:
+            na, nb = dict(b), {e + mi: c for e, c in a.items()}
+            for e, c in a.items():
+                na[e] = na.get(e, 0) + c
+                na[e + mj] = na.get(e + mj, 0) - c
+            na = {e: c for e, c in na.items() if c}
+        else:
+            na, nb = {e - mj: c for e, c in b.items()}, dict(a)
+            for e, c in b.items():
+                nb[e - mj] = nb.get(e - mj, 0) - c
+                nb[e + mi - mj] = nb.get(e + mi - mj, 0) + c
+            nb = {e: c for e, c in nb.items() if c}
+        row[i], row[i + 1] = na, nb
+        for terms in (na, nb):
+            if len(terms) > MAX_ROW_TERMS:
+                raise InputError("a Fox row entry holds more than "
+                                 f"{MAX_ROW_TERMS} terms")
+            if len(terms) > 1:
+                sums = [((e + half) & mask) - half for e in terms]
+                if max(sums) - min(sums) > MAX_ROW_SPAN:
+                    raise InputError("a Fox row entry spans more than "
+                                     f"{MAX_ROW_SPAN} degrees")
 
 
 def closure_presentation(braid: BraidWord) -> Presentation:

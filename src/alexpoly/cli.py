@@ -24,12 +24,12 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from .braid import (braid_from_json, factorization_from_json,
-                    strand_components, zvk_presentation)
+from .braid import (_generator_names, _zvk_rows, braid_from_json,
+                    factorization_from_json, strand_components)
 from .curve import (affine_counts, boundary_factors, curve_from_json,
                     euler_characteristic, first_betti, local_deltas)
 from .errors import ComputationError, InputError
-from .fox import alexander_one_variable, alexander_polynomial
+from .fox import _rows_polynomial, alexander_one_variable, alexander_polynomial
 from .group import AbelMap, Presentation, load_json_file, presentation_from_json
 from .linkpoly import (MarkedLink, hat_delta, link_from_json,
                        multivariable_delta, one_variable_delta)
@@ -88,18 +88,18 @@ def cmd_zvk(args: SimpleNamespace) -> int:
     projective = True if args.projective else None
     with _reading(args.factorization):
         fact = factorization_from_json(load_json_file(args.factorization))
-        pres, phi = zvk_presentation(fact, projective=projective)
-    delta = (alexander_polynomial(pres, phi) if args.multi
-             else alexander_one_variable(pres, phi))
+        rows, phi = _zvk_rows(fact, projective, args.multi)
+    delta = _rows_polynomial(rows, phi)
     text = poly_to_str(delta)
+    generators = _generator_names(fact.strands)
     payload = {
         "alexander": text,
         "variables": delta.nvars,
-        "generators": list(pres.generators),
-        "relators": len(pres.relators),
+        "generators": list(generators),
+        "relators": len(rows),
     }
-    lines = [f"generators: {' '.join(pres.generators)}",
-             f"relators: {len(pres.relators)}",
+    lines = [f"generators: {' '.join(generators)}",
+             f"relators: {len(rows)}",
              f"alexander: {text}"]
     _print(args, payload, "\n".join(lines))
     return 0
@@ -189,10 +189,9 @@ def _file_delta(path: str, presentation_ok: bool) -> LaurentPoly:
     with _reading(path):
         obj = load_json_file(path)
         if presentation_ok and not (isinstance(obj, dict) and "factors" in obj):
-            pres, phi = _presentation(obj)
+            delta = alexander_one_variable(*_presentation(obj))
         else:
-            pres, phi = zvk_presentation(factorization_from_json(obj))
-        delta = alexander_one_variable(pres, phi)
+            delta = _rows_polynomial(*_zvk_rows(factorization_from_json(obj)))
         check_degree(delta)
     return delta
 

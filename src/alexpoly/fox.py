@@ -14,15 +14,19 @@ D_{S,i} u_j = +-D_{S,j} u_i.  With g = gcd_j u_j and any column j0 with
 u_j0 != 0, each D_{S,j0} is a multiple of u_j0 / g, and the gcd of all
 (n-1)-minors equals (g / u_j0) times the gcd of the minors omitting
 column j0 (Fox, Free differential calculus II, Ann. Math. 1954; Torres,
-On the Alexander polynomial, Ann. Math. 1953).  ``alexander_polynomial``
-takes that route.  It omits the column whose image phi(x_j0) has the
-least L1 norm, the first of those on ties, since the minors it keeps
-carry the factor u_j0 / g, and hands that factor, read off the
-exponents of phi, to the minor gcd as a floor at which its fold may
-stop.  In one variable the floor is then a unit whenever some |phi(x_j)|
-is the gcd of all of them, as for the weighted map of a hat invariant,
-and no division is left; colour and ZvK maps send every generator to a
-unit vector, so the first column with a nonzero image goes.
+On the Alexander polynomial, Ann. Math. 1953).  ``_rows_polynomial``
+takes that route from Fox rows however they were built:
+``alexander_polynomial`` hands it ``fox_matrix`` of a presentation, and
+the ``zvk`` and ``verify`` commands the rows that ``braid._zvk_rows``
+builds from a factorization without words.  It omits the column whose
+image phi(x_j0) has the least L1 norm, the first of those on ties, since
+the minors it keeps carry the factor u_j0 / g, and hands that factor,
+read off the exponents of phi, to the minor gcd as a floor at which its
+fold may stop.  In one variable the floor is then a unit whenever some
+|phi(x_j)| is the gcd of all of them, as for the weighted map of a hat
+invariant, and no division is left; colour and ZvK maps send every
+generator to a unit vector, so the first column with a nonzero image
+goes.
 
 Whether phi kills every relator is read off the Fox rows: the
 coefficient sum of phi(dr/dx_j) is the exponent sum of x_j in r, so
@@ -96,15 +100,22 @@ def alexander_polynomial(pres: Presentation, phi: AbelMap) -> LaurentPoly:
     if phi.n_generators != pres.n:
         raise ValueError(f"phi covers {phi.n_generators} generators, "
                          f"presentation has {pres.n}")
-    nvars = phi.rank
     if pres.n == 1:
         if any(any(phi(r)) for r in pres.relators):
-            return LaurentPoly.one(nvars)
+            return LaurentPoly.one(phi.rank)
+        return LaurentPoly.zero(phi.rank)
+    return _rows_polynomial(fox_matrix(pres, phi), phi)
+
+
+def _rows_polynomial(rows: list[list[LaurentPoly]], phi: AbelMap
+                     ) -> LaurentPoly:
+    """``alexander_polynomial`` of the Fox rows `rows` under phi, on
+    n >= 2 generators: zero below n - 1 rows, else the minor gcd through
+    the identity of the module docstring where the rows show it holds."""
+    nvars = phi.rank
+    k = phi.n_generators - 1
+    if len(rows) < k:
         return LaurentPoly.zero(nvars)
-    if pres.m < pres.n - 1:
-        return LaurentPoly.zero(nvars)
-    rows = fox_matrix(pres, phi)
-    k = pres.n - 1
     images = [img for img in dict.fromkeys(phi.images) if any(img)]
     if not images or not _kills_every_relator(rows, phi.images):
         return minor_gcd(rows, k, nvars)

@@ -21,7 +21,8 @@ import alexpoly.cli
 import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
-from alexpoly.braid import MAX_COORDINATE_BITS, MAX_SYLLABLES
+from alexpoly.braid import (MAX_COORDINATE_BITS, MAX_ROW_SPAN, MAX_ROW_TERMS,
+                            MAX_SYLLABLES)
 from alexpoly.cli import COMMANDS, build_parser, main, parse_well_formed
 from alexpoly.group import MAX_LETTERS
 from alexpoly.ring import MAX_VARIABLES, LaurentPoly, poly_to_str
@@ -588,9 +589,11 @@ def conjugated_arrangement(length: int) -> dict:
     return {"strands": 5, "factors": factors}
 
 
-@pytest.mark.parametrize("length", [40, 60])
+@pytest.mark.parametrize("length", [40, 60, 80, 200])
 def test_conjugated_arrangement_is_validated(capsys, tmp_path, length):
-    # the Artin images of the 40-letter product passed MAX_SYLLABLES
+    # the Artin images of the 40-letter product passed MAX_SYLLABLES, and
+    # at 80 letters those of a relator did; the Fox rows, built without
+    # words, span 53 degrees at 200 letters
     path = tmp_path / "factorization.json"
     path.write_text(json.dumps(conjugated_arrangement(length)),
                     encoding="utf-8")
@@ -599,14 +602,40 @@ def test_conjugated_arrangement_is_validated(capsys, tmp_path, length):
     assert out.endswith("alexander: t^4 - 4*t^3 + 6*t^2 - 4*t + 1\n")
 
 
-def test_conjugated_arrangement_relator_budget(capsys, tmp_path):
-    # validation passes; the relator of factor 1, whose conjugator has 81
-    # letters, passes MAX_SYLLABLES, and the message names the factor
+def test_conjugated_arrangement_verifies(capsys, tmp_path):
     path = tmp_path / "factorization.json"
-    path.write_text(json.dumps(conjugated_arrangement(80)), encoding="utf-8")
-    assert run_cli(capsys, "zvk", str(path)) == (
-        2, "", f"error: {path}: field 'factors': factor 1: the braid's "
-        f"generator images exceed {MAX_SYLLABLES} syllables\n")
+    path.write_text(json.dumps(conjugated_arrangement(200)), encoding="utf-8")
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(arrangement_curve(5)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(curve), str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("overall: pass\n")
+
+
+def test_conjugated_arrangement_relator_budget(capsys, tmp_path):
+    # validation passes; an entry of the Fox row of factor 0, conjugated
+    # by the 300-letter braid, passes MAX_ROW_SPAN (the finished rows
+    # would span 75 degrees), and the message names the factor
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps(conjugated_arrangement(300)), encoding="utf-8")
+    curve = str(DATA / "two_lines" / "curve.json")
+    for argv in (["zvk", str(path)], ["verify", curve, str(path)]):
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: {path}: field 'factors': factor 0: a Fox row "
+            f"entry spans more than {MAX_ROW_SPAN} degrees\n")
+
+
+def test_conjugated_arrangement_term_budget(capsys, tmp_path):
+    # at 100 letters the one-variable rows span 27 degrees, but over the
+    # five line variables an entry of factor 1's row passes MAX_ROW_TERMS
+    # (the finished rows would hold 5,562 terms)
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps(conjugated_arrangement(100)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "zvk", str(path))
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "zvk", str(path), "--multi") == (
+        2, "", f"error: {path}: field 'factors': factor 1: a Fox row entry "
+        f"holds more than {MAX_ROW_TERMS} terms\n")
 
 
 def test_pseudo_anosov_product_coordinate_bound(capsys, tmp_path):

@@ -26,6 +26,9 @@ import pathlib
 
 import pytest
 
+import alexpoly.braid
+import alexpoly.cli
+import alexpoly.fox
 from alexpoly.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,6 +64,43 @@ def test_every_data_file_is_pinned():
     files = {p.relative_to(ROOT).as_posix()
              for p in (ROOT / "data").rglob("*.json")}
     assert files <= named
+
+
+def test_zvk_path_builds_no_words(monkeypatch):
+    # zvk and the factorization of verify CURVE FACT take their Fox rows
+    # from Burau row vectors: the Artin action and the Fox matrix of words
+    # raise while they run, and verify's curve links still use both
+    on_path = []
+
+    def refused(fn):
+        def guarded(*args, **kwargs):
+            assert not on_path, f"{fn.__name__} ran on the ZvK path"
+            return fn(*args, **kwargs)
+        return guarded
+
+    def file_delta(*args, _file_delta=alexpoly.cli._file_delta):
+        on_path.append(True)
+        try:
+            return _file_delta(*args)
+        finally:
+            on_path.pop()
+
+    for module, name in ((alexpoly.braid, "_letter_action"),
+                         (alexpoly.fox, "fox_matrix")):
+        monkeypatch.setattr(module, name, refused(getattr(module, name)))
+    monkeypatch.setattr(alexpoly.cli, "_file_delta", file_delta)
+    monkeypatch.chdir(ROOT)
+    zvk = [e for e in ENTRIES if e["argv"][0] == "zvk"]
+    verify = [e for e in ENTRIES if e["argv"][0] == "verify"
+              and e["argv"][2:3]
+              and e["argv"][2].endswith("factorization.json")]
+    assert zvk and verify
+    for entry in zvk:
+        on_path.append(True)
+        assert run(entry["argv"]) == entry
+        on_path.pop()
+    for entry in verify:
+        assert run(entry["argv"]) == entry
 
 
 if __name__ == "__main__":

@@ -20,6 +20,12 @@ projective, and on the shipped factorizations.  They must have identical
 letters on the generic arrangements with 3-6 lines conjugated as a whole
 by seeded braids of 0-60 letters, plain and projective, and on the
 5-line one conjugated by the 40- and 60-letter braids of the CI step.
+
+``braid._zvk_rows`` builds the Fox rows of those relators without words,
+pushing row vectors through coloured Burau matrices.  On every input
+above, plain and projective, its rows must equal ``fox_matrix`` of
+``zvk_presentation`` entry by entry, not up to units, under the orbit
+map and under its composition to one variable.
 """
 
 import json
@@ -29,9 +35,10 @@ import random
 import pytest
 
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
-                            zvk_presentation)
+                            _zvk_rows, zvk_presentation)
 from alexpoly.errors import InputError
-from alexpoly.fox import alexander_one_variable, alexander_polynomial
+from alexpoly.fox import (alexander_one_variable, alexander_polynomial,
+                          fox_matrix)
 
 from zvk_reference import (abelianization_invariants, full_zvk_presentation,
                            per_factor_presentation)
@@ -143,16 +150,23 @@ def assert_same_relators(f: Factorization, projective: bool) -> None:
         [r.syllables for r in ref.relators]
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_relators_match_per_factor_route(n):
+def standard_form_inputs(n: int):
+    """Two seeded draws of ``standard_forms``, each as it is and
+    conjugated by a seeded braid of 1-4 letters."""
     rng = random.Random(n)
     for _ in range(2):
         f = standard_forms(n, rng)
         g = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
                                for _ in range(rng.randint(1, 4))))
-        for h in (f, conjugate(f, g)):
-            for projective in (False, True):
-                assert_same_relators(h, projective)
+        yield f
+        yield conjugate(f, g)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_relators_match_per_factor_route(n):
+    for h in standard_form_inputs(n):
+        for projective in (False, True):
+            assert_same_relators(h, projective)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -170,16 +184,32 @@ def assert_same_letters(f: Factorization) -> None:
         assert [r.letters for r in pres.relators] == want
 
 
+def conjugated_arrangement(n: int, length: int) -> Factorization:
+    """The generic n-line arrangement conjugated as a whole by a seeded
+    braid of `length` letters."""
+    rng = random.Random(7 * n + length)
+    g = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                           for _ in range(length)))
+    return conjugate(arrangement(n, 0), g)
+
+
+def ci_conjugated_arrangement(length: int) -> Factorization:
+    """The factors c w s_i^2 w^-1 c^-1 of the console-script step, c from
+    random.Random(0)."""
+    rng = random.Random(0)
+    c = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(length)]
+    f = conjugate(arrangement(5, 0), BraidWord(5, tuple(c)).inverse())
+    assert f.factors[0].letters[:length] == tuple(c)
+    return f
+
+
 @pytest.mark.parametrize("length", [0, 20, 40, 60])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_conjugated_relators_match_letter_for_letter(n, length):
     # relators reach 36,472 letters (n = 5, 60 letters); the 4-line
     # arrangement conjugated by 60 letters passes MAX_SYLLABLES, and must
     # say so instead
-    rng = random.Random(7 * n + length)
-    g = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
-                           for _ in range(length)))
-    f = conjugate(arrangement(n, 0), g)
+    f = conjugated_arrangement(n, length)
     if (n, length) == (4, 60):
         with pytest.raises(InputError, match=f"exceed {MAX_SYLLABLES} "):
             zvk_presentation(f)
@@ -189,10 +219,67 @@ def test_conjugated_relators_match_letter_for_letter(n, length):
 
 @pytest.mark.parametrize("length", [40, 60])
 def test_ci_conjugated_arrangement_relators(length):
-    # the factors c w s_i^2 w^-1 c^-1 of the console-script step, c from
-    # random.Random(0)
-    rng = random.Random(0)
-    c = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(length)]
-    f = conjugate(arrangement(5, 0), BraidWord(5, tuple(c)).inverse())
-    assert f.factors[0].letters[:length] == tuple(c)
-    assert_same_letters(f)
+    assert_same_letters(ci_conjugated_arrangement(length))
+
+
+# ---------------------------------------------------------------------------
+# Fox rows without words against the Fox matrix of the relators
+
+
+def assert_same_rows(f: Factorization) -> None:
+    """``_zvk_rows`` equals ``fox_matrix`` of ``zvk_presentation`` entry
+    by entry, plain and projective, under the orbit map and under its
+    composition to one variable."""
+    for projective in (False, True):
+        pres, phi = zvk_presentation(f, projective)
+        for multi, want_phi in ((True, phi), (False, phi.composed_to_one())):
+            rows, got_phi = _zvk_rows(f, projective, multi)
+            assert got_phi == want_phi
+            assert rows == fox_matrix(pres, want_phi)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_rows_match_fox_matrix(name):
+    # the factorization's own projective flag is what _zvk_rows reads
+    # when none is given
+    for projective in (False, True):
+        f = shipped(name, projective)
+        assert _zvk_rows(f) == _zvk_rows(f, projective)
+        assert_same_rows(f)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conjugated_arrangement_rows_match_fox_matrix(n, seed):
+    assert_same_rows(arrangement(n, seed))
+
+
+@pytest.mark.parametrize("name", ["nodal_cubic", "cuspidal_cubic",
+                                  "zariski_sextic"])
+def test_hurwitz_moved_rows_match_fox_matrix(name):
+    f = shipped(name, False)
+    for i in (0, len(f.factors) // 2, len(f.factors) - 2):
+        assert_same_rows(hurwitz_move(f, i))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_standard_form_rows_match_fox_matrix(n):
+    for h in standard_form_inputs(n):
+        assert_same_rows(h)
+
+
+@pytest.mark.parametrize("length", [0, 20, 40, 60])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_conjugated_rows_match_fox_matrix(n, length):
+    f = conjugated_arrangement(n, length)
+    if (n, length) == (4, 60):  # the words pass MAX_SYLLABLES, the rows not
+        with pytest.raises(InputError, match=f"exceed {MAX_SYLLABLES} "):
+            zvk_presentation(f)
+        assert len(_zvk_rows(f)[0]) == len(f.factors)
+    else:
+        assert_same_rows(f)
+
+
+@pytest.mark.parametrize("length", [40, 60])
+def test_ci_conjugated_arrangement_rows(length):
+    assert_same_rows(ci_conjugated_arrangement(length))
