@@ -27,7 +27,7 @@ the entries of the ZvK Fox rows.
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import add, eq, neg
+from operator import add, eq, neg, sub
 from typing import Iterable
 
 from .errors import InputError
@@ -90,20 +90,22 @@ class BraidWord:
 MAX_SYLLABLES = 100_000
 
 #: Largest span of the exponent sums in an entry of the Fox rows that
-#: ``_zvk_rows`` builds, checked as each entry is rebuilt.  Spans grow
-#: linearly with the letters, and the one-variable minor gcd's cost with
-#: them: at most 1 on the generic arrangements of up to 48 lines and 3 on
-#: the shipped factorizations; the generic 5-line arrangement conjugated
-#: by a random braid of 40, 80, 200 and 300 letters reads 15, 21, 53 and
-#: 75, and its minor gcd took 0.03, 0.3 and 1.3 s at 100, 200 and 300.
+#: ``_zvk_rows`` builds, past the |k| degrees that a core s_i^k alone
+#: can reach, checked as each entry is rebuilt.  Spans grow linearly
+#: with the conjugator, and the one-variable minor gcd's cost with them:
+#: at most 1 on the generic arrangements of up to 48 lines and 3 on the
+#: shipped factorizations; the generic 5-line arrangement conjugated by a
+#: random braid of 40, 80, 200 and 300 letters reads 15, 21, 53 and 75,
+#: and its minor gcd took 0.03, 0.3 and 1.3 s at 100, 200 and 300.
 MAX_ROW_SPAN = 64
 
-#: Largest number of terms in an entry of those rows.  Over several
-#: variables the terms grow with a power of the span: the conjugated
-#: 5-line arrangement's multivariable rows hold 614, 2,000 and 5,562
-#: terms at 40, 80 and 100 letters and 118,376 at 200, where they took
-#: 45 s to build; the shipped and generic ones hold at most 4.
-MAX_ROW_TERMS = 4096
+#: Largest number of terms in an entry of those rows, past the |k| terms
+#: of a core s_i^k alone.  Over several variables the terms grow with a
+#: power of the span, and the minor gcd's cost steeply with them: the
+#: conjugated 5-line arrangement's multivariable rows hold 614 terms at
+#: 40 letters and 1,554 at 60, where ``zvk --multi`` took 3.7 s and 56 s,
+#: and 2,000 at 80; the shipped and generic ones hold at most 4.
+MAX_ROW_TERMS = 1024
 
 
 def _syllable_count(images: list[Letters]) -> int:
@@ -424,8 +426,9 @@ def _zvk_rows(f: Factorization, projective: bool | None = None,
     through the letters of w^-1.  The running map starts as phi with
     images i, i+1 swapped for each letter s_i^+-1 of w and of s_i^k, and
     each letter undoes its swap before it acts, so the row ends under
-    phi.  Exponent vectors are packed into ints while the rows are built
-    (``_pack``).  An entry past MAX_ROW_TERMS or MAX_ROW_SPAN raises
+    phi.  The row of u alone has entries of at most |k| terms spanning
+    fewer than |k| degrees, so the limits count from there: an entry past
+    MAX_ROW_SPAN + |k| degrees or MAX_ROW_TERMS + |k| terms raises
     InputError naming field ``factors`` and the factor.
     """
     splits = validate_factorization(f)
@@ -434,32 +437,29 @@ def _zvk_rows(f: Factorization, projective: bool | None = None,
     d = f.strands
     phi = _orbit_map(f) if multi else AbelMap.constant_one(d)
     rank = phi.rank
-    # no exponent moves further from 0 than the letters of its factor
-    width = max(2 * len(w) + len(core) for w, core in splits).bit_length() + 2
-    packed = [_pack(img, width) for img in phi.images]
-    zero = _raw(rank, {})
     rows = []
     for idx, (w, core) in enumerate(splits):
-        images = packed[:]
+        images = list(phi.images)
         for v in chain(w, core):  # to phi psi s_i^k
             i = abs(v) - 1
             images[i], images[i + 1] = images[i + 1], images[i]
         g = abs(core[0]) - 1
         top = images[g]  # phi psi (s_i^k(x_i))
-        row = {g: {0: 1}}
+        row = [{} for _ in range(d)]
+        row[g] = {(0,) * rank: 1}
+        limits = (MAX_ROW_SPAN + len(core), MAX_ROW_TERMS + len(core))
         try:
-            _push(row, core, images, width)
-            terms = row.setdefault(g, {})
-            e = top - images[g]
+            _push(row, core, images, limits)
+            terms = row[g]
+            e = tuple(map(sub, top, images[g]))
             terms[e] = terms.get(e, 0) - 1
             if not terms[e]:
                 del terms[e]
-            _push(row, map(neg, reversed(w)), images, width)
+            _push(row, map(neg, reversed(w)), images, limits)
         except InputError as exc:
             raise InputError(f"factor {idx}: {exc.args[0]}",
                              field="factors") from None
-        rows.append([_raw(rank, _unpack(row[j], rank, width)) if row.get(j)
-                     else zero for j in range(d)])
+        rows.append([_raw(rank, terms) for terms in row])
     if projective:  # d(x_1 ... x_d)/dx_j = x_1 ... x_{j-1}
         at, row = (0,) * rank, []
         for img in phi.images:
@@ -469,71 +469,49 @@ def _zvk_rows(f: Factorization, projective: bool | None = None,
     return rows, phi
 
 
-def _pack(e: tuple[int, ...], width: int) -> int:
-    """Exponent vector e as one int: its balanced digits in base
-    2^width are sum(e), then e_1, e_2, ...; adding packed ints adds the
-    vectors while every digit stays below 2^(width - 1) in size."""
-    return sum(e) + sum(v << (width * j) for j, v in enumerate(e) if j)
-
-
-def _unpack(terms: dict[int, int], rank: int, width: int
-            ) -> dict[tuple[int, ...], int]:
-    """The terms keyed by exponent vectors again, from ``_pack`` keys."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    out = {}
-    for k, c in terms.items():
-        digits = []
-        for _ in range(rank):
-            v = ((k + half) & mask) - half
-            digits.append(v)
-            k = (k - v) >> width
-        digits[0] -= sum(digits[1:])
-        out[tuple(digits)] = c
-    return out
-
-
-def _push(row: dict[int, dict[int, int]], letters: Iterable[int],
-          images: list[int], width: int) -> None:
-    """Multiply the row vector `row` (terms by 0-based column, ``_pack``
-    keys) by the coloured Burau matrix of each letter in turn, in place,
-    with the running map `images`, whose swap each letter undoes first.
+def _push(row: list[dict[tuple[int, ...], int]], letters: Iterable[int],
+          images: list[tuple[int, ...]], limits: tuple[int, int]) -> None:
+    """Multiply the row vector `row`, its entries as LaurentPoly terms,
+    by the coloured Burau matrix of each letter in turn, in place, with
+    the running map `images`, whose swap each letter undoes first.
 
     With (a, b) at columns i, i+1 and m_i, m_{i+1} the images there,
     s_i sends (a, b) to (a (1 - m_{i+1}) + b, a m_i) and s_i^-1 to
     (b / m_{i+1}, a + b (m_i - 1) / m_{i+1}).  Raises InputError once an
-    entry holds more than MAX_ROW_TERMS terms or its exponent sums span
-    more than MAX_ROW_SPAN.
+    entry's exponent sums span more than limits[0] or it holds more than
+    limits[1] terms.
     """
-    half, mask = 1 << (width - 1), (1 << width) - 1
+    span, size = limits
     for v in letters:
         i = abs(v) - 1
         images[i], images[i + 1] = mi, mj = images[i + 1], images[i]
-        a, b = row.get(i), row.get(i + 1)
+        a, b = row[i], row[i + 1]
         if not (a or b):
             continue
-        a, b = a or {}, b or {}
         if v > 0:
-            na, nb = dict(b), {e + mi: c for e, c in a.items()}
+            na, nb = dict(b), {tuple(map(add, e, mi)): c for e, c in a.items()}
             for e, c in a.items():
                 na[e] = na.get(e, 0) + c
-                na[e + mj] = na.get(e + mj, 0) - c
+                e = tuple(map(add, e, mj))
+                na[e] = na.get(e, 0) - c
             na = {e: c for e, c in na.items() if c}
         else:
-            na, nb = {e - mj: c for e, c in b.items()}, dict(a)
-            for e, c in b.items():
-                nb[e - mj] = nb.get(e - mj, 0) - c
-                nb[e + mi - mj] = nb.get(e + mi - mj, 0) + c
+            na, nb = {tuple(map(sub, e, mj)): c for e, c in b.items()}, dict(a)
+            for e, c in na.items():
+                nb[e] = nb.get(e, 0) - c
+                e = tuple(map(add, e, mi))
+                nb[e] = nb.get(e, 0) + c
             nb = {e: c for e, c in nb.items() if c}
         row[i], row[i + 1] = na, nb
-        for terms in (na, nb):
-            if len(terms) > MAX_ROW_TERMS:
+        for terms in na, nb:
+            if len(terms) > size:
                 raise InputError("a Fox row entry holds more than "
-                                 f"{MAX_ROW_TERMS} terms")
+                                 f"{size} terms")
             if len(terms) > 1:
-                sums = [((e + half) & mask) - half for e in terms]
-                if max(sums) - min(sums) > MAX_ROW_SPAN:
+                sums = list(map(sum, terms))
+                if max(sums) - min(sums) > span:
                     raise InputError("a Fox row entry spans more than "
-                                     f"{MAX_ROW_SPAN} degrees")
+                                     f"{span} degrees")
 
 
 def closure_presentation(braid: BraidWord) -> Presentation:

@@ -22,8 +22,10 @@ import alexpoly.curve
 import alexpoly.linkpoly
 import alexpoly.ring.cyclotomic
 from alexpoly.braid import (MAX_COORDINATE_BITS, MAX_ROW_SPAN, MAX_ROW_TERMS,
-                            MAX_SYLLABLES)
+                            MAX_SYLLABLES, factorization_from_json,
+                            zvk_presentation)
 from alexpoly.cli import COMMANDS, build_parser, main, parse_well_formed
+from alexpoly.fox import alexander_one_variable, alexander_polynomial
 from alexpoly.group import MAX_LETTERS
 from alexpoly.ring import MAX_VARIABLES, LaurentPoly, poly_to_str
 from verify_reference import arrangement_curve
@@ -614,28 +616,54 @@ def test_conjugated_arrangement_verifies(capsys, tmp_path):
 
 def test_conjugated_arrangement_relator_budget(capsys, tmp_path):
     # validation passes; an entry of the Fox row of factor 0, conjugated
-    # by the 300-letter braid, passes MAX_ROW_SPAN (the finished rows
-    # would span 75 degrees), and the message names the factor
+    # by the 300-letter braid, passes MAX_ROW_SPAN past the 2 degrees its
+    # core s_i^2 may take (the finished rows would span 75 degrees), and
+    # the message names the factor
     path = tmp_path / "factorization.json"
     path.write_text(json.dumps(conjugated_arrangement(300)), encoding="utf-8")
     curve = str(DATA / "two_lines" / "curve.json")
     for argv in (["zvk", str(path)], ["verify", curve, str(path)]):
         assert run_cli(capsys, *argv) == (
             2, "", f"error: {path}: field 'factors': factor 0: a Fox row "
-            f"entry spans more than {MAX_ROW_SPAN} degrees\n")
+            f"entry spans more than {MAX_ROW_SPAN + 2} degrees\n")
 
 
-def test_conjugated_arrangement_term_budget(capsys, tmp_path):
-    # at 100 letters the one-variable rows span 27 degrees, but over the
-    # five line variables an entry of factor 1's row passes MAX_ROW_TERMS
-    # (the finished rows would hold 5,562 terms)
+@pytest.mark.parametrize("length, factor", [(60, 0), (80, 1)])
+def test_conjugated_arrangement_term_budget(capsys, tmp_path, length, factor):
+    # the one-variable rows span 20 and 21 degrees, but over the five line
+    # variables an entry passes MAX_ROW_TERMS past the 2 terms of its core
+    # (the finished rows would hold 1,554 and 2,000 terms, and the minor
+    # gcd took about a minute on the 60-letter ones)
     path = tmp_path / "factorization.json"
-    path.write_text(json.dumps(conjugated_arrangement(100)), encoding="utf-8")
+    path.write_text(json.dumps(conjugated_arrangement(length)),
+                    encoding="utf-8")
     code, out, err = run_cli(capsys, "zvk", str(path))
     assert (code, err) == (0, "")
     assert run_cli(capsys, "zvk", str(path), "--multi") == (
-        2, "", f"error: {path}: field 'factors': factor 1: a Fox row entry "
-        f"holds more than {MAX_ROW_TERMS} terms\n")
+        2, "", f"error: {path}: field 'factors': factor {factor}: a Fox row "
+        f"entry holds more than {MAX_ROW_TERMS + 2} terms\n")
+
+
+def test_long_cores_are_not_bounded(capsys, tmp_path):
+    # the row of a core s_i^k alone spans |k| - 1 degrees, so cores of
+    # 100 letters, bare and conjugated, pass both row limits; the added
+    # factors multiply to 1 and keep the three lines' (t - 1)^2
+    w, w_inv = [1, -2], [2, -1]
+    factors = [[1] * 100, [-1] * 100,
+               w + [2] * 100 + w_inv, w + [-2] * 100 + w_inv]
+    with open(DATA / "three_lines" / "factorization.json",
+              encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["factors"] = factors + obj["factors"]
+    path = tmp_path / "factorization.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    pres, phi = zvk_presentation(factorization_from_json(obj))
+    assert str(alexander_one_variable(pres, phi)) == "t^2 - 2*t + 1"
+    for extra, delta in (([], alexander_one_variable(pres, phi)),
+                         (["--multi"], alexander_polynomial(pres, phi))):
+        code, out, err = run_cli(capsys, "zvk", str(path), *extra)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"alexander: {poly_to_str(delta)}\n")
 
 
 def test_pseudo_anosov_product_coordinate_bound(capsys, tmp_path):

@@ -25,7 +25,9 @@ by seeded braids of 0-60 letters, plain and projective, and on the
 pushing row vectors through coloured Burau matrices.  On every input
 above, plain and projective, its rows must equal ``fox_matrix`` of
 ``zvk_presentation`` entry by entry, not up to units, under the orbit
-map and under its composition to one variable.
+map and under its composition to one variable; with ``MAX_ROW_TERMS``
+lifted where the multivariable rows of a 60-letter conjugator pass it,
+and also on factors with cores of 100 letters, bare and conjugated.
 """
 
 import json
@@ -34,6 +36,7 @@ import random
 
 import pytest
 
+import alexpoly.braid
 from alexpoly.braid import (MAX_SYLLABLES, BraidWord, Factorization,
                             _zvk_rows, zvk_presentation)
 from alexpoly.errors import InputError
@@ -270,7 +273,10 @@ def test_standard_form_rows_match_fox_matrix(n):
 
 @pytest.mark.parametrize("length", [0, 20, 40, 60])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_conjugated_rows_match_fox_matrix(n, length):
+def test_conjugated_rows_match_fox_matrix(n, length, monkeypatch):
+    # some multivariable rows at 60 letters hold over 1,024 terms, which
+    # zvk --multi refuses; the bound is lifted to check them entry by entry
+    monkeypatch.setattr(alexpoly.braid, "MAX_ROW_TERMS", 4096)
     f = conjugated_arrangement(n, length)
     if (n, length) == (4, 60):  # the words pass MAX_SYLLABLES, the rows not
         with pytest.raises(InputError, match=f"exceed {MAX_SYLLABLES} "):
@@ -281,5 +287,17 @@ def test_conjugated_rows_match_fox_matrix(n, length):
 
 
 @pytest.mark.parametrize("length", [40, 60])
-def test_ci_conjugated_arrangement_rows(length):
+def test_ci_conjugated_arrangement_rows(length, monkeypatch):
+    monkeypatch.setattr(alexpoly.braid, "MAX_ROW_TERMS", 4096)
     assert_same_rows(ci_conjugated_arrangement(length))
+
+
+def test_long_core_rows_match_fox_matrix():
+    # cores s_1^+-100 and s_2^+-100 conjugated by s_1 s_2^-1, whose rows
+    # span 99 degrees and more, ahead of the three lines' factors
+    f = shipped("three_lines", False)
+    w = BraidWord(3, (1, -2))
+    cores = [BraidWord(3, (1,)) ** 100, BraidWord(3, (-1,)) ** 100,
+             w * BraidWord(3, (2,)) ** 100 * w.inverse(),
+             w * BraidWord(3, (-2,)) ** 100 * w.inverse()]
+    assert_same_rows(Factorization(3, tuple(cores) + f.factors, False))
